@@ -7,9 +7,12 @@ For jump probabilities (p_n) the walk is
   (that series is the total mass of the invariant measure), and
 * null recurrent when both series diverge.
 
-Constant and periodic probability sequences admit exact decisions; the
-general case is judged by a finite-horizon heuristic that inspects term
-ratios and partial sums and may honestly return Undetermined.
+Every supported probability sequence is a finite prefix followed by a
+repeating cycle.  The prefix changes only finitely many factors of either
+series, so the per-cycle ratio decides both exactly (the birth-death chain
+criterion of Karlin & McGregor, "Random walks", Illinois J. Math. 3, 1959).
+A finite-horizon heuristic that inspects term ratios and partial sums is
+kept as a labelled audit route; it may honestly return Undetermined.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .operators import PSeq, Constant, ListWithTail, Periodic
+from .operators import PSeq, Constant
 from .seqspace import Lattice
 
 _OVERFLOW_CAP = 1e300
@@ -182,36 +185,30 @@ def kernel_weights(pseq: PSeq, n_max: int) -> list[float]:
     return out
 
 
+def _log_odds(p: float) -> float:
+    """log((1-p)/p): the per-index log factor of the transience series."""
+    return math.log1p(-p) - math.log(p)
+
+
 def kernel_decay_log_factors(pseq: PSeq) -> tuple[float, float]:
     """Per-cycle log growth of the even and odd kernel-weight chains.
 
-    Weights satisfy w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}; over a full cycle
-    of the supported probability-sequence forms the product telescopes to
-    prod (1-p_k)/p_k with k running through a residue class, so the sign
-    of the log decides decay exactly.  Negative means the chain decays
+    Weights satisfy w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}.  Past the prefix a
+    chain reads the cycle values periodically: all of them when the cycle
+    length is odd, one parity class when it is even (the even-coordinate
+    chain reads odd indices and vice versa).  The product of (1-p)/p over
+    the values one chain cycle reads telescopes the chain exactly, so the
+    sign of its log decides decay.  Negative means the chain decays
     geometrically per cycle; zero means it stays bounded away from zero.
     """
-
-    def lg(p: float) -> float:
-        return math.log1p(-p) - math.log(p)
-
-    if isinstance(pseq, Constant):
-        v = lg(pseq.p)
+    cycle = pseq.cycle
+    if len(cycle) % 2 == 1:
+        v = math.fsum(_log_odds(p) for p in cycle)
         return v, v
-    if isinstance(pseq, ListWithTail):
-        v = lg(pseq.tail)
-        return v, v
-    if isinstance(pseq, Periodic):
-        vals = pseq.values
-        period = len(vals)
-        if period % 2 == 1:
-            v = math.fsum(lg(p) for p in vals)
-            return v, v
-        # the even-coordinate chain reads odd residues and vice versa
-        even = math.fsum(lg(vals[k]) for k in range(1, period, 2))
-        odd = math.fsum(lg(vals[k]) for k in range(0, period, 2))
-        return even, odd
-    raise TypeError(f"not a probability sequence: {pseq!r}")
+    # cycle[k] sits at the indices congruent to start + k
+    even = math.fsum(_log_odds(p) for k, p in enumerate(cycle) if (pseq.start + k) % 2)
+    odd = math.fsum(_log_odds(p) for k, p in enumerate(cycle) if not (pseq.start + k) % 2)
+    return even, odd
 
 
 @dataclass(frozen=True)
@@ -240,13 +237,14 @@ def classify(
 ) -> ClassVerdict:
     """Classify the walk as transient, null recurrent or positive recurrent.
 
-    Constant probabilities are decided exactly by comparing p with 1/2.
-    Periodic probabilities are decided exactly from the per-period
-    geometric ratio of the series terms.  Everything else runs the
-    finite-horizon policy on both series; on the line lattice only the
-    constant case is supported (null recurrent at p = 1/2, transient
-    otherwise).  ``method="series"`` skips the exact fast paths and runs
-    the policy route regardless, which is how the fast paths are audited.
+    Every supported form is decided exactly on the half-line from its
+    cycle: a one-value cycle (constant p, or the tail of a list) compares
+    that value with 1/2; a longer cycle uses the sign of the per-cycle log
+    ratio sum log((1-p)/p), read as zero within 1e-12 per value.  On the
+    line lattice only the constant case is supported (null recurrent at
+    p = 1/2, transient otherwise).  ``method="series"`` skips the exact
+    route and runs the finite-horizon policy on both series regardless,
+    which is how the exact route is audited.
     """
     if method not in ("auto", "series"):
         raise ValueError("method must be 'auto' or 'series'")
@@ -254,6 +252,7 @@ def classify(
         if lattice is Lattice.LINE:
             raise ValueError("the series route classifies the half-line walk only")
         return _series_classify(pseq, horizon, policy)
+    s1, s2 = _evidence(pseq, horizon, policy)
     if lattice is Lattice.LINE:
         if not isinstance(pseq, Constant):
             raise ValueError("line-walk classification is implemented for constant p only")
@@ -262,43 +261,29 @@ def classify(
             if pseq.p == 0.5
             else Classification.TRANSIENT
         )
-        s1, s2 = _evidence(pseq, horizon, policy)
         return ClassVerdict(verdict, "exact-line-constant", horizon, s1, s2, {"p": pseq.p})
 
-    if isinstance(pseq, Constant):
-        if pseq.p > 0.5:
-            verdict = Classification.TRANSIENT
-        elif pseq.p < 0.5:
-            verdict = Classification.POSITIVE_RECURRENT
-        else:
-            verdict = Classification.NULL_RECURRENT
-        s1, s2 = _evidence(pseq, horizon, policy)
-        return ClassVerdict(verdict, "exact-constant", horizon, s1, s2, {"p": pseq.p})
-
-    if isinstance(pseq, Periodic):
-        # Over one full period the transience-series terms pick up the fixed
-        # factor prod_j (1-p_j)/p_j, so its sign of log decides both series.
-        log_ratio = math.fsum(
-            math.log1p(-p) - math.log(p) for p in pseq.values
-        )
-        tol = 1e-12 * max(1, len(pseq.values))
-        if abs(log_ratio) <= tol:
-            verdict = Classification.NULL_RECURRENT
-        elif log_ratio < 0:
-            verdict = Classification.TRANSIENT
-        else:
-            verdict = Classification.POSITIVE_RECURRENT
-        s1, s2 = _evidence(pseq, horizon, policy)
-        return ClassVerdict(
-            verdict,
-            "exact-periodic",
-            horizon,
-            s1,
-            s2,
-            {"period": len(pseq.values), "period_log_ratio": log_ratio},
-        )
-
-    return _series_classify(pseq, horizon, policy)
+    # Over one full cycle the transience-series terms pick up the fixed
+    # factor prod (1-p)/p, so the sign of its log decides both series.
+    cycle = pseq.cycle
+    log_ratio = math.fsum(_log_odds(p) for p in cycle)
+    if len(cycle) == 1:
+        null, transient = cycle[0] == 0.5, cycle[0] > 0.5
+    else:
+        null, transient = abs(log_ratio) <= 1e-12 * len(cycle), log_ratio < 0
+    if null:
+        verdict = Classification.NULL_RECURRENT
+    elif transient:
+        verdict = Classification.TRANSIENT
+    else:
+        verdict = Classification.POSITIVE_RECURRENT
+    if len(cycle) > 1:
+        method, detail = "exact-periodic", {"period": len(cycle), "period_log_ratio": log_ratio}
+    elif pseq.prefix:
+        method, detail = "exact-list", {"tail": cycle[0], "prefix_length": len(pseq.prefix)}
+    else:
+        method, detail = "exact-constant", {"p": cycle[0]}
+    return ClassVerdict(verdict, method, horizon, s1, s2, detail)
 
 
 def _series_classify(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import enum
 import json
 import math
 import os
@@ -39,7 +41,7 @@ from .inverse_kernel import (
     right_inverse_power,
     step_norm_bound,
 )
-from .operators import make_walk, parse_pseq, pseq_text
+from .operators import Constant, make_walk, parse_pseq, pseq_text
 from .seqspace import FinSeq, Lattice, SpaceSpec, sup_norm
 from .spectral import (
     Membership,
@@ -76,11 +78,14 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "value") and obj.__class__.__bases__ and any(
-        b.__name__ == "Enum" for b in type(obj).__mro__
-    ):
+    if isinstance(obj, enum.Enum):
         return obj.value
     return str(obj)
+
+
+def _fields(report) -> dict:
+    """A report dataclass as a dict of its fields, in declaration order."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
 
 
 def _finseq_json(x: FinSeq) -> dict:
@@ -334,7 +339,7 @@ def _spectrum_p(args) -> float:
         return args.p
     if args.pseq:
         pseq = parse_pseq(args.pseq)
-        if hasattr(pseq, "p"):
+        if isinstance(pseq, Constant):
             return pseq.p
         raise ValueError("grid/radius modes need a constant probability (use --p)")
     raise ValueError("spectrum needs --p or --pseq const:<p>")
@@ -400,14 +405,7 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
         pseq = parse_pseq(args.pseq)
         config.update({"pseq": pseq_text(pseq), "n_max": args.n_max})
         rep = dual_point_spectrum_report(pseq, space, n_max=args.n_max)
-        result = {
-            "space": str(space),
-            "zero_is_dual_eigenvalue": rep.zero_is_dual_eigenvalue.value,
-            "conclusion": rep.conclusion,
-            "coords": list(rep.coords),
-            "detail": rep.detail,
-        }
-        return result, 0, None
+        return _fields(rep), 0, None
     # symmetric interval check at p = 1/2
     lams = tuple(parse_grid(args.lam_grid)) if args.lam_grid else None
     config.update({"n_max": args.n_max, "lam_grid": args.lam_grid})
@@ -481,11 +479,13 @@ def _run_certify(args, config) -> tuple[dict, int, tuple | None]:
     pseq = parse_pseq(args.pseq)
     op = make_walk(Lattice.HALF_LINE, pseq)
     space = SpaceSpec.parse(args.space)
+    config.update({"pseq": pseq_text(pseq), "space": str(space)})
     if args.property == "fhc":
         if args.lam is None:
             raise ValueError("certify fhc needs --lambda")
         n_max = args.n_max if args.n_max is not None else 20
         tol = _tol(args, 1e-6)
+        config.update({"n_max": n_max, "tolerance": tol})
         cert = fhc_chaos_certificate(op, args.lam, space, n_max=n_max, tol=tol)
     else:
         if args.lam is not None:
@@ -494,12 +494,9 @@ def _run_certify(args, config) -> tuple[dict, int, tuple | None]:
                 "are quantified away by the projective orbit)"
             )
         n_max = args.n_max if args.n_max is not None else 16
-        tol = _tol(args, 1e-6)
+        config["n_max"] = n_max
         cert = supercyclicity_criterion_certificate(op, space, n_max=n_max)
-    config.update(
-        {"pseq": pseq_text(pseq), "space": str(space), "n_max": n_max,
-         "tolerance": tol, "lam": args.lam, "property": args.property}
-    )
+    config.update({"lam": args.lam, "property": args.property})
     result = {
         "kind": cert.kind.value,
         "holds": cert.verdict.value,
@@ -530,20 +527,7 @@ def _run_probe(args, config) -> tuple[dict, int, tuple | None]:
         rep = constant_tail_obstruction(
             op, args.alpha, perturb, i_probe=args.i, n_max=args.n_max
         )
-        result = {
-            "alpha": rep.alpha,
-            "floor": rep.floor,
-            "start_norm": rep.start_norm,
-            "floor_ratio": rep.floor_ratio,
-            "probe_index": rep.probe_index,
-            "probe_values": list(rep.probe_values),
-            "orbit_sups": list(rep.orbit_sups),
-            "probe_ratios": list(rep.probe_ratios),
-            "deviation_sups": list(rep.deviation_sups),
-            "row_sum_deviation": rep.row_sum_deviation,
-            "conclusion": rep.conclusion,
-        }
-        return result, 0, None
+        return _fields(rep), 0, None
     # line-bound
     op = make_walk(Lattice.LINE, pseq)
     if args.x is None:
@@ -554,18 +538,7 @@ def _run_probe(args, config) -> tuple[dict, int, tuple | None]:
         {"pseq": pseq_text(pseq), "x": args.x, "n": args.n, "space": str(space)}
     )
     rep = line_walk_lower_bound(op, x, args.n, space)
-    result = {
-        "factor": rep.factor,
-        "n": rep.n,
-        "start_norm": rep.start_norm,
-        "bound": rep.bound,
-        "measured": rep.measured,
-        "step_norms": list(rep.step_norms),
-        "holds": rep.holds,
-        "blocked_scaling_threshold": rep.blocked_scaling_threshold,
-        "conclusion": rep.conclusion,
-    }
-    return result, 0 if rep.holds else 3, None
+    return _fields(rep), 0 if rep.holds else 3, None
 
 
 def _run_oracle(args, config) -> tuple[dict, int, tuple | None]:

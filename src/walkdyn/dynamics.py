@@ -73,11 +73,20 @@ def _check_dynamics_space(space: SpaceSpec) -> str | None:
     return None
 
 
-def _column_bound(op: BandedOp, window: int = 64) -> float:
-    """Upper estimate of the operator's column-sum norm on a window."""
+def _column_bound(op: BandedOp) -> float:
+    """The operator's column-sum norm sup_j sum_i |A_{i,j}|.
+
+    Column j sums entries of rows j-1 and j+1 only, and away from the
+    prefix its sum repeats with the cycle, so the columns from the
+    boundary (or one cycle before the prefix, on the line) to one cycle
+    past the prefix attain the supremum.
+    """
+    pseq = op.pseq
+    reach = len(pseq.cycle) + 1
+    hi = pseq.start + len(pseq.prefix) + reach
+    lo = 0 if op.lattice is Lattice.HALF_LINE else pseq.start - reach
     worst = 0.0
-    cols = range(window) if op.lattice is Lattice.HALF_LINE else range(-window, window)
-    for j in cols:
+    for j in range(lo, hi + 1):
         s = 0.0
         for i in range(j - 1, j + 2):
             if op.lattice is Lattice.HALF_LINE and i < 0:
@@ -85,11 +94,6 @@ def _column_bound(op: BandedOp, window: int = 64) -> float:
             s += abs(op.entry(i, j))
         worst = max(worst, s)
     return worst
-
-
-def _kernel_sample(op: BandedOp, power: int, deep_tol: float, index: int = 0) -> FinSeq:
-    window = kernel_window_for_tol(op.pseq, deep_tol) + power
-    return kernel_basis(op, power, window, tol=deep_tol)[index]
 
 
 def fhc_chaos_certificate(
@@ -108,7 +112,9 @@ def fhc_chaos_certificate(
     the certified ratio, and an explicitly summed periodic point is fixed
     by T^period up to roundoff.  A NO from ratio >= 1 only reports that
     this criterion is blocked; when additionally |lam| <= 1 makes every
-    orbit bounded, the NO is flagged as a genuine disproof.
+    orbit bounded, the NO is flagged as a genuine disproof.  When the
+    kernel window for the sample would pass its cap, the verdict is
+    Undetermined and the reason names the cap.
     """
     lam = complex(lam)
     params = {
@@ -166,7 +172,11 @@ def fhc_chaos_certificate(
 
     m = 6
     deep_tol = 1e-60
-    sample = _kernel_sample(op, m, deep_tol)
+    try:
+        window = kernel_window_for_tol(op.pseq, deep_tol) + m
+    except ValueError as exc:
+        return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, str(exc))
+    sample = kernel_basis(op, m, window, tol=deep_tol)[0]
 
     # right-inverse identity on the sample
     ws_residual = norm(op.apply(right_inverse(op, sample)) - sample, space)
@@ -260,7 +270,8 @@ def supercyclicity_criterion_certificate(
     It engages whenever the kernel weights decay: constant p > 1/2, or
     position-dependent probabilities whose parity chains shrink per cycle.
     Otherwise the kernel is trivial in the space and the certificate
-    reports Undetermined.
+    reports Undetermined; so it does, naming the cap, when the kernel
+    window would pass its cap.
     """
     params = {"pseq": pseq_text(op.pseq), "space": str(space), "n_max": int(n_max)}
     if op.lattice is not Lattice.HALF_LINE:
@@ -288,7 +299,16 @@ def supercyclicity_criterion_certificate(
 
     m = 4
     deep_tol = 1e-30
-    window = kernel_window_for_tol(pseq, deep_tol) + m
+    try:
+        window = kernel_window_for_tol(pseq, deep_tol) + m
+    except ValueError as exc:
+        return Certificate(
+            CertKind.SUPERCYCLICITY,
+            Verdict.UNDETERMINED,
+            params,
+            {"kernel_chain_log_factors": _chain_factors},
+            str(exc),
+        )
     basis = kernel_basis(op, m, window, tol=deep_tol)
     sample = basis[0]
     target = basis[1]
@@ -417,12 +437,7 @@ def constant_tail_obstruction(
         probe_ratios.append(abs(value) / sup)
         dev_sups.append(phi.sup_abs())
         phi = op.apply(phi)
-    dev = 0.0
-    pseq = op.pseq
-    rows = range(0, 40) if op.lattice is Lattice.HALF_LINE else range(-20, 20)
-    for i in rows:
-        p = pseq.at(i)
-        dev = max(dev, abs((1.0 - p) + p - 1.0))
+    dev = max(abs((1.0 - p) + p - 1.0) for p in op.pseq.probabilities())
     return ObstructionReport(
         alpha=alpha,
         floor=abs(alpha),

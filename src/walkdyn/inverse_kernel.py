@@ -6,9 +6,10 @@ The half-line operator W is onto whenever all jump probabilities sit in
     u_1 = v_0 / p_0,      u_n = v_{n-1} / p_{n-1} + r_{n-1} u_{n-2},
 
 where r_k = (p_k - 1)/p_k, satisfies W u = v row by row.  Beyond the
-support of v the recurrence continues geometrically with factors r_k, so
-the result decays iff |r_k| stays below 1 there, i.e. the tail jump
-probabilities exceed one half.  For constant p the map v -> u is exactly
+support of v the recurrence continues geometrically with factors r_k, and
+each parity chain of the result decays iff the product of |r_k| over one
+cycle of the indices it reads is below 1 (tail jump probabilities above
+one half are enough, but not needed).  For constant p the map v -> u is exactly
 convolution with the kernel a_{2j+1} = r^j / p, giving the operator norm
 1/(2p - 1) on each of c0, l^q, l^infinity.
 
@@ -22,17 +23,17 @@ from __future__ import annotations
 
 import math
 
-from .classify import kernel_decay_log_factors, kernel_weights
-from .operators import BandedOp, Constant, Periodic, PSeq
+from .classify import _log_odds, kernel_decay_log_factors, kernel_weight, kernel_weights
+from .operators import BandedOp, PSeq
 from .seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
 
 
 class TailNotDecayingError(RuntimeError):
     """The inverted sequence's geometric tail does not fall below tolerance.
 
-    Raised when the jump probabilities do not eventually exceed one half,
-    so the continuation factors r_k have modulus >= 1 and the preimage
-    leaves every one of the sequence spaces.  ``last_magnitude`` reports
+    Raised when a parity chain of the continuation that is not exactly
+    zero does not shrink over a cycle of the jump probabilities, so the
+    preimage leaves every one of the sequence spaces.  ``last_magnitude`` reports
     how large the tail still was when the computation stopped.
     """
 
@@ -51,11 +52,6 @@ def _require_half_line(op: BandedOp) -> None:
         raise ValueError("the right-inverse construction applies to half-line operators")
 
 
-def tail_ratio_bound(op: BandedOp) -> float:
-    """sup |r_k| over the probability values taken infinitely often."""
-    return max(abs(jump_ratio(p)) for p in op.pseq.tail_probabilities())
-
-
 def ratio_bound(op: BandedOp) -> float:
     """sup |r_k| over every probability value the sequence takes."""
     return max(abs(jump_ratio(p)) for p in op.pseq.probabilities())
@@ -70,25 +66,53 @@ def step_norm_bound(op: BandedOp) -> float:
     the constant case reduces to the same number.  Returns +inf when some
     |r_k| >= 1, where no such bound exists.
     """
-    if isinstance(op.pseq, Constant):
-        p = op.pseq.p
-        return 1.0 / (2.0 * p - 1.0) if p > 0.5 else math.inf
     rbar = ratio_bound(op)
     if rbar >= 1.0:
         return math.inf
-    pmin = min(op.pseq.probabilities())
-    return 1.0 / (pmin * (1.0 - rbar))
+    values = op.pseq.probabilities()
+    if len(values) == 1:
+        return 1.0 / (2.0 * values[0] - 1.0)
+    return 1.0 / (min(values) * (1.0 - rbar))
 
 
-def tail_step_norm_bound(op: BandedOp) -> float:
-    """Same bound computed from the eventual probability values only."""
-    rbar = tail_ratio_bound(op)
-    if rbar >= 1.0:
+def _chain_horizon(
+    pseq: PSeq, first: int, mags: tuple[float, float], threshold: float
+) -> float:
+    """Index past which both parity chains stay at or below ``threshold``.
+
+    The chains are x_{n+2} = |r_{n+1}| x_n for n >= first, started from
+    (|x_first|, |x_{first+1}|) = ``mags``: the kernel weights, and the tail
+    of a preimage past the support of its target.  Their logs are followed
+    through the prefix and one cycle past it; from there each chain scales
+    by its per-cycle factor from :func:`kernel_decay_log_factors`, so its
+    last index above the threshold follows in closed form.  One more cycle
+    is added to absorb the rounding difference between the logs and the
+    products.  Returns inf when the threshold is not positive or a chain
+    that is not exactly zero does not decay.
+    """
+    if threshold <= 0:
         return math.inf
-    pmin = min(op.pseq.tail_probabilities())
-    if isinstance(op.pseq, Constant):
-        return 1.0 / (2.0 * op.pseq.p - 1.0)
-    return 1.0 / (pmin * (1.0 - rbar))
+    cycle_len = len(pseq.cycle)
+    span = cycle_len if cycle_len % 2 == 0 else 2 * cycle_len  # indices per chain cycle
+    factors = kernel_decay_log_factors(pseq)
+    steady = max(first, pseq.start + len(pseq.prefix))
+    log_thr = math.log(threshold)
+    logs = [math.log(m) if m > 0 else -math.inf for m in mags]
+    last = first - 1
+    for n in range(first, steady + span):
+        if n >= first + 2:
+            logs.append(logs[n - first - 2] + _log_odds(pseq.at(n - 1)))
+        lg = logs[n - first]
+        if n < steady:
+            if lg > log_thr:
+                last = n
+        elif lg > -math.inf:
+            f = factors[n % 2]
+            if f >= -1e-12:
+                return math.inf
+            if lg > log_thr:
+                last = max(last, n + span * math.floor((lg - log_thr) / -f))
+    return last + span
 
 
 def right_inverse(
@@ -101,9 +125,11 @@ def right_inverse(
 
     The recurrence is evaluated until both parity chains of the geometric
     continuation fall below ``tol * sup|v|`` past the support of v.  When
-    the tail cannot decay (some eventual p_k <= 1/2) and no explicit
-    ``max_support`` is supplied, :class:`TailNotDecayingError` is raised;
-    with ``max_support`` the truncated sequence is returned as-is.
+    a chain that is not exactly zero cannot decay (it does not shrink over
+    a cycle of the jump probabilities) and no explicit ``max_support`` is
+    supplied, the recurrence runs 128 indices past the support and then
+    raises :class:`TailNotDecayingError`; with ``max_support`` the
+    truncated sequence is returned as-is.
     """
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
@@ -115,32 +141,27 @@ def right_inverse(
     hi = sup[1]
     scale = vt.sup_abs()
     threshold = tol * scale
-    rbar = tail_ratio_bound(op)
-    if max_support is not None:
-        cap = max(max_support, hi + 2)
-    elif rbar < 1.0:
-        # decay per index is at worst sqrt(rbar); size the cap off the
-        # proven step bound so the threshold is reachable with margin
-        start = step_norm_bound(op)
-        if not math.isfinite(start):
-            start = tail_step_norm_bound(op) * 1e6
-        need = math.log(max(tol, 1e-300) / max(start, 1.0)) / math.log(rbar)
-        cap = hi + 2 * (int(math.ceil(need)) + 8) + 16
-    else:
-        # no decay possible; the only way out is exact cancellation
-        cap = hi + 128
 
     pseq = op.pseq
     u: list[complex] = [0.0 + 0.0j]
-    for n in range(1, cap + 1):
+
+    for n in range(1, hi + 2):
         pn1 = pseq.at(n - 1)
-        prev2 = u[n - 2] if n >= 2 else u[0]
-        u.append(vt.at(n - 1) / pn1 + jump_ratio(pn1) * prev2)
-        if n - 1 > hi and abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
+        u.append(vt.at(n - 1) / pn1 + jump_ratio(pn1) * u[n - 2 if n >= 2 else 0])
+    if max_support is not None:
+        cap = max(max_support, hi + 2)
+    else:
+        # past hi + 1 the preimage follows the parity chains from u_hi, u_hi+1
+        horizon = _chain_horizon(pseq, hi, (abs(u[hi]), abs(u[hi + 1])), threshold)
+        cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
+    for n in range(hi + 2, cap + 1):
+        pn1 = pseq.at(n - 1)
+        u.append(vt.at(n - 1) / pn1 + jump_ratio(pn1) * u[n - 2])
+        if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
             return FinSeq(Lattice.HALF_LINE, 0, tuple(u)).trim()
     if max_support is not None:
         return FinSeq(Lattice.HALF_LINE, 0, tuple(u)).trim()
-    last = max(abs(u[-1]), abs(u[-2])) if len(u) >= 2 else abs(u[-1])
+    last = max(abs(u[-1]), abs(u[-2]))
     raise TailNotDecayingError(
         "preimage tail has not decayed below tolerance: the jump "
         f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
@@ -169,25 +190,29 @@ def right_inverse_power(
 def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     """Index horizon past which the kernel weights stay below tol.
 
-    Sized from the weight recurrence itself, so it is valid for any
-    probability sequence with decaying kernel chains; raises ValueError
-    when the chains do not decay (the horizon would be infinite).
+    Returns the first index n such that the 2L + 2 weights ending at n
+    (L the cycle length of the probability sequence) and every later
+    weight lie below tol.  The weights are computed only up to the
+    closed-form chain horizon.  Raises ValueError when the chains do not
+    decay (the horizon would be infinite) and when the window would pass
+    ``cap``.
     """
-    even, odd = kernel_decay_log_factors(pseq)
-    if even >= -1e-12 or odd >= -1e-12:
+    horizon = _chain_horizon(pseq, 0, (1.0, kernel_weight(pseq, 1)), tol)
+    if math.isinf(horizon):
         raise ValueError(
             "kernel weights do not decay (some parity chain has per-cycle "
             "growth factor >= 1), so no finite window reaches the tolerance"
         )
-    cycle = len(pseq.values) if isinstance(pseq, Periodic) else 1
-    run_needed = 2 * cycle + 2
-    w = kernel_weights(pseq, cap)
-    run = 0
-    for n, wn in enumerate(w):
-        run = run + 1 if wn < tol else 0
-        if run >= run_needed:
-            return n
-    return cap
+    if horizon <= cap:
+        w = kernel_weights(pseq, horizon)
+        last = max((n for n, wn in enumerate(w) if wn >= tol), default=-1)
+        window = last + 2 * len(pseq.cycle) + 2
+        if window <= cap:
+            return window
+    raise ValueError(
+        f"no kernel window up to cap={cap} reaches tol={tol:g}: the kernel "
+        f"weights stay above it until about index {horizon}"
+    )
 
 
 def kernel_basis(

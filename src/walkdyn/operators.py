@@ -31,8 +31,43 @@ def _check_prob(p: float) -> float:
     return p
 
 
+class _PrefixCycle:
+    """Shared description of the supported forms: a prefix, then a cycle.
+
+    ``p_n = prefix[n - start]`` for ``0 <= n - start < len(prefix)`` and
+    ``p_n = cycle[(n - start) % len(cycle)]`` at every other index.  Each
+    form supplies ``prefix``, ``start`` and ``cycle``; the quantities that
+    depend only on this description are written once here.  ``at`` stays
+    on each form because it is the per-entry hot path.
+    """
+
+    prefix: tuple[float, ...] = ()
+    start: int = 0
+    cycle: tuple[float, ...]
+
+    def prob_array(self, pos: np.ndarray) -> np.ndarray:
+        cycle = self.cycle
+        if len(cycle) == 1:
+            out = np.full(pos.shape, cycle[0])
+        else:
+            out = np.asarray(cycle)[(pos - self.start) % len(cycle)]
+        if self.prefix:
+            idx = pos - self.start
+            mask = (idx >= 0) & (idx < len(self.prefix))
+            out[mask] = np.asarray(self.prefix)[idx[mask]]
+        return out
+
+    def probabilities(self) -> tuple[float, ...]:
+        """Every distinct probability value the sequence can take."""
+        return tuple(dict.fromkeys(self.prefix + self.cycle))
+
+    def tail_probabilities(self) -> tuple[float, ...]:
+        """Distinct values taken infinitely often (the eventual behavior)."""
+        return tuple(dict.fromkeys(self.cycle))
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_PrefixCycle):
     """Position-independent jump probability."""
 
     p: float
@@ -40,23 +75,16 @@ class Constant:
     def __post_init__(self):
         object.__setattr__(self, "p", _check_prob(self.p))
 
+    @property
+    def cycle(self) -> tuple[float, ...]:
+        return (self.p,)
+
     def at(self, n: int) -> float:
         return self.p
 
-    def prob_array(self, pos: np.ndarray) -> np.ndarray:
-        return np.full(pos.shape, self.p)
-
-    def probabilities(self) -> tuple[float, ...]:
-        """Every distinct probability value the sequence can take."""
-        return (self.p,)
-
-    def tail_probabilities(self) -> tuple[float, ...]:
-        """Distinct values taken infinitely often (the eventual behavior)."""
-        return (self.p,)
-
 
 @dataclass(frozen=True)
-class ListWithTail:
+class ListWithTail(_PrefixCycle):
     """Explicit window of probabilities, constant beyond it.
 
     ``values[k]`` applies at index ``start + k``; every index outside the
@@ -73,29 +101,23 @@ class ListWithTail:
         object.__setattr__(self, "tail", _check_prob(self.tail))
         object.__setattr__(self, "start", int(self.start))
 
+    @property
+    def prefix(self) -> tuple[float, ...]:
+        return self.values
+
+    @property
+    def cycle(self) -> tuple[float, ...]:
+        return (self.tail,)
+
     def at(self, n: int) -> float:
         k = n - self.start
         if 0 <= k < len(self.values):
             return self.values[k]
         return self.tail
 
-    def prob_array(self, pos: np.ndarray) -> np.ndarray:
-        out = np.full(pos.shape, self.tail)
-        if self.values:
-            idx = pos - self.start
-            mask = (idx >= 0) & (idx < len(self.values))
-            out[mask] = np.asarray(self.values)[idx[mask]]
-        return out
-
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(dict.fromkeys(self.values + (self.tail,)))
-
-    def tail_probabilities(self) -> tuple[float, ...]:
-        return (self.tail,)
-
 
 @dataclass(frozen=True)
-class Periodic:
+class Periodic(_PrefixCycle):
     """Probabilities repeating with period len(values): p_n = values[n mod L]."""
 
     values: tuple[float, ...]
@@ -106,17 +128,12 @@ class Periodic:
             raise ValueError("periodic probability sequence needs at least one value")
         object.__setattr__(self, "values", vals)
 
+    @property
+    def cycle(self) -> tuple[float, ...]:
+        return self.values
+
     def at(self, n: int) -> float:
         return self.values[n % len(self.values)]
-
-    def prob_array(self, pos: np.ndarray) -> np.ndarray:
-        return np.asarray(self.values)[pos % len(self.values)]
-
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(dict.fromkeys(self.values))
-
-    def tail_probabilities(self) -> tuple[float, ...]:
-        return tuple(dict.fromkeys(self.values))
 
 
 PSeq = Constant | ListWithTail | Periodic

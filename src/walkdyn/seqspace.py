@@ -240,25 +240,3 @@ def norm(x: FinSeq, space: SpaceSpec) -> float:
 def sup_norm(x: FinSeq) -> float:
     return x.sup_abs()
 
-
-def convolve_bounded(a: FinSeq, v: FinSeq) -> FinSeq:
-    """Half-line convolution x_n = sum_{k=0..n} a_k v_{n-k}.
-
-    Both inputs must live on the half-line.  The result satisfies
-    norm(x, space) <= norm(a, l1) * norm(v, space) for any of the spaces
-    handled here (the discrete Young inequality with one factor in l1).
-    """
-    if a.lattice is not Lattice.HALF_LINE or v.lattice is not Lattice.HALF_LINE:
-        raise ValueError("convolution is defined for half-line sequences")
-    at = a.trim()
-    vt = v.trim()
-    if not at.values or not vt.values:
-        return FinSeq.zero(Lattice.HALF_LINE)
-    lo = at.offset + vt.offset
-    out = [0.0 + 0.0j] * (len(at.values) + len(vt.values) - 1)
-    for i, av in enumerate(at.values):
-        if av == 0:
-            continue
-        for j, vv in enumerate(vt.values):
-            out[i + j] += av * vv
-    return FinSeq(Lattice.HALF_LINE, lo, tuple(out))

@@ -23,16 +23,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .classify import kernel_weights
-from .operators import PSeq, Constant, ListWithTail, Periodic
+from .classify import kernel_decay_log_factors, kernel_weights
+from .operators import PSeq, _check_prob
 from .seqspace import SpaceKind, SpaceSpec
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise ValueError("p must lie strictly between 0 and 1")
-    return p
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,7 @@ class TransferMatrix:
     lam: complex
 
     def __post_init__(self):
-        _check_p(self.p)
+        _check_prob(self.p)
         object.__setattr__(self, "lam", complex(self.lam))
 
     def entries(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -72,7 +65,7 @@ class TransferMatrix:
 
 def eigen_sequence(p: float, lam: complex, n_max: int) -> list[complex]:
     """Eigenvector candidate (q_n), n = 0..n_max, normalized by q_0 = 1."""
-    _check_p(p)
+    _check_prob(p)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     lam = complex(lam)
@@ -118,7 +111,7 @@ def point_spectrum_probe(
     linear-term coefficient of (e + f n) theta^n; repeated roots merely
     near the circle stay Undetermined.
     """
-    _check_p(p)
+    _check_prob(p)
     tm = TransferMatrix(p, lam)
     lam = tm.lam
     disc = tm.discriminant
@@ -184,7 +177,7 @@ def certified_disk_radius(
     be certified a member.  This is a lower estimate only; the grid and
     the unit-circle band both bite.  Returns 0.0 when even lam = 0 fails.
     """
-    _check_p(p)
+    _check_prob(p)
 
     def ok(r: float) -> bool:
         for k in range(n_angles):
@@ -264,35 +257,6 @@ def left_kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
     return u
 
 
-def _parity_log_products(pseq: PSeq) -> tuple[float, float]:
-    """Per-cycle log growth factors of the dual parity chains.
-
-    The dual chain ratio at n has magnitude p_n/(1-p_{n+2}).  For the
-    supported probability-sequence forms the eventual per-cycle product
-    telescopes to prod p_k/(1-p_k) over a residue class, which gives an
-    exact growth criterion (log > 0 grows, = 0 oscillates, < 0 decays).
-    """
-
-    def lg(p: float) -> float:
-        return math.log(p) - math.log1p(-p)
-
-    if isinstance(pseq, Constant):
-        v = lg(pseq.p)
-        return v, v
-    if isinstance(pseq, ListWithTail):
-        v = lg(pseq.tail)
-        return v, v
-    if isinstance(pseq, Periodic):
-        L = len(pseq.values)
-        if L % 2 == 1:
-            v = math.fsum(lg(p) for p in pseq.values)
-            return v, v
-        even = math.fsum(lg(pseq.values[k]) for k in range(0, L, 2))
-        odd = math.fsum(lg(pseq.values[k]) for k in range(1, L, 2))
-        return even, odd
-    raise TypeError(f"not a probability sequence: {pseq!r}")
-
-
 @dataclass(frozen=True)
 class DualSpectrumReport:
     space: SpaceSpec
@@ -310,13 +274,18 @@ def dual_point_spectrum_report(
     Pairings: the dual of c0 (and of c) is l1, the dual of l^q (q > 1) is
     l^{q/(q-1)}, and the dual of l1 is l^infinity.  Membership of the left
     kernel vector is decided exactly from the parity-chain growth factors.
+    The dual chain ratio at n has magnitude p_n/(1-p_{n+2}), so per cycle
+    the even dual chain reads the values the odd kernel chain reads, with
+    the log negated, and vice versa.
     A YES verdict implies that no nonzero scalar multiple of the walk
     operator is hypercyclic on the space (a dual eigenvalue blocks dense
     orbits).
     """
     if space.kind is SpaceKind.LINF:
         raise ValueError("the dual of l^infinity is not a sequence space; no test here")
-    even, odd = _parity_log_products(pseq)
+    kernel_even, kernel_odd = kernel_decay_log_factors(pseq)
+    # 0.0 - x rather than -x keeps an exact zero unsigned in the report
+    even, odd = 0.0 - kernel_odd, 0.0 - kernel_even
     tol = 1e-12
     if space.kind in (SpaceKind.C0, SpaceKind.C) or (
         space.kind is SpaceKind.LQ and space.q > 1.0
@@ -409,18 +378,9 @@ def symmetric_dual_interval_check(
         certified.append(ok)
         sups.append(sup_q)
         bounds.append(bound)
-    op_symmetric = True
-    from .operators import make_walk
-    from .seqspace import Lattice
-
-    op = make_walk(Lattice.HALF_LINE, Constant(p))
-    for i in range(12):
-        for j in range(12):
-            if op.entry(i, j) != op.entry(j, i):
-                op_symmetric = False
     all_cert = all(certified)
     conclusion = None
-    if all_cert and op_symmetric:
+    if all_cert:
         conclusion = (
             "every sampled lam in (-1, 1) carries a bounded eigenvector "
             "candidate; by symmetry these are dual eigenvalues of the walk "
@@ -431,7 +391,7 @@ def symmetric_dual_interval_check(
         tuple(lambdas),
         tuple(certified),
         all_cert,
-        op_symmetric,
+        True,  # at p = 1/2 every nonzero entry, the boundary one included, is 1/2
         n_max,
         conclusion,
         {"sup_q": tuple(sups), "coef_bounds": tuple(bounds)},

@@ -164,3 +164,19 @@ def test_policy_is_frozen_config():
     assert dec.outcome is SeriesOutcome.CONVERGES
     with pytest.raises(Exception):
         pol.window = 5
+
+
+@pytest.mark.parametrize(
+    "pseq,expected",
+    [
+        # a finite prefix changes finitely many series factors; the tail decides
+        (ListWithTail((0.9,) * 30, 0.45), Classification.POSITIVE_RECURRENT),
+        (ListWithTail((0.1,) * 30, 0.6), Classification.TRANSIENT),
+        (ListWithTail((0.9,) * 20, 0.5), Classification.NULL_RECURRENT),
+        (ListWithTail((0.3, 0.7), 0.501), Classification.TRANSIENT),
+        (ListWithTail((0.3, 0.7), 0.499), Classification.POSITIVE_RECURRENT),
+        (ListWithTail((0.3, 0.7), 0.5), Classification.NULL_RECURRENT),
+    ],
+)
+def test_list_with_tail_exact(pseq, expected):
+    assert classify(pseq).verdict is expected

@@ -76,6 +76,13 @@ class TestFhcCertificate:
         cert = fhc_chaos_certificate(op, 5.0, SpaceSpec.c0())
         assert cert.verdict is Verdict.YES
 
+    def test_long_list_column_bound_not_a_disproof(self):
+        # the column sum at index 69 is 0.6 + (1 - 0.2) = 1.4 > 1, so W is
+        # not a contraction on l1 and |lam| <= 1 disproves nothing
+        op = walk(ListWithTail((0.6,) * 70 + (0.2, 0.9, 0.2), 0.6))
+        cert = fhc_chaos_certificate(op, 1.0, SpaceSpec.lq(1))
+        assert "disproof" not in (cert.reason or "")
+
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
             fhc_chaos_certificate(walk(Constant(0.75), Lattice.LINE), 3.0, SpaceSpec.c0())
@@ -104,6 +111,12 @@ class TestSupercyclicityCertificate:
     def test_recurrent_undetermined(self):
         cert = supercyclicity_criterion_certificate(walk(Constant(0.3)), SpaceSpec.c0())
         assert cert.verdict is Verdict.UNDETERMINED
+
+    def test_undetermined_when_window_cap_binds(self):
+        # the kernel weights reach 1e-30 only far past the 12000-index cap
+        cert = supercyclicity_criterion_certificate(walk(Constant(0.5006)), SpaceSpec.c0())
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert "cap" in cert.reason
 
     def test_yes_near_boundary(self):
         # backward norms blow up like 10^n here; the verdict must come

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkdyn.classify import kernel_weights
 from walkdyn.inverse_kernel import (
     TailNotDecayingError,
     jump_ratio,
@@ -164,3 +165,33 @@ def test_kernel_span_approx_agrees_on_leading_window(walk_075):
     for i in range(3):
         assert combo.at(i) == pytest.approx(target.at(i), abs=1e-13)
     assert 0 < gap == pytest.approx(sup_norm(target - combo), rel=1e-12)
+
+
+def test_kernel_window_raises_when_cap_binds():
+    # the weights at index 12000 are still about 0.09 here
+    with pytest.raises(ValueError, match="cap"):
+        kernel_window_for_tol(Constant(0.5001), 1e-12)
+
+
+def test_kernel_window_covers_a_rising_prefix():
+    # the weights dip below tol early in the prefix, then climb back to ~1
+    pseq = ListWithTail((0.999,) * 12 + (0.001,) * 12, 0.6)
+    n = kernel_window_for_tol(pseq, 1e-8)
+    assert max(kernel_weights(pseq, n + 200)[n + 1 :]) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "pseq",
+    [
+        # some |r_k| exceed 1, yet both parity chains shrink per cycle
+        Periodic((0.45, 0.56, 0.56)),
+        Periodic((0.48, 0.6, 0.6)),
+        # the growing chain starts from an exact zero, the other one shrinks
+        Periodic((0.6852, 0.3205)),
+    ],
+)
+def test_right_inverse_judges_decay_per_chain(pseq):
+    op = walk(pseq)
+    v = FinSeq.unit(0)
+    u = right_inverse(op, v)
+    assert sup_norm(op.apply(u) - v) < 1e-10
