@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .operators import PSeq, Constant
+from .operators import PSeq, Constant, Periodic
 from .seqspace import Lattice
 
 _OVERFLOW_CAP = 1e300
@@ -238,9 +238,9 @@ def classify(
     """Classify the walk as transient, null recurrent or positive recurrent.
 
     Every supported form is decided exactly on the half-line from its
-    cycle: a one-value cycle (constant p, or the tail of a list) compares
-    that value with 1/2; a longer cycle uses the sign of the per-cycle log
-    ratio sum log((1-p)/p), read as zero within 1e-12 per value.  On the
+    cycle: constant p, and the constant tail of a list, compare that value
+    with 1/2; a periodic sequence uses the sign of the per-cycle log ratio
+    sum log((1-p)/p), read as zero within 1e-12 per value.  On the
     line lattice only the constant case is supported (null recurrent at
     p = 1/2, transient otherwise).  ``method="series"`` skips the exact
     route and runs the finite-horizon policy on both series regardless,
@@ -252,10 +252,10 @@ def classify(
         if lattice is Lattice.LINE:
             raise ValueError("the series route classifies the half-line walk only")
         return _series_classify(pseq, horizon, policy)
+    if lattice is Lattice.LINE and not isinstance(pseq, Constant):
+        raise ValueError("line-walk classification is implemented for constant p only")
     s1, s2 = _evidence(pseq, horizon, policy)
     if lattice is Lattice.LINE:
-        if not isinstance(pseq, Constant):
-            raise ValueError("line-walk classification is implemented for constant p only")
         verdict = (
             Classification.NULL_RECURRENT
             if pseq.p == 0.5
@@ -263,26 +263,27 @@ def classify(
         )
         return ClassVerdict(verdict, "exact-line-constant", horizon, s1, s2, {"p": pseq.p})
 
-    # Over one full cycle the transience-series terms pick up the fixed
-    # factor prod (1-p)/p, so the sign of its log decides both series.
     cycle = pseq.cycle
-    log_ratio = math.fsum(_log_odds(p) for p in cycle)
-    if len(cycle) == 1:
-        null, transient = cycle[0] == 0.5, cycle[0] > 0.5
-    else:
+    if isinstance(pseq, Periodic):
+        # Over one full cycle the transience-series terms pick up the fixed
+        # factor prod (1-p)/p, so the sign of its log decides both series.
+        log_ratio = math.fsum(_log_odds(p) for p in cycle)
         null, transient = abs(log_ratio) <= 1e-12 * len(cycle), log_ratio < 0
+        method, detail = "exact-periodic", {"period": len(cycle), "period_log_ratio": log_ratio}
+    else:
+        # constant p, or a list whose tail is constant: compare it with 1/2
+        p = cycle[0]
+        null, transient = p == 0.5, p > 0.5
+        if pseq.prefix:
+            method, detail = "exact-list", {"tail": p, "prefix_length": len(pseq.prefix)}
+        else:
+            method, detail = "exact-constant", {"p": p}
     if null:
         verdict = Classification.NULL_RECURRENT
     elif transient:
         verdict = Classification.TRANSIENT
     else:
         verdict = Classification.POSITIVE_RECURRENT
-    if len(cycle) > 1:
-        method, detail = "exact-periodic", {"period": len(cycle), "period_log_ratio": log_ratio}
-    elif pseq.prefix:
-        method, detail = "exact-list", {"tail": cycle[0], "prefix_length": len(pseq.prefix)}
-    else:
-        method, detail = "exact-constant", {"p": cycle[0]}
     return ClassVerdict(verdict, method, horizon, s1, s2, detail)
 
 

@@ -79,12 +79,17 @@ def _column_bound(op: BandedOp) -> float:
     Column j sums entries of rows j-1 and j+1 only, and away from the
     prefix its sum repeats with the cycle, so the columns from the
     boundary (or one cycle before the prefix, on the line) to one cycle
-    past the prefix attain the supremum.
+    past the prefix attain the supremum.  On the half-line a prefix that
+    ends before index 0 is never read, so the range then runs from the
+    boundary columns through one cycle.
     """
     pseq = op.pseq
     reach = len(pseq.cycle) + 1
-    hi = pseq.start + len(pseq.prefix) + reach
-    lo = 0 if op.lattice is Lattice.HALF_LINE else pseq.start - reach
+    end = pseq.start + len(pseq.prefix)
+    if op.lattice is Lattice.HALF_LINE:
+        lo, hi = 0, max(end, 0) + reach
+    else:
+        lo, hi = pseq.start - reach, end + reach
     worst = 0.0
     for j in range(lo, hi + 1):
         s = 0.0

@@ -83,6 +83,13 @@ class TestFhcCertificate:
         cert = fhc_chaos_certificate(op, 1.0, SpaceSpec.lq(1))
         assert "disproof" not in (cert.reason or "")
 
+    def test_prefix_before_half_line_column_bound_not_a_disproof(self):
+        # the prefix sits at index -5, so every half-line probability is
+        # 0.3 and column 0 sums (1 - 0.3) + (1 - 0.3) = 1.4 > 1
+        op = walk(ListWithTail((0.9,), 0.3, start=-5))
+        cert = fhc_chaos_certificate(op, 1.0, SpaceSpec.lq(1))
+        assert "disproof" not in (cert.reason or "")
+
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
             fhc_chaos_certificate(walk(Constant(0.75), Lattice.LINE), 3.0, SpaceSpec.c0())

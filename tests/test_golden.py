@@ -5,15 +5,10 @@ code and the file under ``golden/`` that holds its exact standard output.
 The test replays every command in process and compares the bytes, so any
 change to a JSON report (a value, a key, its order or its formatting)
 shows up here.
-
-After an intended output change, rewrite the recorded files with
-
-    PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
 import json
-import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -38,11 +33,3 @@ def test_golden_output(entry, monkeypatch):
     code, out = _replay(entry["argv"])
     assert code == entry["exit"]
     assert out == (GOLDEN / f"{entry['name']}.json").read_text()
-
-
-if __name__ == "__main__":
-    for entry in COMMANDS:
-        code, out = _replay(entry["argv"])
-        if code != entry["exit"]:
-            sys.exit(f"{entry['name']}: exit {code}, recorded {entry['exit']}")
-        (GOLDEN / f"{entry['name']}.json").write_text(out)
