@@ -89,15 +89,9 @@ def _fields(report) -> dict:
 
 
 def _finseq_json(x: FinSeq) -> dict:
-    sup = x.support()
-    if sup is None:
-        return {"lattice": x.lattice.value, "offset": 0, "values": []}
-    lo, hi = sup
-    return {
-        "lattice": x.lattice.value,
-        "offset": lo,
-        "values": [_jsonable(x.at(i)) for i in range(lo, hi + 1)],
-    }
+    t = x.trim()
+    values = _jsonable(t.values.tolist())
+    return {"lattice": t.lattice.value, "offset": t.offset, "values": values}
 
 
 def parse_vector(text: str, lattice: Lattice) -> FinSeq:
@@ -226,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", "--lam", dest="lam", type=complex, default=None)
     p.add_argument("--space", default="c0")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="fhc only")
     add_common(p, lattice=False, fmt=False)
 
     p = sub.add_parser("probe", help="obstruction probes (limit value, norm floor)")
@@ -292,13 +286,7 @@ def _csv_cell(c):
 
 
 def _coords_csv(x: FinSeq) -> tuple[list[str], list[list]]:
-    sup = x.support()
-    rows = []
-    if sup is not None:
-        for i in range(sup[0], sup[1] + 1):
-            v = x.at(i)
-            rows.append([i, v.real, v.imag])
-    return ["index", "real", "imag"], rows
+    return ["index", "real", "imag"], [[i, v.real, v.imag] for i, v in x.trim().items()]
 
 
 def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
@@ -493,6 +481,8 @@ def _run_certify(args, config) -> tuple[dict, int, tuple | None]:
                 "the supercyclicity certificate takes no --lambda (scalars "
                 "are quantified away by the projective orbit)"
             )
+        if args.tol is not None:
+            raise ValueError("the supercyclicity certificate takes no --tol")
         n_max = args.n_max if args.n_max is not None else 16
         config["n_max"] = n_max
         cert = supercyclicity_criterion_certificate(op, space, n_max=n_max)

@@ -76,29 +76,22 @@ def _check_dynamics_space(space: SpaceSpec) -> str | None:
 def _column_bound(op: BandedOp) -> float:
     """The operator's column-sum norm sup_j sum_i |A_{i,j}|.
 
-    Column j sums entries of rows j-1 and j+1 only, and away from the
-    prefix its sum repeats with the cycle, so the columns from the
-    boundary (or one cycle before the prefix, on the line) to one cycle
-    past the prefix attain the supremum.  On the half-line a prefix that
-    ends before index 0 is never read, so the range then runs from the
-    boundary columns through one cycle.
+    The entries are nonnegative, so these are the entries of W' 1.  Column
+    j sums rows j-1 and j+1 only, and away from the prefix its sum repeats
+    with the cycle, so the columns from the boundary (or one cycle before
+    the prefix, on the line) to one cycle past the prefix attain the
+    supremum.  On the half-line a prefix that ends before index 0 is never
+    read, so the range then runs from the boundary columns through one cycle.
     """
     pseq = op.pseq
     reach = len(pseq.cycle) + 1
     end = pseq.start + len(pseq.prefix)
+    lo, hi, first = pseq.start - reach, end + reach, pseq.start - reach - 1
     if op.lattice is Lattice.HALF_LINE:
-        lo, hi = 0, max(end, 0) + reach
-    else:
-        lo, hi = pseq.start - reach, end + reach
-    worst = 0.0
-    for j in range(lo, hi + 1):
-        s = 0.0
-        for i in range(j - 1, j + 2):
-            if op.lattice is Lattice.HALF_LINE and i < 0:
-                continue
-            s += abs(op.entry(i, j))
-        worst = max(worst, s)
-    return worst
+        lo, hi, first = 0, max(end, 0) + reach, 0
+    # ones on rows first .. hi+1 fill every column lo .. hi
+    sums = op.apply_transpose(FinSeq(op.lattice, first, (1.0,) * (hi + 2 - first)))
+    return float(sums.window(lo, hi + 1).real.max())
 
 
 def fhc_chaos_certificate(

@@ -23,9 +23,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .classify import _log_odds, kernel_decay_log_factors, kernel_weight, kernel_weights
 from .operators import BandedOp, PSeq
 from .seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
+
+_ROW_BLOCK = 64  # rows of W^n that kernel_basis builds together
+_TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
 
 
 class TailNotDecayingError(RuntimeError):
@@ -33,8 +38,10 @@ class TailNotDecayingError(RuntimeError):
 
     Raised when a parity chain of the continuation that is not exactly
     zero does not shrink over a cycle of the jump probabilities, so the
-    preimage leaves every one of the sequence spaces.  ``last_magnitude`` reports
-    how large the tail still was when the computation stopped.
+    preimage leaves every one of the sequence spaces, and when the chains
+    decay but would stay above tolerance more than ``_TAIL_CAP`` indices
+    past the support.  ``last_magnitude`` reports how large the tail still
+    was when the computation stopped (at the support edge, for the cap).
     """
 
     def __init__(self, message: str, last_magnitude: float):
@@ -129,7 +136,9 @@ def right_inverse(
     a cycle of the jump probabilities) and no explicit ``max_support`` is
     supplied, the recurrence runs 128 indices past the support and then
     raises :class:`TailNotDecayingError`; with ``max_support`` the
-    truncated sequence is returned as-is.
+    truncated sequence is returned as-is.  Without ``max_support`` it also
+    raises, before the continuation, when the closed-form horizon of the
+    chains lies more than ``_TAIL_CAP`` indices past the support.
     """
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
@@ -144,15 +153,22 @@ def right_inverse(
 
     pseq = op.pseq
     u: list[complex] = [0.0 + 0.0j]
-
+    vs = [0.0 + 0.0j] * vt.offset + vt.values.tolist()  # v_0 .. v_hi
     for n in range(1, hi + 2):
         pn1 = pseq.at(n - 1)
-        u.append(vt.at(n - 1) / pn1 + jump_ratio(pn1) * u[n - 2 if n >= 2 else 0])
+        u.append(vs[n - 1] / pn1 + jump_ratio(pn1) * u[n - 2 if n >= 2 else 0])
     if max_support is not None:
         cap = max(max_support, hi + 2)
     else:
         # past hi + 1 the preimage follows the parity chains from u_hi, u_hi+1
         horizon = _chain_horizon(pseq, hi, (abs(u[hi]), abs(u[hi + 1])), threshold)
+        if math.isfinite(horizon) and horizon > hi + _TAIL_CAP:
+            raise TailNotDecayingError(
+                "preimage tail decays too slowly: it stays above tolerance until "
+                f"about index {horizon}, more than the cap of {_TAIL_CAP} indices "
+                "past the support",
+                max(abs(u[hi]), abs(u[hi + 1])),
+            )
         cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
     for n in range(hi + 2, cap + 1):
         pn1 = pseq.at(n - 1)
@@ -222,10 +238,12 @@ def kernel_basis(
 
     Returns n vectors; vector i agrees with the coordinate vector e_i on
     coordinates 0..n-1 (so the leading n-by-n minor of the basis is the
-    identity) and the remaining coordinates are solved from the rows of
-    W^n, restricted to the window [0, window + n].  Trailing entries below
-    ``tol`` are dropped; they shrink like the kernel weights (for constant
-    p that is sqrt((1-p)/p) per index).
+    identity) and the remaining coordinates are solved from rows
+    0..window-1 of W^n, restricted to the window [0, window + n].  The
+    rows come from n column actions on blocks of at most ``_ROW_BLOCK``
+    coordinate vectors, so memory stays bounded however wide the window.
+    Trailing entries below ``tol`` are dropped; they shrink like the kernel
+    weights (for constant p that is sqrt((1-p)/p) per index).
     """
     _require_half_line(op)
     even, odd = kernel_decay_log_factors(op.pseq)
@@ -238,24 +256,31 @@ def kernel_basis(
         raise ValueError("the power must be at least 1")
     if window < 1:
         raise ValueError("window must be positive")
-    rows = [op.power_row(n, j) for j in range(window)]
+    # rows[j]: row j of W^n on columns max(0, j - n) .. j + n
+    rows: list[list[complex]] = []
+    for j0 in range(0, window, _ROW_BLOCK):
+        j1 = min(j0 + _ROW_BLOCK, window)
+        lo, block = j0, np.eye(j1 - j0, dtype=np.complex128)
+        for _ in range(n):
+            lo, block = op._columns(lo, block)
+        for r, j in enumerate(range(j0, j1)):
+            rows.append(block[r, max(0, j - n) - lo : j + n + 1 - lo].tolist())
     basis: list[FinSeq] = []
     for i in range(n):
         u: list[complex] = [1.0 + 0.0j if k == i else 0.0 + 0.0j for k in range(n)]
-        for j in range(window):
-            row = rows[j]
-            lead = row.at(j + n).real
+        for j, row in enumerate(rows):
+            lead = row[-1].real
             if lead <= 0:
                 raise AssertionError("leading band entry of W^n must be positive")
             acc = 0.0 + 0.0j
-            for k in range(max(0, j - n), j + n):
-                acc += row.at(k) * u[k]
+            for c, uk in zip(row, u[max(0, j - n) : j + n]):
+                acc += c * uk
             u.append(-acc / lead)
         # drop the tail once it is below tolerance for good
         last = len(u) - 1
         while last > 0 and abs(u[last]) < tol and abs(u[last - 1]) < tol:
             last -= 1
-        basis.append(FinSeq(Lattice.HALF_LINE, 0, tuple(u[: last + 1])))
+        basis.append(FinSeq(Lattice.HALF_LINE, 0, u[: last + 1]))
     return basis
 
 

@@ -11,8 +11,9 @@ probabilities:
 
 The operator acts on sequences by rows, (A x)_i = sum_j A_{i,j} x_j, so a
 finitely supported input stays finitely supported and the action is exact
-up to floating-point rounding.  Powers are taken by repeated application;
-nothing is ever truncated to a finite matrix.
+up to floating-point rounding.  The row action gathers and the column
+action scatters along one band description; powers are taken by repeated
+application, and nothing is ever truncated to a finite matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqspace import FinSeq, Lattice
+from .seqspace import FinSeq, Lattice, _cmul
 
 
 def _check_prob(p: float) -> float:
@@ -36,14 +37,19 @@ class _PrefixCycle:
 
     ``p_n = prefix[n - start]`` for ``0 <= n - start < len(prefix)`` and
     ``p_n = cycle[(n - start) % len(cycle)]`` at every other index.  Each
-    form supplies ``prefix``, ``start`` and ``cycle``; the quantities that
-    depend only on this description are written once here.  ``at`` stays
-    on each form because it is the per-entry hot path.
+    form sets ``prefix``, ``start`` and ``cycle`` as plain attributes; the
+    quantities that depend only on this description are written once here.
     """
 
     prefix: tuple[float, ...] = ()
     start: int = 0
     cycle: tuple[float, ...]
+
+    def at(self, n: int) -> float:
+        k = n - self.start
+        if 0 <= k < len(self.prefix):
+            return self.prefix[k]
+        return self.cycle[k % len(self.cycle)]
 
     def prob_array(self, pos: np.ndarray) -> np.ndarray:
         cycle = self.cycle
@@ -74,13 +80,7 @@ class Constant(_PrefixCycle):
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_prob(self.p))
-
-    @property
-    def cycle(self) -> tuple[float, ...]:
-        return (self.p,)
-
-    def at(self, n: int) -> float:
-        return self.p
+        object.__setattr__(self, "cycle", (self.p,))
 
 
 @dataclass(frozen=True)
@@ -100,20 +100,8 @@ class ListWithTail(_PrefixCycle):
         object.__setattr__(self, "values", tuple(_check_prob(v) for v in self.values))
         object.__setattr__(self, "tail", _check_prob(self.tail))
         object.__setattr__(self, "start", int(self.start))
-
-    @property
-    def prefix(self) -> tuple[float, ...]:
-        return self.values
-
-    @property
-    def cycle(self) -> tuple[float, ...]:
-        return (self.tail,)
-
-    def at(self, n: int) -> float:
-        k = n - self.start
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return self.tail
+        object.__setattr__(self, "prefix", self.values)
+        object.__setattr__(self, "cycle", (self.tail,))
 
 
 @dataclass(frozen=True)
@@ -127,13 +115,7 @@ class Periodic(_PrefixCycle):
         if not vals:
             raise ValueError("periodic probability sequence needs at least one value")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def cycle(self) -> tuple[float, ...]:
-        return self.values
-
-    def at(self, n: int) -> float:
-        return self.values[n % len(self.values)]
+        object.__setattr__(self, "cycle", vals)
 
 
 PSeq = Constant | ListWithTail | Periodic
@@ -230,26 +212,45 @@ class BandedOp:
             return p
         return 0.0
 
+    def _band(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo..hi-1 of the band: row i moves to i+1 with probability
+        up = p_i, else (down) to i-1, or stays at 0 on the half-line."""
+        up = self.pseq.prob_array(np.arange(lo, hi))
+        return up, 1.0 - up
+
     def apply(self, x: FinSeq) -> FinSeq:
         """Row action (A x)_i = (1-p_i) x_{i-1} + p_i x_{i+1}, with the
         half-line boundary row (A x)_0 = (1-p_0) x_0 + p_0 x_1."""
         if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
-        sup = x.trim().support()
+        sup = x.support()
         if sup is None:
             return FinSeq.zero(self.lattice)
         lo, hi = sup
-        out_lo = lo - 1
-        if self.lattice is Lattice.HALF_LINE:
-            out_lo = max(out_lo, 0)
-        vals = []
-        for i in range(out_lo, hi + 2):
-            p = self.pseq.at(i)
-            if self.lattice is Lattice.HALF_LINE and i == 0:
-                vals.append((1.0 - p) * x.at(0) + p * x.at(1))
-            else:
-                vals.append((1.0 - p) * x.at(i - 1) + p * x.at(i + 1))
-        return FinSeq(self.lattice, out_lo, tuple(vals))
+        half = self.lattice is Lattice.HALF_LINE
+        out_lo = max(lo - 1, 0) if half else lo - 1
+        # x on indices out_lo-1 .. hi+2; rows out_lo .. hi+1 gather from it
+        xs = np.zeros(hi - out_lo + 4, np.complex128)
+        xs[lo - out_lo + 1 : hi - out_lo + 2] = x.window(lo, hi + 1)
+        if half and out_lo == 0:
+            xs[0] = xs[1]  # row 0 holds: its down move reads x_0
+        up, down = self._band(out_lo, hi + 2)
+        return FinSeq(self.lattice, out_lo, _cmul(down, xs[:-2]) + _cmul(up, xs[2:]))
+
+    def _columns(self, lo: int, y: np.ndarray) -> tuple[int, np.ndarray]:
+        """(first column, columns) of the column action on the sequences
+        stacked in ``y``, whose last axis holds indices lo, lo+1, ...  Each
+        column sums its two contributions onto zero, so zeros come out +0."""
+        m = y.shape[-1]
+        up, down = self._band(lo, lo + m)
+        out = np.zeros(y.shape[:-1] + (m + 2,), np.complex128)
+        out[..., 2:] += _cmul(up, y)
+        moved = _cmul(down, y)
+        out[..., :-2] += moved
+        if lo == 0 and self.lattice is Lattice.HALF_LINE:
+            out[..., 1] += moved[..., 0]  # row 0 holds at column 0
+            return 0, out[..., 1:]
+        return lo - 1, out
 
     def apply_transpose(self, y: FinSeq) -> FinSeq:
         """Column action (A' y)_j = sum_i A_{i,j} y_i.
@@ -259,24 +260,11 @@ class BandedOp:
         """
         if y.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
-        sup = y.trim().support()
+        sup = y.support()
         if sup is None:
             return FinSeq.zero(self.lattice)
         lo, hi = sup
-        out_lo = lo - 1
-        if self.lattice is Lattice.HALF_LINE:
-            out_lo = max(out_lo, 0)
-        vals = []
-        half = self.lattice is Lattice.HALF_LINE
-        for j in range(out_lo, hi + 2):
-            acc = 0.0 + 0.0j
-            if not half or j >= 1:
-                acc += self.pseq.at(j - 1) * y.at(j - 1)
-            if half and j == 0:
-                acc += (1.0 - self.pseq.at(0)) * y.at(0)
-            acc += (1.0 - self.pseq.at(j + 1)) * y.at(j + 1)
-            vals.append(acc)
-        return FinSeq(self.lattice, out_lo, tuple(vals))
+        return FinSeq(self.lattice, *self._columns(lo, y.window(lo, hi + 1)))
 
     def power_apply(self, n: int, x: FinSeq) -> FinSeq:
         """A^n x by n successive banded applications."""

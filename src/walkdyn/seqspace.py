@@ -2,10 +2,14 @@
 
 Everything in this package acts on finitely supported complex sequences
 indexed either by the nonnegative integers (half-line) or by all integers
-(line).  ``FinSeq`` is the one value type; it is immutable and all
-arithmetic returns new instances.  Norms cover c0, c, l^q (q >= 1) and
-l^infinity; the sup norm is shared by c0, c and l^infinity because a
-finitely supported representative realizes it the same way in each.
+(line).  ``FinSeq`` is the one value type, an offset plus a read-only
+complex128 array; it is immutable and all arithmetic returns new
+instances.  Array arithmetic rounds as Python's ``complex`` does: products
+are written out on the real and imaginary parts and moduli use ``hypot``,
+since numpy's complex multiply, division and ``abs`` can differ in the
+last bit.  Norms cover c0, c, l^q (q >= 1) and l^infinity; the sup norm
+is shared by c0, c and l^infinity because a finitely supported
+representative realizes it the same way in each.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 
 class Lattice(enum.Enum):
     """Index set of a sequence: the nonnegative integers or all integers."""
@@ -23,11 +29,26 @@ class Lattice(enum.Enum):
     LINE = "line"
 
 
+def _cmul(a, z: np.ndarray) -> np.ndarray:
+    """Entrywise a * z for a complex scalar or real array a, rounded as
+    Python's complex product (a real a enters as a + 0j)."""
+    ar, ai = (a.real, a.imag) if np.iscomplexobj(a) else (a, 0.0)
+    out = np.empty(np.broadcast(ar, z).shape, np.complex128)
+    out.real = ar * z.real - ai * z.imag
+    out.imag = ar * z.imag + ai * z.real
+    return out
+
+
+def _abs(values: np.ndarray) -> np.ndarray:
+    return np.hypot(values.real, values.imag)
+
+
 @dataclass(frozen=True, eq=False)
 class FinSeq:
     """Finitely supported complex sequence.
 
     Entries outside ``[offset, offset + len(values))`` are implicitly zero.
+    ``values`` is a read-only complex128 array, whatever the input type.
     Stored zeros at either end are permitted; :meth:`trim` removes them and
     produces the canonical form.  Equality and hashing go through the
     canonical form, so two representations of the same sequence compare
@@ -36,13 +57,15 @@ class FinSeq:
 
     lattice: Lattice
     offset: int
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        if not self.values:
-            object.__setattr__(self, "offset", 0)
-        elif self.lattice is Lattice.HALF_LINE and self.offset < 0:
+        vals = self.values
+        vals = np.array(vals if isinstance(vals, np.ndarray) else [*vals], np.complex128)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "offset", int(self.offset) if len(vals) else 0)
+        if self.lattice is Lattice.HALF_LINE and self.offset < 0:
             raise ValueError("half-line sequences start at a nonnegative index")
 
     @classmethod
@@ -61,31 +84,30 @@ class FinSeq:
         offset: int = 0,
         lattice: Lattice = Lattice.HALF_LINE,
     ) -> "FinSeq":
-        return cls(lattice, offset, tuple(values))
+        return cls(lattice, offset, values)
 
     def at(self, i: int) -> complex:
         """Entry at index i, implicitly zero outside the stored window."""
         k = i - self.offset
         if 0 <= k < len(self.values):
-            return self.values[k]
+            return complex(self.values[k])
         return 0.0 + 0.0j
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not self.values.any()
 
     def support(self) -> tuple[int, int] | None:
         """Smallest and largest index holding a nonzero entry, or None."""
-        lo = None
-        hi = None
-        for k, v in enumerate(self.values):
-            if v != 0:
-                if lo is None:
-                    lo = k
-                hi = k
-        if lo is None:
+        nz = np.flatnonzero(self.values)
+        if not len(nz):
             return None
-        return self.offset + lo, self.offset + hi
+        return self.offset + int(nz[0]), self.offset + int(nz[-1])
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Stored entries at indices lo..hi-1 (a view); lo and hi must lie
+        within the stored window."""
+        return self.values[lo - self.offset : hi - self.offset]
 
     def trim(self) -> "FinSeq":
         """Canonical form: exact stored zeros stripped from both ends."""
@@ -93,47 +115,42 @@ class FinSeq:
         if sup is None:
             return FinSeq(self.lattice, 0, ())
         lo, hi = sup
-        a = lo - self.offset
-        b = hi - self.offset + 1
-        if a == 0 and b == len(self.values):
+        if lo == self.offset and hi - lo + 1 == len(self.values):
             return self
-        return FinSeq(self.lattice, lo, self.values[a:b])
+        return FinSeq(self.lattice, lo, self.window(lo, hi + 1))
 
     def items(self) -> Iterator[tuple[int, complex]]:
-        for k, v in enumerate(self.values):
-            yield self.offset + k, v
+        return zip(range(self.offset, self.offset + len(self.values)), self.values.tolist())
 
     def sup_abs(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
+        return float(_abs(self.values).max(initial=0.0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinSeq):
             return NotImplemented
         a = self.trim()
         b = other.trim()
-        return (
-            a.lattice is b.lattice and a.offset == b.offset and a.values == b.values
-        )
+        same_place = a.lattice is b.lattice and a.offset == b.offset
+        return same_place and np.array_equal(a.values, b.values)
 
     def __hash__(self) -> int:
         t = self.trim()
-        return hash((t.lattice, t.offset, t.values))
+        return hash((t.lattice, t.offset, tuple(t.values.tolist())))
 
     def _merge(self, other: "FinSeq", sign: int) -> "FinSeq":
         if self.lattice is not other.lattice:
             raise ValueError("cannot combine sequences over different lattices")
-        if not other.values:
+        if not len(other.values):
             return self
-        if not self.values:
+        if not len(self.values):
             return other if sign > 0 else -other
         lo = min(self.offset, other.offset)
         hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        vals = [0.0 + 0.0j] * (hi - lo)
-        for i, v in self.items():
-            vals[i - lo] += v
-        for i, v in other.items():
-            vals[i - lo] += sign * v
-        return FinSeq(self.lattice, lo, tuple(vals))
+        vals = np.zeros(hi - lo, np.complex128)  # so an exact zero sums to +0
+        vals[self.offset - lo : self.offset - lo + len(self.values)] += self.values
+        b = other.offset - lo
+        vals[b : b + len(other.values)] += other.values if sign > 0 else -other.values
+        return FinSeq(self.lattice, lo, vals)
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
         return self._merge(other, +1)
@@ -142,11 +159,10 @@ class FinSeq:
         return self._merge(other, -1)
 
     def __neg__(self) -> "FinSeq":
-        return FinSeq(self.lattice, self.offset, tuple(-v for v in self.values))
+        return FinSeq(self.lattice, self.offset, -self.values)
 
     def __mul__(self, c) -> "FinSeq":
-        c = complex(c)
-        return FinSeq(self.lattice, self.offset, tuple(c * v for v in self.values))
+        return FinSeq(self.lattice, self.offset, _cmul(complex(c), self.values))
 
     __rmul__ = __mul__
 
@@ -154,7 +170,8 @@ class FinSeq:
         sup = self.support()
         if sup is None:
             return f"FinSeq({self.lattice.value}, 0)"
-        return f"FinSeq({self.lattice.value}, offset={self.offset}, values={self.values})"
+        values = tuple(self.values.tolist())
+        return f"FinSeq({self.lattice.value}, offset={self.offset}, values={values})"
 
 
 class SpaceKind(enum.Enum):
@@ -226,17 +243,17 @@ def norm(x: FinSeq, space: SpaceSpec) -> float:
     """
     if space.kind is SpaceKind.LQ:
         q = space.q
+        mags = _abs(x.values)
         if q == 1.0:
-            return math.fsum(abs(v) for v in x.values)
+            return math.fsum(mags.tolist())
         # rescale by the sup so q-th powers neither underflow nor overflow
-        scale = x.sup_abs()
+        scale = float(mags.max(initial=0.0))
         if scale == 0.0 or not math.isfinite(scale):
             return scale
-        total = math.fsum((abs(v) / scale) ** q for v in x.values)
+        total = math.fsum([r**q for r in (mags / scale).tolist()])
         return scale * total ** (1.0 / q)
     return x.sup_abs()
 
 
 def sup_norm(x: FinSeq) -> float:
     return x.sup_abs()
-

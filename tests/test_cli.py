@@ -313,6 +313,15 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_supercyclicity_rejects_tol_exit_2(self, capsys):
+        # the certificate has no tolerance to set, so --tol would be ignored
+        code, out, err = run(
+            capsys, "certify", "supercyclicity", "--pseq", "const:0.75", "--tol", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
     def test_tail_not_decaying_exit_3(self, capsys):
         code, out, _ = run(capsys, "inverse", "--pseq", "const:0.4", "--v", "e0")
         assert code == 3

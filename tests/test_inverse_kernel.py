@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,29 @@ def test_tail_not_decaying_raises():
     with pytest.raises(TailNotDecayingError) as exc:
         right_inverse(op, FinSeq.unit(0))
     assert exc.value.last_magnitude > 0
+
+
+def test_slow_tail_past_the_cap_raises_at_once():
+    # the chains decay, but stay above 1e-13 until about index 1.5e8
+    start = time.perf_counter()
+    with pytest.raises(TailNotDecayingError) as exc:
+        right_inverse(walk(Constant(0.5000001)), FinSeq.unit(0))
+    assert time.perf_counter() - start < 1.0
+    assert "153133769" in str(exc.value) and "2000000" in str(exc.value)
+    assert exc.value.last_magnitude == 1 / 0.5000001  # |u_1| at the support edge
+
+
+@pytest.mark.parametrize(
+    "p, length, digest",
+    [
+        (0.5001, 153135, "4c889f60f9d378e318523d5ea379091e5c4d1634257575d9a8af2962815aa665"),
+        (0.50001, 1531339, "37c67181f6541200b765b3a496b3b2be5d14b745b6191954b990409401e8cdf2"),
+    ],
+)
+def test_slow_tails_below_the_cap_still_return(p, length, digest):
+    u = right_inverse(walk(Constant(p)), FinSeq.unit(0))
+    assert (u.offset, len(u.values)) == (1, length)
+    assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
 
 def test_max_support_cap_honored(walk_075):

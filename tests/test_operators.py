@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkdyn.dynamics import _column_bound
 from walkdyn.operators import (
     BandedOp,
     Constant,
@@ -18,6 +19,38 @@ from walkdyn.seqspace import FinSeq, Lattice
 from conftest import dense_matrix, random_finseq, random_pseq
 
 probs = st.floats(min_value=0.05, max_value=0.95)
+
+
+def _random_list(rng, start):
+    head = tuple(round(rng.uniform(0.05, 0.95), 6) for _ in range(rng.randint(1, 6)))
+    return ListWithTail(head, round(rng.uniform(0.05, 0.95), 6), start)
+
+
+def _walks(rng, count):
+    """(operator, complex_entries): count random walks on either lattice
+    with real inputs, count more with complex inputs, then count list
+    walks on the line whose prefix starts at -3, with complex inputs."""
+    for k in range(3 * count):
+        if k < 2 * count:
+            pseq = random_pseq(rng)
+            yield make_walk(rng.choice(list(Lattice)), pseq), k >= count
+        else:
+            yield make_walk(Lattice.LINE, _random_list(rng, -3)), True
+
+
+def _dense_action(op, x, size, transpose=False):
+    """Entries of A x (or A' x) on the dense block, by parts, as {index: (re, im)}."""
+    m = dense_matrix(op, size)
+    base = 0 if op.lattice is Lattice.HALF_LINE else -(size // 2)
+    out = {}
+    for r in range(size):
+        terms = [
+            (m[c][r] if transpose else m[r][c], x.at(base + c)) for c in range(size)
+        ]
+        out[base + r] = tuple(
+            math.fsum(a * getattr(v, part) for a, v in terms) for part in ("real", "imag")
+        )
+    return out
 
 
 def test_constant_entries():
@@ -85,34 +118,50 @@ def test_parse_pseq_rejects(text):
 
 def test_apply_matches_dense_matrix():
     rng = random.Random(23)
-    for _ in range(25):
-        pseq = random_pseq(rng)
-        lattice = rng.choice(list(Lattice))
-        op = make_walk(lattice, pseq)
-        x = random_finseq(rng, lattice, max_index=8)
+    for op, complex_entries in _walks(rng, 25):
+        x = random_finseq(rng, op.lattice, max_index=8, complex_entries=complex_entries)
         y = op.apply(x)
-        size = 24
-        m = dense_matrix(op, size)
-        base = 0 if lattice is Lattice.HALF_LINE else -(size // 2)
-        for r in range(size):
-            i = base + r
-            expect = math.fsum(
-                m[r][c] * x.at(base + c).real for c in range(size)
-            )
-            assert y.at(i).real == pytest.approx(expect, abs=1e-12)
+        for i, (re, im) in _dense_action(op, x, 24).items():
+            assert y.at(i).real == pytest.approx(re, abs=1e-12)
+            assert y.at(i).imag == pytest.approx(im, abs=1e-12)
+
+
+def test_apply_transpose_matches_dense_transpose():
+    rng = random.Random(37)
+    for op, complex_entries in _walks(rng, 15):
+        x = random_finseq(rng, op.lattice, max_index=8, complex_entries=complex_entries)
+        y = op.apply_transpose(x)
+        for j, (re, im) in _dense_action(op, x, 24, transpose=True).items():
+            assert y.at(j).real == pytest.approx(re, abs=1e-12)
+            assert y.at(j).imag == pytest.approx(im, abs=1e-12)
 
 
 def test_apply_transpose_is_adjoint():
     rng = random.Random(31)
-    for _ in range(20):
-        pseq = random_pseq(rng)
-        lattice = rng.choice(list(Lattice))
-        op = make_walk(lattice, pseq)
-        x = random_finseq(rng, lattice, max_index=8)
-        y = random_finseq(rng, lattice, max_index=8)
+    for op, complex_entries in _walks(rng, 20):
+        x = random_finseq(rng, op.lattice, max_index=8, complex_entries=complex_entries)
+        y = random_finseq(rng, op.lattice, max_index=8, complex_entries=complex_entries)
         left = sum(v * op.apply(x).at(i) for i, v in y.items())
         right = sum(v * op.apply_transpose(y).at(i) for i, v in x.items())
         assert left == pytest.approx(right, rel=1e-10, abs=1e-12)
+
+
+def test_column_bound_is_largest_dense_column_sum():
+    rng = random.Random(41)
+    for _ in range(60):
+        lattice = rng.choice(list(Lattice))
+        if rng.random() < 0.5:
+            pseq = _random_list(rng, rng.choice((-5, -3, -1, 0, 2)))
+        else:
+            pseq = random_pseq(rng)
+        op = make_walk(lattice, pseq)
+        # the block holds the prefix and two cycles on each side of it
+        half = abs(pseq.start) + len(pseq.prefix) + 2 * len(pseq.cycle) + 4
+        m = dense_matrix(op, 2 * half)
+        # the last column (and the first, on the line) misses a row of its own
+        first = 0 if lattice is Lattice.HALF_LINE else 1
+        sums = [math.fsum(abs(row[c]) for row in m) for c in range(first, 2 * half - 1)]
+        assert _column_bound(op) == max(sums)
 
 
 def test_power_apply_iterates_apply():
