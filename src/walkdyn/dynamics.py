@@ -176,8 +176,10 @@ def fhc_chaos_certificate(
         return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, str(exc))
     sample = kernel_basis(op, m, window, tol=deep_tol)[0]
 
-    # right-inverse identity on the sample
-    ws_residual = norm(op.apply(right_inverse(op, sample)) - sample, space)
+    # right-inverse identity on the sample; S(sample) is also the first
+    # backward step
+    s_sample = right_inverse(op, sample)
+    ws_residual = norm(op.apply(s_sample) - sample, space)
     inverse_ok = ws_residual <= 1e-10 * max(1.0, norm(sample, space))
 
     # forward orbit of the kernel sample under T = lam W; roundoff in the
@@ -192,26 +194,24 @@ def fhc_chaos_certificate(
     scaled_tail = math.fsum(f / scale**n for n, f in enumerate(fwd) if n >= m)
     forward_ok = scaled_tail <= 1e-10 * max(1.0, max(fwd[: m + 1]))
 
-    # backward orbit of the sample under the scaled right inverse
+    # one backward orbit z_k = (S/lam)^k sample, streamed: its norms for
+    # k <= n_max, and the periodic point x = sum_j z_{j m}, which satisfies
+    # T^m x = x, from every m-th iterate
+    period = m
+    terms_needed = int(math.ceil(math.log(1e-14) / (period * math.log(ratio)))) + 1
+    terms_needed = min(max(terms_needed, 2), 60)
     back = [fwd[0]]
-    z = sample
-    for _ in range(n_max):
-        z = right_inverse(op, z) * (1.0 / lam)
-        back.append(norm(z, space))
+    x = z = sample
+    for k in range(1, max(n_max, terms_needed * period) + 1):
+        z = (s_sample if k == 1 else right_inverse(op, z)) * (1.0 / lam)
+        if k <= n_max:
+            back.append(norm(z, space))
+        if k % period == 0 and k <= terms_needed * period:
+            x = x + z
     ratios = [back[k + 1] / back[k] for k in range(n_max) if back[k] > 0]
     max_ratio = max(ratios) if ratios else 0.0
     ratios_ok = max_ratio <= ratio * (1.0 + tol)
 
-    # periodic point: x = sum_j (S/lam)^{jm} sample satisfies T^m x = x
-    period = m
-    terms_needed = int(math.ceil(math.log(1e-14) / (period * math.log(ratio)))) + 1
-    terms_needed = min(max(terms_needed, 2), 60)
-    x = sample
-    term = sample
-    for _ in range(terms_needed):
-        for _ in range(period):
-            term = right_inverse(op, term) * (1.0 / lam)
-        x = x + term
     tx = x
     for _ in range(period):
         tx = lam * op.apply(tx)

@@ -13,6 +13,17 @@ one half are enough, but not needed).  For constant p the map v -> u is exactly
 convolution with the kernel a_{2j+1} = r^j / p, giving the operator norm
 1/(2p - 1) on each of c0, l^q, l^infinity.
 
+Evaluation: each u_n rounds on u_{n-2}, so the recurrence is not
+reassociated into array operations.  Every entry takes the floating-point
+operations of Python ``complex`` arithmetic in the same order, so the
+result is bit-identical to the plain loop over indices, which the tests
+keep as the reference.  CPython divides a complex by a float through
+p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p); these are formed on
+arrays from one ``prob_array`` call, and the recurrence over the support
+runs as a loop over Python numbers.  Past the support v vanishes and each
+parity chain is a running product of the r_k, so long tails come from
+``np.multiply.accumulate`` (:func:`_product_tail` says why the bits agree).
+
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 p > 1/2.  Each basis vector is pinned to a coordinate vector on the first
 n coordinates and the remaining coordinates are solved row by row from
@@ -31,6 +42,7 @@ from .seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
 
 _ROW_BLOCK = 64  # rows of W^n that kernel_basis builds together
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
+_SCALAR_TAIL = 32  # tail entries taken one by one before the array set-up pays off
 
 
 class TailNotDecayingError(RuntimeError):
@@ -122,6 +134,60 @@ def _chain_horizon(
     return last + span
 
 
+def _scalar_tail(pseq: PSeq, u: list[complex], stop: int, threshold: float) -> bool:
+    """Extend u past the support of the target up to index ``stop - 1``.
+
+    Each entry is 0j + r_{n-1} * u_{n-2}, as the recurrence evaluates it
+    with v_{n-1} = 0.  Returns True, and stops, at the first n where u_n
+    and u_{n-1} are both within ``threshold``.
+    """
+    for n in range(len(u), stop):
+        u.append(0j + jump_ratio(pseq.at(n - 1)) * u[n - 2])
+        if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
+            return True
+    return False
+
+
+def _product_tail(
+    pseq: PSeq, u: list[complex], cap: int, threshold: float
+) -> tuple[np.ndarray | None, bool]:
+    """:func:`_scalar_tail` continued up to ``cap`` on arrays, same bits.
+
+    From u_s, u_{s+1}, the last two entries of u, each part of each parity
+    chain is a running product of the r_k.  CPython evaluates 0j + r * x
+    as (0.0 + (r*re - 0.0*im), 0.0 + (r*im + 0.0*re)), which for finite
+    parts is (r*re + 0.0, r*im + 0.0): the products with every zero given
+    a plus sign.  Moduli come from ``np.hypot``, as ``abs`` takes them.
+    Returns (u_0 .. u_n, True) for the first n that passes the stop test,
+    else (u_0 .. u_cap, False).  Returns (None, False) when the moduli
+    overflow: there CPython's 0.0 * inf makes nan parts and ``abs`` raises
+    OverflowError, so the entries must be taken one by one.  A chain that
+    overflows stays non-finite, so no stop test passes after it, and the
+    last entry of each chain shows whether one did.
+    """
+    s = len(u) - 2
+    # rows (re, im) of u_0 .. u_cap; past s + 1 they hold r_s+1 .. r_cap-1
+    # (and a row of ones if the count is odd) before the products
+    rows = np.empty((cap + 1 + (cap + 1 - s) % 2, 2))
+    rows[: s + 2] = np.array(u, np.complex128).view(np.float64).reshape(-1, 2)
+    rows[s + 2 : cap + 1] = jump_ratio(pseq.prob_array(np.arange(s + 1, cap)))[:, None]
+    rows[cap + 1 :] = 1.0
+    chains = rows[s:].reshape(-1, 2, 2)
+    np.multiply.accumulate(chains, axis=0, out=chains)
+    rows[s + 2 :] += 0.0
+    mags = np.hypot(rows[s + 1 : cap + 1, 0], rows[s + 1 : cap + 1, 1])  # |u_s+1| ..
+    small = mags <= threshold
+    done = small[1:] & small[:-1]  # the stop test at n = s + 2 .. cap
+    k = int(done.argmax())
+    values = rows.view(np.complex128).ravel()
+    if done[k]:
+        return values[: s + 3 + k], True
+    if np.isfinite(mags[-2:]).all():
+        return values[: cap + 1], False
+    return None, False
+
+
+@np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
 def right_inverse(
     op: BandedOp,
     v: FinSeq,
@@ -139,6 +205,13 @@ def right_inverse(
     truncated sequence is returned as-is.  Without ``max_support`` it also
     raises, before the continuation, when the closed-form horizon of the
     chains lies more than ``_TAIL_CAP`` indices past the support.
+
+    The result has the bits of the recurrence evaluated entry by entry in
+    Python ``complex`` (see the module docstring): v / p comes from arrays
+    in CPython's rounding, the recurrence over the support runs as a
+    two-register loop over Python numbers, and past the support the first
+    ``_SCALAR_TAIL`` entries are taken one by one (:func:`_scalar_tail`)
+    and any further ones as running products (:func:`_product_tail`).
     """
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
@@ -152,11 +225,17 @@ def right_inverse(
     threshold = tol * scale
 
     pseq = op.pseq
-    u: list[complex] = [0.0 + 0.0j]
-    vs = [0.0 + 0.0j] * vt.offset + vt.values.tolist()  # v_0 .. v_hi
-    for n in range(1, hi + 2):
-        pn1 = pseq.at(n - 1)
-        u.append(vs[n - 1] / pn1 + jump_ratio(pn1) * u[n - 2 if n >= 2 else 0])
+    p = pseq.prob_array(np.arange(hi + 1))  # p_0 .. p_hi
+    vs = np.zeros(hi + 1, np.complex128)
+    vs[vt.offset :] = vt.values
+    a = np.empty(hi + 1, np.complex128)
+    a.real = (vs.real + vs.imag * 0.0) / p
+    a.imag = (vs.imag - vs.real * 0.0) / p
+    u = [0j]
+    x0 = x1 = 0j
+    for an, rn in zip(a.tolist(), jump_ratio(p).tolist()):
+        x0, x1 = x1, an + rn * x0
+        u.append(x1)
     if max_support is not None:
         cap = max(max_support, hi + 2)
     else:
@@ -170,14 +249,18 @@ def right_inverse(
                 max(abs(u[hi]), abs(u[hi + 1])),
             )
         cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
-    for n in range(hi + 2, cap + 1):
-        pn1 = pseq.at(n - 1)
-        u.append(vt.at(n - 1) / pn1 + jump_ratio(pn1) * u[n - 2])
-        if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
-            return FinSeq(Lattice.HALF_LINE, 0, tuple(u)).trim()
-    if max_support is not None:
-        return FinSeq(Lattice.HALF_LINE, 0, tuple(u)).trim()
-    last = max(abs(u[-1]), abs(u[-2]))
+    # most tails stop within a few entries of the support: those entries
+    # are taken one by one, and the rest, if any, as running products
+    stopped = _scalar_tail(pseq, u, min(cap, hi + _SCALAR_TAIL) + 1, threshold)
+    values = u
+    if not stopped and len(u) <= cap:
+        values, stopped = _product_tail(pseq, u, cap, threshold)
+        if values is None:
+            stopped = _scalar_tail(pseq, u, cap + 1, threshold)
+            values = u
+    if stopped or max_support is not None:
+        return FinSeq(Lattice.HALF_LINE, 1, values[1:]).trim()  # u_0 = 0
+    last = max(abs(complex(values[-1])), abs(complex(values[-2])))
     raise TailNotDecayingError(
         "preimage tail has not decayed below tolerance: the jump "
         f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",

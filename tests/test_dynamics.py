@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from walkdyn import dynamics
 from walkdyn.dynamics import (
     CertKind,
     Verdict,
@@ -89,6 +90,24 @@ class TestFhcCertificate:
         op = walk(ListWithTail((0.9,), 0.3, start=-5))
         cert = fhc_chaos_certificate(op, 1.0, SpaceSpec.lq(1))
         assert "disproof" not in (cert.reason or "")
+
+    @pytest.mark.parametrize("lam, n_max", [(3.0, 20), (10.0, 40)])
+    def test_one_backward_orbit_feeds_every_check(self, walk_075, monkeypatch, lam, n_max):
+        # the inverse identity, the backward norms and the periodic point
+        # all read the one orbit (S/lam)^k sample
+        calls = 0
+        inner = dynamics.right_inverse
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "right_inverse", counting)
+        cert = fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0(), n_max=n_max)
+        assert cert.verdict is Verdict.YES
+        w = cert.witness
+        assert calls == max(n_max, w["periodic_terms"] * w["periodic_period"])
 
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from walkdyn.classify import kernel_weights
 from walkdyn.inverse_kernel import (
     TailNotDecayingError,
+    _chain_horizon,
     jump_ratio,
     kernel_basis,
     kernel_span_approx,
@@ -128,6 +129,70 @@ def test_slow_tails_below_the_cap_still_return(p, length, digest):
     u = right_inverse(walk(Constant(p)), FinSeq.unit(0))
     assert (u.offset, len(u.values)) == (1, length)
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
+
+
+def _reference_right_inverse(op, v, tol, max_support):
+    """right_inverse as the plain loop over indices in Python complex."""
+    vt = v.trim()
+    hi = vt.support()[1]
+    threshold = tol * vt.sup_abs()
+    u = [0j]
+    for n in range(1, hi + 2):
+        p = op.pseq.at(n - 1)
+        u.append(vt.at(n - 1) / p + jump_ratio(p) * u[max(n - 2, 0)])
+    if max_support is not None:
+        cap = max(max_support, hi + 2)
+    else:
+        horizon = _chain_horizon(op.pseq, hi, (abs(u[hi]), abs(u[hi + 1])), threshold)
+        cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
+    for n in range(hi + 2, cap + 1):
+        p = op.pseq.at(n - 1)
+        u.append(vt.at(n - 1) / p + jump_ratio(p) * u[n - 2])
+        if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
+            return FinSeq(Lattice.HALF_LINE, 0, u).trim()
+    if max_support is None:
+        raise TailNotDecayingError("tail has not decayed", max(abs(u[-1]), abs(u[-2])))
+    return FinSeq(Lattice.HALF_LINE, 0, u).trim()
+
+
+def _outcome(f, *args):
+    try:
+        u = f(*args)
+    except (TailNotDecayingError, OverflowError) as exc:
+        return type(exc).__name__
+    return u.offset, u.values.tobytes()
+
+
+def _random_inverse_case(rng):
+    def prob(lo, hi):
+        return round(rng.uniform(lo, hi), 6)
+
+    tail = prob(0.52, 0.95) if rng.random() < 0.8 else prob(0.05, 0.48)
+    form = rng.randrange(3)
+    if form == 0:
+        pseq = Constant(tail)
+    elif form == 1:
+        pseq = ListWithTail(tuple(prob(0.05, 0.95) for _ in range(rng.randint(1, 80))), tail)
+    else:
+        pseq = Periodic((tail,) + tuple(prob(0.3, 0.95) for _ in range(rng.randint(0, 4))))
+    parts = (0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3))
+    values = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(rng.randint(1, 30))]
+    v = FinSeq.from_values(values + [rng.choice((1.0, -0.5j))], rng.randint(0, 40))
+    max_support = rng.choice((None, None, rng.randint(0, 200)))
+    return walk(pseq), v, rng.choice((1e-8, 1e-13, 1e-30)), max_support
+
+
+def test_right_inverse_bits_match_the_plain_loop():
+    rng = random.Random(2024)
+    cases = [_random_inverse_case(rng) for _ in range(400)]
+    # tails whose moduli overflow, with and without max_support
+    cases += [
+        (walk(Constant(1e-4)), FinSeq.unit(0), 1e-13, 200),
+        (walk(Constant(1e-5)), FinSeq.from_values([1 + 1j]), 1e-13, None),
+    ]
+    for op, v, tol, max_support in cases:
+        want = _outcome(_reference_right_inverse, op, v, tol, max_support)
+        assert _outcome(right_inverse, op, v, tol, max_support) == want
 
 
 def test_max_support_cap_honored(walk_075):
