@@ -108,11 +108,12 @@ def fhc_chaos_certificate(
     the sample, forward orbits of a kernel sample vanish past the
     annihilation index, backward orbit norms contract at least as fast as
     the certified ratio, and an explicitly summed periodic point is fixed
-    by T^period up to roundoff.  A NO from ratio >= 1 only reports that
-    this criterion is blocked; when additionally |lam| <= 1 makes every
-    orbit bounded, the NO is flagged as a genuine disproof.  When the
-    kernel window for the sample would pass its cap, the verdict is
-    Undetermined and the reason names the cap.
+    by T^period up to roundoff (judged relative to |lam|^period, by which
+    T^period amplifies it).  A NO from ratio >= 1 only reports that this
+    criterion is blocked; when additionally |lam| <= 1 makes every orbit
+    bounded, the NO is flagged as a genuine disproof.  When the kernel
+    window for the sample would pass its cap, the verdict is Undetermined
+    and the reason names the cap.
     """
     lam = complex(lam)
     params = {
@@ -174,7 +175,7 @@ def fhc_chaos_certificate(
         window = kernel_window_for_tol(op.pseq, deep_tol) + m
     except ValueError as exc:
         return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, str(exc))
-    sample = kernel_basis(op, m, window, tol=deep_tol)[0]
+    (sample,) = kernel_basis(op, m, window, tol=deep_tol, count=1)
 
     # right-inverse identity on the sample; S(sample) is also the first
     # backward step
@@ -216,7 +217,7 @@ def fhc_chaos_certificate(
     for _ in range(period):
         tx = lam * op.apply(tx)
     periodic_residual = norm(tx - x, space)
-    periodic_ok = periodic_residual <= 1e-8 * max(1.0, norm(x, space))
+    periodic_ok = periodic_residual <= 1e-8 * max(1.0, norm(x, space)) * scale**period
 
     witness.update(
         {
@@ -307,9 +308,7 @@ def supercyclicity_criterion_certificate(
             {"kernel_chain_log_factors": _chain_factors},
             str(exc),
         )
-    basis = kernel_basis(op, m, window, tol=deep_tol)
-    sample = basis[0]
-    target = basis[1]
+    sample, target = kernel_basis(op, m, window, tol=deep_tol, count=2)
 
     # exactness of the right inverse on the target: each single step is
     # well conditioned, so W(Sz) = z is demanded tightly along the whole

@@ -26,8 +26,11 @@ parity chain is a running product of the r_k, so long tails come from
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 p > 1/2.  Each basis vector is pinned to a coordinate vector on the first
-n coordinates and the remaining coordinates are solved row by row from
-W^n, whose leading band entry is p^n > 0.
+n coordinates, the rest solved row by row in Python ``complex`` from rows
+of W^n (leading band entry p^n > 0) that one banded pass builds as floats.
+Their bits are those of complex rows: W^n is nonnegative, each column sums
+at most two nonnegative products onto +0 (in any order), and before Python
+3.14 a float c enters c * u_k as complex(c, 0.0).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .classify import _log_odds, kernel_decay_log_factors, kernel_weight, kernel
 from .operators import BandedOp, PSeq
 from .seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
 
-_ROW_BLOCK = 64  # rows of W^n that kernel_basis builds together
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
 _SCALAR_TAIL = 32  # tail entries taken one by one before the array set-up pays off
 
@@ -204,14 +206,9 @@ def right_inverse(
     raises :class:`TailNotDecayingError`; with ``max_support`` the
     truncated sequence is returned as-is.  Without ``max_support`` it also
     raises, before the continuation, when the closed-form horizon of the
-    chains lies more than ``_TAIL_CAP`` indices past the support.
-
-    The result has the bits of the recurrence evaluated entry by entry in
-    Python ``complex`` (see the module docstring): v / p comes from arrays
-    in CPython's rounding, the recurrence over the support runs as a
-    two-register loop over Python numbers, and past the support the first
-    ``_SCALAR_TAIL`` entries are taken one by one (:func:`_scalar_tail`)
-    and any further ones as running products (:func:`_product_tail`).
+    chains lies more than ``_TAIL_CAP`` indices past the support.  The
+    result has the bits of the plain loop (see the module docstring); past
+    the support the first ``_SCALAR_TAIL`` entries are taken one by one.
     """
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
@@ -314,19 +311,50 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     )
 
 
+def _power_rows(op: BandedOp, n: int, window: int) -> list[list[float]]:
+    """Row j of W^n on columns max(0, j - n) .. j + n, for each j < window."""
+    cols = np.arange(window)[:, None] + np.arange(-n, n + 1)  # [j, n + d]: column j + d
+    up, down = op._band(cols)
+    held = np.arange(min(n, window))  # the rows whose band reaches column -1
+    band = np.eye(1, 2 * n + 1, n).repeat(window, axis=0)  # row j starts as e_j
+    for _ in range(n):
+        nxt = np.zeros(cols.shape)
+        nxt[:, 1:] += up[:, :-1] * band[:, :-1]
+        nxt[:, :-1] += down[:, 1:] * band[:, 1:]
+        nxt[held, n - held] += nxt[held, n - 1 - held]  # row 0 holds
+        nxt[held, n - 1 - held] = 0.0
+        band = nxt
+    return [row[max(0, n - j) :] for j, row in enumerate(band.tolist())]
+
+
+def _pinned_vector(rows: list[list[float]], n: int, i: int, tol: float) -> FinSeq:
+    """Kernel vector equal to e_i on coordinates 0..n-1, solved from ``rows``."""
+    u: list[complex] = [1.0 + 0.0j if k == i else 0.0 + 0.0j for k in range(n)]
+    for j, row in enumerate(rows):
+        if row[-1] <= 0:
+            raise AssertionError("leading band entry of W^n must be positive")
+        acc = 0.0 + 0.0j
+        for c, uk in zip(row, u[max(0, j - n) : j + n]):
+            acc += c * uk
+        u.append(-acc / row[-1])
+    # drop the tail once it is below tolerance for good
+    last = len(u) - 1
+    while last > 0 and abs(u[last]) < tol and abs(u[last - 1]) < tol:
+        last -= 1
+    return FinSeq(Lattice.HALF_LINE, 0, u[: last + 1])
+
+
 def kernel_basis(
-    op: BandedOp, n: int, window: int, tol: float = 1e-12
+    op: BandedOp, n: int, window: int, tol: float = 1e-12, *, count: int | None = None
 ) -> list[FinSeq]:
     """Basis of the kernel of W^n for a half-line walk with decaying weights.
 
-    Returns n vectors; vector i agrees with the coordinate vector e_i on
-    coordinates 0..n-1 (so the leading n-by-n minor of the basis is the
-    identity) and the remaining coordinates are solved from rows
-    0..window-1 of W^n, restricted to the window [0, window + n].  The
-    rows come from n column actions on blocks of at most ``_ROW_BLOCK``
-    coordinate vectors, so memory stays bounded however wide the window.
-    Trailing entries below ``tol`` are dropped; they shrink like the kernel
-    weights (for constant p that is sqrt((1-p)/p) per index).
+    Returns the first ``count`` (default all n) basis vectors.  Vector i is
+    e_i on coordinates 0..n-1 (an identity leading minor); the rest is
+    solved from rows 0..window-1 of W^n, on the window [0, window + n].
+    The rows are built once, in memory O(window * n).  Trailing entries
+    below ``tol`` are dropped; they shrink like the kernel weights (for
+    constant p that is sqrt((1-p)/p) per index).
     """
     _require_half_line(op)
     even, odd = kernel_decay_log_factors(op.pseq)
@@ -339,32 +367,10 @@ def kernel_basis(
         raise ValueError("the power must be at least 1")
     if window < 1:
         raise ValueError("window must be positive")
-    # rows[j]: row j of W^n on columns max(0, j - n) .. j + n
-    rows: list[list[complex]] = []
-    for j0 in range(0, window, _ROW_BLOCK):
-        j1 = min(j0 + _ROW_BLOCK, window)
-        lo, block = j0, np.eye(j1 - j0, dtype=np.complex128)
-        for _ in range(n):
-            lo, block = op._columns(lo, block)
-        for r, j in enumerate(range(j0, j1)):
-            rows.append(block[r, max(0, j - n) - lo : j + n + 1 - lo].tolist())
-    basis: list[FinSeq] = []
-    for i in range(n):
-        u: list[complex] = [1.0 + 0.0j if k == i else 0.0 + 0.0j for k in range(n)]
-        for j, row in enumerate(rows):
-            lead = row[-1].real
-            if lead <= 0:
-                raise AssertionError("leading band entry of W^n must be positive")
-            acc = 0.0 + 0.0j
-            for c, uk in zip(row, u[max(0, j - n) : j + n]):
-                acc += c * uk
-            u.append(-acc / lead)
-        # drop the tail once it is below tolerance for good
-        last = len(u) - 1
-        while last > 0 and abs(u[last]) < tol and abs(u[last - 1]) < tol:
-            last -= 1
-        basis.append(FinSeq(Lattice.HALF_LINE, 0, u[: last + 1]))
-    return basis
+    if count is not None and not 1 <= count <= n:
+        raise ValueError(f"count must lie between 1 and the power {n}, got {count}")
+    rows = _power_rows(op, n, window)
+    return [_pinned_vector(rows, n, i, tol) for i in range(count or n)]
 
 
 def kernel_span_approx(

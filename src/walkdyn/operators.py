@@ -212,10 +212,10 @@ class BandedOp:
             return p
         return 0.0
 
-    def _band(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows lo..hi-1 of the band: row i moves to i+1 with probability
+    def _band(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The band at the given rows: row i moves to i+1 with probability
         up = p_i, else (down) to i-1, or stays at 0 on the half-line."""
-        up = self.pseq.prob_array(np.arange(lo, hi))
+        up = self.pseq.prob_array(rows)
         return up, 1.0 - up
 
     def apply(self, x: FinSeq) -> FinSeq:
@@ -234,29 +234,15 @@ class BandedOp:
         xs[lo - out_lo + 1 : hi - out_lo + 2] = x.window(lo, hi + 1)
         if half and out_lo == 0:
             xs[0] = xs[1]  # row 0 holds: its down move reads x_0
-        up, down = self._band(out_lo, hi + 2)
+        up, down = self._band(np.arange(out_lo, hi + 2))
         return FinSeq(self.lattice, out_lo, _cmul(down, xs[:-2]) + _cmul(up, xs[2:]))
-
-    def _columns(self, lo: int, y: np.ndarray) -> tuple[int, np.ndarray]:
-        """(first column, columns) of the column action on the sequences
-        stacked in ``y``, whose last axis holds indices lo, lo+1, ...  Each
-        column sums its two contributions onto zero, so zeros come out +0."""
-        m = y.shape[-1]
-        up, down = self._band(lo, lo + m)
-        out = np.zeros(y.shape[:-1] + (m + 2,), np.complex128)
-        out[..., 2:] += _cmul(up, y)
-        moved = _cmul(down, y)
-        out[..., :-2] += moved
-        if lo == 0 and self.lattice is Lattice.HALF_LINE:
-            out[..., 1] += moved[..., 0]  # row 0 holds at column 0
-            return 0, out[..., 1:]
-        return lo - 1, out
 
     def apply_transpose(self, y: FinSeq) -> FinSeq:
         """Column action (A' y)_j = sum_i A_{i,j} y_i.
 
         This is the action of the operator on row functionals; a left zero
-        eigenvector u (u A = 0) satisfies apply_transpose(u) = 0.
+        eigenvector u (u A = 0) satisfies apply_transpose(u) = 0.  Each
+        column sums its two contributions onto zero, so zeros come out +0.
         """
         if y.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
@@ -264,7 +250,16 @@ class BandedOp:
         if sup is None:
             return FinSeq.zero(self.lattice)
         lo, hi = sup
-        return FinSeq(self.lattice, *self._columns(lo, y.window(lo, hi + 1)))
+        ys = y.window(lo, hi + 1)
+        up, down = self._band(np.arange(lo, hi + 1))
+        out = np.zeros(hi - lo + 3, np.complex128)  # columns lo-1 .. hi+1
+        out[2:] += _cmul(up, ys)
+        moved = _cmul(down, ys)
+        out[:-2] += moved
+        if lo == 0 and self.lattice is Lattice.HALF_LINE:
+            out[1] += moved[0]  # row 0 holds at column 0
+            return FinSeq(self.lattice, 0, out[1:])
+        return FinSeq(self.lattice, lo - 1, out)
 
     def power_apply(self, n: int, x: FinSeq) -> FinSeq:
         """A^n x by n successive banded applications."""

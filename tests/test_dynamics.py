@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from walkdyn import dynamics
+from walkdyn import dynamics, inverse_kernel
 from walkdyn.dynamics import (
     CertKind,
     Verdict,
@@ -113,6 +113,39 @@ class TestFhcCertificate:
         with pytest.raises(ValueError):
             fhc_chaos_certificate(walk(Constant(0.75), Lattice.LINE), 3.0, SpaceSpec.c0())
 
+    @pytest.mark.parametrize(
+        "p, lam, space",
+        [
+            (0.75, 30.0, SpaceSpec.c0()),
+            (0.75, 100.0, SpaceSpec.c0()),
+            (0.5504, -24.7788, SpaceSpec.lq(2)),
+        ],
+    )
+    def test_periodic_point_judged_relative_to_lam_power(self, p, lam, space):
+        # T^6 amplifies the roundoff in the periodic point by |lam|^6: the
+        # residuals are 1.4e-8, 3.6e-5 and 3.0e-4, yet 2e-17, 4e-17 and
+        # 1.3e-12 once divided by |lam|^6
+        cert = fhc_chaos_certificate(walk(Constant(p)), lam, space)
+        assert cert.verdict is Verdict.YES, cert.reason
+        assert cert.witness["periodic_residual"] > 1e-8
+
+    def test_wrong_periodic_point_still_fails(self, walk_075, monkeypatch):
+        # every backward step after the first is off by 1e-4 |z| at one
+        # coordinate, so only the periodic point is wrong
+        calls = 0
+        inner = dynamics.right_inverse
+
+        def skewed(op, z, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            u = inner(op, z, *args, **kwargs)
+            return u if calls == 1 else u + FinSeq.unit(2) * (1e-4 * sup_norm(z))
+
+        monkeypatch.setattr(dynamics, "right_inverse", skewed)
+        cert = fhc_chaos_certificate(walk_075, 3.0, SpaceSpec.c0())
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.reason == "numerical verification failed: periodic-point"
+
 
 class TestSupercyclicityCertificate:
     def test_constant_transient_yes(self, walk_075):
@@ -156,6 +189,30 @@ class TestSupercyclicityCertificate:
         a = supercyclicity_criterion_certificate(walk_075, SpaceSpec.c0(), n_max=12)
         b = supercyclicity_criterion_certificate(walk_075, SpaceSpec.c0(), n_max=24)
         assert a.verdict is b.verdict is Verdict.YES
+
+
+@pytest.mark.parametrize(
+    "certify, solves",
+    [
+        (lambda op: fhc_chaos_certificate(op, 3.0, SpaceSpec.c0()), 1),
+        (lambda op: supercyclicity_criterion_certificate(op, SpaceSpec.c0()), 2),
+    ],
+    ids=["fhc", "supercyclicity"],
+)
+def test_certificates_solve_only_the_kernel_vectors_they_read(
+    walk_075, monkeypatch, certify, solves
+):
+    calls = 0
+    inner = inverse_kernel._pinned_vector
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(inverse_kernel, "_pinned_vector", counting)
+    assert certify(walk_075).verdict is Verdict.YES
+    assert calls == solves
 
 
 class TestObstruction:

@@ -3,6 +3,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from walkdyn.classify import kernel_weights
 from walkdyn.inverse_kernel import (
     TailNotDecayingError,
     _chain_horizon,
+    _power_rows,
     jump_ratio,
     kernel_basis,
     kernel_span_approx,
@@ -20,7 +22,7 @@ from walkdyn.inverse_kernel import (
     step_norm_bound,
 )
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, _cmul, norm, sup_norm
 
 from conftest import random_finseq, random_pseq
 
@@ -234,6 +236,94 @@ def test_kernel_basis_inhomogeneous():
 def test_kernel_basis_rejects_non_decaying():
     with pytest.raises(ValueError):
         kernel_basis(walk(Constant(0.5)), 1, 50)
+
+
+def _reference_columns(op, lo, y):
+    """(first column, columns) of the column action on the complex rows
+    stacked in y, a scatter along the band onto zeros."""
+    m = y.shape[-1]
+    up, down = op._band(np.arange(lo, lo + m))
+    out = np.zeros(y.shape[:-1] + (m + 2,), np.complex128)
+    out[..., 2:] += _cmul(up, y)
+    moved = _cmul(down, y)
+    out[..., :-2] += moved
+    if lo == 0:  # half-line: row 0 holds at column 0
+        out[..., 1] += moved[..., 0]
+        return 0, out[..., 1:]
+    return lo - 1, out
+
+
+def _reference_rows(op, n, window):
+    """Rows of W^n from n column actions on blocks of 64 coordinate vectors."""
+    rows = []
+    for j0 in range(0, window, 64):
+        j1 = min(j0 + 64, window)
+        lo, block = j0, np.eye(j1 - j0, dtype=np.complex128)
+        for _ in range(n):
+            lo, block = _reference_columns(op, lo, block)
+        for r, j in enumerate(range(j0, j1)):
+            rows.append(block[r, max(0, j - n) - lo : j + n + 1 - lo].tolist())
+    return rows
+
+
+def _reference_kernel_basis(op, n, window, tol):
+    """kernel_basis solved from complex rows, every vector."""
+    rows = _reference_rows(op, n, window)
+    basis = []
+    for i in range(n):
+        u = [1.0 + 0.0j if k == i else 0.0 + 0.0j for k in range(n)]
+        for j, row in enumerate(rows):
+            acc = 0.0 + 0.0j
+            for c, uk in zip(row, u[max(0, j - n) : j + n]):
+                acc += c * uk
+            u.append(-acc / row[-1].real)
+        last = len(u) - 1
+        while last > 0 and abs(u[last]) < tol and abs(u[last - 1]) < tol:
+            last -= 1
+        basis.append(FinSeq(Lattice.HALF_LINE, 0, u[: last + 1]))
+    return basis
+
+
+def _random_kernel_case(rng):
+    def prob(lo, hi):
+        return round(rng.uniform(lo, hi), 6)
+
+    tail = prob(0.52, 0.97)
+    form = rng.randrange(3)
+    if form == 0:
+        pseq = Constant(tail)
+    elif form == 1:
+        values = tuple(prob(0.05, 0.97) for _ in range(rng.randint(1, 40)))
+        pseq = ListWithTail(values, tail, rng.randint(-3, 4))
+    else:
+        pseq = Periodic((tail,) + tuple(prob(0.55, 0.95) for _ in range(rng.randint(0, 3))))
+    window = rng.choice((rng.randint(1, 70), rng.randint(60, 200)))
+    return walk(pseq), rng.randint(1, 8), window, 10.0 ** -rng.randint(6, 60)
+
+
+def test_kernel_basis_bits_match_the_block_build():
+    rng = random.Random(5150)
+    for _ in range(320):
+        op, n, window, tol = _random_kernel_case(rng)
+        rows = _power_rows(op, n, window)
+        want = _reference_rows(op, n, window)
+        assert len(rows) == len(want) == window
+        for row, ref in zip(rows, want):
+            assert np.array(row, np.complex128).tobytes() == np.array(ref).tobytes()
+        basis = kernel_basis(op, n, window, tol)
+        want = _reference_kernel_basis(op, n, window, tol)
+        assert [(b.offset, b.values.tobytes()) for b in basis] == [
+            (b.offset, b.values.tobytes()) for b in want
+        ]
+        count = rng.randint(1, n)
+        first = kernel_basis(op, n, window, tol, count=count)
+        assert [b.values.tobytes() for b in first] == [b.values.tobytes() for b in basis[:count]]
+
+
+def test_kernel_basis_rejects_count_outside_the_power(walk_075):
+    for count in (0, 3):
+        with pytest.raises(ValueError, match="count"):
+            kernel_basis(walk_075, 2, 40, count=count)
 
 
 def test_kernel_vectors_decay_like_weights():
