@@ -421,10 +421,7 @@ def _run_inverse(args, config) -> tuple[dict, int, tuple | None]:
          "tolerance": tol, "max_support": args.max_support}
     )
     u = right_inverse_power(op, v, args.power, tol=tol, max_support=args.max_support)
-    y = u
-    for _ in range(args.power):
-        y = op.apply(y)
-    residual = sup_norm(y - v)
+    residual = sup_norm(op.power_apply(args.power, u) - v)
     bound = step_norm_bound(op)
     result = {
         "coordinates": _finseq_json(u),

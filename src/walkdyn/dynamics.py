@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .classify import kernel_decay_log_factors
 from .inverse_kernel import (
     kernel_basis,
@@ -35,7 +37,7 @@ from .inverse_kernel import (
     step_norm_bound,
 )
 from .operators import BandedOp, Constant, pseq_text
-from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm
+from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
 
 
 class Verdict(enum.Enum):
@@ -71,6 +73,11 @@ def _check_dynamics_space(space: SpaceSpec) -> str | None:
             "does not engage"
         )
     return None
+
+
+def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec, lam=None) -> list[float]:
+    """Norms of x, Tx, ..., T^n x for T = lam W (T = W without lam)."""
+    return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n, lam)]
 
 
 def _column_bound(op: BandedOp) -> float:
@@ -186,11 +193,7 @@ def fhc_chaos_certificate(
     # forward orbit of the kernel sample under T = lam W; roundoff in the
     # iterated products is amplified by |lam|^n, so judge the tail after
     # rescaling each term back
-    fwd = [norm(sample, space)]
-    y = sample
-    for _ in range(n_max):
-        y = lam * op.apply(y)
-        fwd.append(norm(y, space))
+    fwd = _orbit_norms(op, sample, n_max, space, lam)
     scale = max(1.0, abs(lam))
     scaled_tail = math.fsum(f / scale**n for n, f in enumerate(fwd) if n >= m)
     forward_ok = scaled_tail <= 1e-10 * max(1.0, max(fwd[: m + 1]))
@@ -213,10 +216,8 @@ def fhc_chaos_certificate(
     max_ratio = max(ratios) if ratios else 0.0
     ratios_ok = max_ratio <= ratio * (1.0 + tol)
 
-    tx = x
-    for _ in range(period):
-        tx = lam * op.apply(tx)
-    periodic_residual = norm(tx - x, space)
+    *_, (lo, tx) = op._orbit(x, period, lam)
+    periodic_residual = norm(FinSeq(op.lattice, lo, tx) - x, space)
     periodic_ok = periodic_residual <= 1e-8 * max(1.0, norm(x, space)) * scale**period
 
     witness.update(
@@ -325,8 +326,7 @@ def supercyclicity_criterion_certificate(
         )
         z = nxt
         back.append(norm(z, space))
-    for _ in range(n_max):
-        z = op.apply(z)
+    z = op.power_apply(n_max, z)
     inverse_residual = norm(z - target, space)
     dynamic_range = max(back) / max(back[0], 1e-300)
     inverse_ok = step_residual <= 1e-12 and inverse_residual <= 1e-11 * max(
@@ -334,11 +334,7 @@ def supercyclicity_criterion_certificate(
     ) * max(1.0, dynamic_range)
 
     # forward orbits of the kernel sample terminate at index m
-    fwd = [norm(sample, space)]
-    w = sample
-    for _ in range(n_max):
-        w = op.apply(w)
-        fwd.append(norm(w, space))
+    fwd = _orbit_norms(op, sample, n_max, space)
     annihilation_residual = math.fsum(fwd[m:])
     forward_ok = annihilation_residual <= 1e-12 * max(1.0, fwd[0])
 
@@ -420,20 +416,15 @@ def constant_tail_obstruction(
         raise ValueError("the perturbation must live on the operator's lattice")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    probe_values: list[complex] = []
-    orbit_sups: list[float] = []
-    probe_ratios: list[float] = []
-    dev_sups: list[float] = []
-    phi = perturbation
-    for _ in range(n_max + 1):
-        value = alpha + phi.at(i_probe)
-        shifted = [abs(alpha + v) for _, v in phi.items()]
-        sup = max([abs(alpha)] + shifted)
+    probe_values, orbit_sups, probe_ratios, dev_sups = [], [], [], []
+    for lo, phi in op._orbit(perturbation, n_max):  # phi = W^n perturbation
+        k = i_probe - lo
+        value = alpha + (complex(phi[k]) if 0 <= k < len(phi) else 0j)
+        sup = max([abs(alpha)] + _abs(alpha + phi).tolist())
         probe_values.append(value)
         orbit_sups.append(sup)
         probe_ratios.append(abs(value) / sup)
-        dev_sups.append(phi.sup_abs())
-        phi = op.apply(phi)
+        dev_sups.append(float(_abs(phi).max(initial=0.0)))
     dev = max(abs((1.0 - p) + p - 1.0) for p in op.pseq.probabilities())
     return ObstructionReport(
         alpha=alpha,
@@ -492,13 +483,8 @@ def line_walk_lower_bound(
     if x.lattice is not Lattice.LINE:
         raise ValueError("the vector must live on the line")
     factor = abs(1.0 - 2.0 * p)
-    start = norm(x, space)
-    steps = [start]
-    y = x
-    for _ in range(n):
-        y = op.apply(y)
-        steps.append(norm(y, space))
-    bound = factor**n * start
+    steps = _orbit_norms(op, x, n, space)
+    bound = factor**n * steps[0]
     measured = steps[-1]
     holds = measured >= bound * (1.0 - 1e-9) and all(
         steps[k + 1] >= factor * steps[k] * (1.0 - 1e-9) for k in range(n)
@@ -506,7 +492,7 @@ def line_walk_lower_bound(
     return LineBoundReport(
         factor=factor,
         n=n,
-        start_norm=start,
+        start_norm=steps[0],
         bound=bound,
         measured=measured,
         step_norms=tuple(steps),
@@ -553,25 +539,26 @@ def orbit_density_probe(
     best = [(math.inf, -1)] * len(targets)
     visits: list[list[int]] = [[] for _ in targets]
     norms: list[float] = []
-    y = x
-    for step in range(n_max + 1):
-        norms.append(norm(y, space))
+    for step, (lo, y) in enumerate(op._orbit(x, n_max)):
+        mags = _abs(y)
+        norms.append(_norm_of_moduli(mags, space))
+        den = math.fsum([r**2 for r in mags.tolist()]) if projective else 0.0
         for t_idx, t in enumerate(targets):
-            if projective:
-                den = math.fsum(abs(v) ** 2 for _, v in y.items())
-                if den > 0:
-                    c = sum(t.at(i) * v.conjugate() for i, v in y.items()) / den
-                    d = norm(c * y - t, space)
-                else:
-                    d = norm(t, space)
+            if not projective:
+                d = norm(FinSeq(op.lattice, lo, y) - t, space)
+            elif den > 0:
+                # c = sum t_i conj(y_i) / den in index order; only zeros are left out
+                a = max(lo, t.offset)
+                b = max(a, min(lo + len(y), t.offset + len(t.values)))
+                conj = np.conj(y[a - lo : b - lo].astype(np.complex128))
+                c = sum(_cmul(t.values[a - t.offset : b - t.offset], conj).tolist()) / den
+                d = norm(FinSeq(op.lattice, lo, _cmul(complex(c), y)) - t, space)
             else:
-                d = norm(y - t, space)
+                d = norm(t, space)
             if d < best[t_idx][0]:
                 best[t_idx] = (d, step)
             if d <= threshold:
                 visits[t_idx].append(step)
-        if step < n_max:
-            y = op.apply(y)
     return OrbitProbeReport(
         n_max=n_max,
         space=space,

@@ -12,8 +12,9 @@ probabilities:
 The operator acts on sequences by rows, (A x)_i = sum_j A_{i,j} x_j, so a
 finitely supported input stays finitely supported and the action is exact
 up to floating-point rounding.  The row action gathers and the column
-action scatters along one band description; powers are taken by repeated
-application, and nothing is ever truncated to a finite matrix.
+action scatters along one band description; powers run in one buffered
+forward loop (``BandedOp._orbit``) with the bits of repeated application,
+and nothing is ever truncated to a finite matrix.
 """
 
 from __future__ import annotations
@@ -261,25 +262,67 @@ class BandedOp:
             return FinSeq(self.lattice, 0, out[1:])
         return FinSeq(self.lattice, lo - 1, out)
 
+    def _orbit(self, x: FinSeq, n: int, lam: complex | None = None):
+        """Yield (lo, values) for x, Tx, ..., T^n x, T = A or lam * A (lam
+        complex): views, overwritten by the next step, of the windows that
+        ``apply`` then ``lam *`` store, with their bits.  The band is read
+        once; two buffers alternate, +0 off the support as ``apply`` pads it:
+        float64 if x is finite with a +0 imaginary part (``apply`` keeps it
+        +0), else complex128 with ``_cmul``, whose zero terms tie signs."""
+        if n and x.lattice is not self.lattice:
+            raise ValueError("sequence lattice does not match the operator")
+        yield x.offset, x.values
+        half = self.lattice is Lattice.HALF_LINE
+        lo, hi = x.support() or (0, -1)
+        win = x.window(lo, hi + 1)
+        flat = lam is None and not win.imag.any() and not np.signbit(win.imag).any()
+        flat = flat and np.isfinite(win.real).all()
+        base = -1 if half else lo - n - 1  # buffer position 0 holds this index
+        up, down = self._band(np.arange(base, hi + n + 2))
+        cur, nxt = np.zeros((2, len(up)), np.float64 if flat else np.complex128)
+        s, e = lo - base, hi - base  # support positions
+        cur[s : e + 1] = win.real if flat else win
+        a, b = s, e + 1  # the last yielded window
+        g0, g1 = s, e + 1  # positions reached so far
+        for k in range(n):
+            if s > e:  # A^k x = 0, so apply returns the empty sequence from here on
+                yield from [(0, cur[:0])] * (n - k)
+                return
+            cur[a:s] = cur[e + 1 : b] = 0.0  # trimmed zeros are read as +0
+            g0, g1 = (max(g0 - 1, 1) if half else g0 - 1), g1 + 1
+            a, b = (max(s - 1, 1) if half else s - 1), e + 2  # apply's window
+            if half:
+                cur[0] = cur[1]  # row 0 holds: its down move reads x_0
+            d, u = down[g0:g1], up[g0:g1]
+            left, right = cur[g0 - 1 : g1 - 1], cur[g0 + 1 : g1 + 1]
+            if flat:
+                out = np.multiply(d, left, out=nxt[g0:g1])
+                out += u * right
+            else:
+                nxt[g0:g1] = _cmul(d, left) + _cmul(u, right)
+            if lam is not None:
+                nxt[a:b] = _cmul(lam, nxt[a:b])
+            s, e = a, b - 1
+            while s <= e and not nxt[s]:
+                s += 1
+            while e >= s and not nxt[e]:
+                e -= 1
+            yield a + base, nxt[a:b]
+            cur, nxt = nxt, cur
+
     def power_apply(self, n: int, x: FinSeq) -> FinSeq:
-        """A^n x by n successive banded applications."""
+        """A^n x, bit for bit n applications, in one buffered loop."""
         if n < 0:
             raise ValueError("power must be nonnegative")
-        cur = x
-        for _ in range(n):
-            cur = self.apply(cur)
-        return cur
+        for lo, values in self._orbit(x, n):
+            pass  # each step overwrites the last; only A^n x is kept
+        return FinSeq(x.lattice, lo, values)
 
     def power_entry(self, n: int, i: int, j: int) -> float:
-        """(A^n)_{i,j}, computed as coordinate i of the column A^n e_j.
-
-        The column is built by n forward applications of the operator to
-        the coordinate vector e_j.
-        """
+        """(A^n)_{i,j}: coordinate i of the column ``power_apply(n, e_j)``."""
         self._check_index(i)
         self._check_index(j)
-        col = self.power_apply(n, FinSeq.unit(j, self.lattice))
-        return col.at(i).real
+        return self.power_apply(n, FinSeq.unit(j, self.lattice)).at(i).real
 
     def power_row(self, n: int, i: int) -> FinSeq:
         """Row i of A^n, built by n applications of the transpose action."""

@@ -9,7 +9,12 @@ are written out on the real and imaginary parts and moduli use ``hypot``,
 since numpy's complex multiply, division and ``abs`` can differ in the
 last bit.  Norms cover c0, c, l^q (q >= 1) and l^infinity; the sup norm
 is shared by c0, c and l^infinity because a finitely supported
-representative realizes it the same way in each.
+representative realizes it the same way in each; norms are written once
+on moduli, for ``FinSeq`` and the forward loop alike.  Powers of moduli
+(the l^q ``r**q``, the projective probe's ``|v|**2``) stay ``**`` on Python
+floats, that is libm ``pow``, which numpy's square does not match (with
+glibc 2.36 and numpy 2.4 it differs from ``r**2`` on 740 of 900,000
+uniform doubles in [0, 1)).
 """
 
 from __future__ import annotations
@@ -241,9 +246,13 @@ def norm(x: FinSeq, space: SpaceSpec) -> float:
     c0, c and l^infinity all use the sup norm; l^q uses the usual
     q-th power sum.
     """
+    return _norm_of_moduli(_abs(x.values), space)
+
+
+def _norm_of_moduli(mags: np.ndarray, space: SpaceSpec) -> float:
+    """The norm of a sequence whose entries have the moduli mags."""
     if space.kind is SpaceKind.LQ:
         q = space.q
-        mags = _abs(x.values)
         if q == 1.0:
             return math.fsum(mags.tolist())
         # rescale by the sup so q-th powers neither underflow nor overflow
@@ -252,7 +261,7 @@ def norm(x: FinSeq, space: SpaceSpec) -> float:
             return scale
         total = math.fsum([r**q for r in (mags / scale).tolist()])
         return scale * total ** (1.0 / q)
-    return x.sup_abs()
+    return float(mags.max(initial=0.0))
 
 
 def sup_norm(x: FinSeq) -> float:

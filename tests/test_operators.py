@@ -1,10 +1,18 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkdyn.dynamics import _column_bound
+from walkdyn.dynamics import (
+    _column_bound,
+    constant_tail_obstruction,
+    fhc_chaos_certificate,
+    line_walk_lower_bound,
+    orbit_density_probe,
+    supercyclicity_criterion_certificate,
+)
 from walkdyn.operators import (
     BandedOp,
     Constant,
@@ -14,7 +22,7 @@ from walkdyn.operators import (
     parse_pseq,
     pseq_text,
 )
-from walkdyn.seqspace import FinSeq, Lattice
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
 from conftest import dense_matrix, random_finseq, random_pseq
 
@@ -219,3 +227,188 @@ def test_half_line_powers_reach_exact_band(p, n, i):
     lo, hi = sup
     assert lo >= max(0, i - n)
     assert hi <= i + n
+
+
+# -- the forward loop: every report against the per-step apply chain ----
+
+# zeros of both signs, and magnitudes that a probability factor rounds to 0
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 3e-323, -3e-323, 1.0, -1.0)
+
+
+def _chain(op, x, n, lam=None):
+    """The reference orbit x, Tx, ..., T^n x: one ``apply`` per step,
+    followed by ``lam *`` when lam is given."""
+    y = x
+    yield y
+    for _ in range(n):
+        y = op.apply(y)
+        if lam is not None:
+            y = lam * y
+        yield y
+
+
+def _chain_windows(op, x, n, lam=None):
+    for y in _chain(op, x, n, lam):
+        yield y.offset, y.values
+
+
+def _forward_case(rng):
+    """A walk, a start vector and a step count: every form on either
+    lattice, list prefixes starting at -3..3 on the line, entries that are
+    real, complex with +0 or -0 parts, or small enough to underflow, the
+    zero vector, and n up to 900 with p in 0.05..0.95 (or exactly 1/2,
+    where half the smallest subnormal rounds to zero)."""
+    lattice = rng.choice(list(Lattice))
+    if rng.random() < 0.1:
+        pseq = Constant(0.5)
+    elif rng.random() < 0.4:
+        pseq = _random_list(rng, rng.randint(-3, 3) if lattice is Lattice.LINE else 0)
+    else:
+        pseq = random_pseq(rng)
+    edge, imag = rng.random() < 0.3, rng.randrange(4)
+
+    def real_part():
+        return rng.choice(_EDGE_VALUES) if edge and rng.random() < 0.5 else rng.uniform(-2, 2)
+
+    def imag_part():
+        return (0.0, rng.choice((0.0, -0.0)), real_part(), rng.choice(_EDGE_VALUES))[imag]
+
+    values = [complex(real_part(), imag_part()) for _ in range(rng.randint(0, 6))]
+    first = 0 if lattice is Lattice.HALF_LINE else -4
+    x = FinSeq(lattice, rng.randint(first, 4), values)
+    n = rng.randint(100, 900) if rng.random() < 0.1 else rng.choice((0, 1, 2, rng.randint(3, 60)))
+    return make_walk(lattice, pseq), x, n
+
+
+def _fixed_forward_cases():
+    """Starts whose orbits hold signed zeros: at p = 1/2 a -0 imaginary
+    part next to negative real parts leaves a -0 after one step, and a
+    negative subnormal times 1/2 rounds to -0; and starts with a nan or
+    an infinite entry."""
+    half, line = (make_walk(lattice, Constant(0.5)) for lattice in Lattice)
+    neg = complex(-1.0, -0.0)
+    return [
+        (half, FinSeq.zero(), 3),
+        (line, FinSeq(Lattice.LINE, -2, [complex(-0.0, -0.0)]), 2),
+        (half, FinSeq(Lattice.HALF_LINE, 0, [neg, 0.0, neg]), 1),
+        (line, FinSeq(Lattice.LINE, -1, [neg, 0.0, neg]), 2),
+        (line, FinSeq(Lattice.LINE, 0, [-5e-324, -0.0, -5e-324]), 1),
+        (line, FinSeq(Lattice.LINE, 0, [-5e-324, -0.0, -5e-324]), 2),
+        (line, FinSeq(Lattice.LINE, 0, [-5e-324, -0.0, -5e-324]), 3),
+        (half, FinSeq(Lattice.HALF_LINE, 0, [complex("nan"), 1.0]), 2),
+        (line, FinSeq(Lattice.LINE, -1, [1.0, complex("inf"), -0.0]), 2),
+    ]
+
+
+def _reference_probe(orbit, targets, space, threshold, projective):
+    best = [(math.inf, -1)] * len(targets)
+    visits = [[] for _ in targets]
+    norms = []
+    for step, y in enumerate(orbit):
+        norms.append(norm(y, space))
+        for k, t in enumerate(targets):
+            if projective:
+                den = math.fsum(abs(v) ** 2 for _, v in y.items())
+                if den > 0:
+                    c = sum(t.at(i) * v.conjugate() for i, v in y.items()) / den
+                    d = norm(c * y - t, space)
+                else:
+                    d = norm(t, space)
+            else:
+                d = norm(y - t, space)
+            if d < best[k][0]:
+                best[k] = (d, step)
+            if d <= threshold:
+                visits[k].append(step)
+    return {"orbit_norms": tuple(norms), "best": tuple(best), "visits": tuple(map(tuple, visits))}
+
+
+def _reference_obstruction(orbit, alpha, i_probe):
+    values, sups, ratios, devs = [], [], [], []
+    for phi in orbit:
+        value = alpha + phi.at(i_probe)
+        sups.append(max([abs(alpha)] + [abs(alpha + v) for _, v in phi.items()]))
+        values.append(value)
+        ratios.append(abs(value) / sups[-1])
+        devs.append(phi.sup_abs())
+    return {
+        "probe_values": tuple(values),
+        "orbit_sups": tuple(sups),
+        "probe_ratios": tuple(ratios),
+        "deviation_sups": tuple(devs),
+        "start_norm": sups[0],
+        "floor_ratio": abs(alpha) / sups[0],
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the inf start
+def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
+    rng = random.Random(6006)
+    spaces = (SpaceSpec.c0(), SpaceSpec.lq(1), SpaceSpec.lq(2.5))
+    fixed = _fixed_forward_cases()
+    for case in range(300):
+        op, x, n = fixed[case] if case < len(fixed) else _forward_case(rng)
+        orbit = list(_chain(op, x, n))
+        got = op.power_apply(n, x)
+        assert (got.offset, got.values.tobytes()) == (orbit[-1].offset, orbit[-1].values.tobytes())
+        # the orbit of lam * W, every step, as the certificates run it
+        lam = rng.choice((complex(-2.0, 0.0), complex(0.5, -0.0), complex(-0.6, 1.3)))
+        got = [
+            (lo, FinSeq(op.lattice, lo, values).values.tobytes())
+            for lo, values in op._orbit(x, min(n, 60), lam)
+        ]
+        want = [(y.offset, y.values.tobytes()) for y in _chain(op, x, min(n, 60), lam)]
+        assert got == want
+        # the reports read every step; their loops are kept short
+        steps, space = min(n, 60), spaces[case % 3]
+        targets = [
+            random_finseq(rng, op.lattice, max_index=6, complex_entries=rng.random() < 0.5)
+            for _ in range(rng.randint(1, 2))
+        ]
+        for projective in (False, True):
+            report = orbit_density_probe(op, x, targets, space, steps, 1.0, projective)
+            ref = _reference_probe(orbit[: steps + 1], targets, space, 1.0, projective)
+            assert repr(report) == repr(replace(report, **ref))
+        alpha = rng.choice((complex(1.5, -0.0), complex(-0.7, 0.4), 2.0 + 0.0j))
+        i_probe = rng.randint(0 if op.lattice is Lattice.HALF_LINE else -3, 5)
+        report = constant_tail_obstruction(op, alpha, x, i_probe, steps)
+        ref = _reference_obstruction(orbit[: steps + 1], alpha, i_probe)
+        assert repr(report) == repr(replace(report, **ref))
+        line = make_walk(Lattice.LINE, Constant(round(rng.uniform(0.05, 0.95), 6)))
+        xl = FinSeq(Lattice.LINE, x.offset, x.values)
+        report = line_walk_lower_bound(line, xl, steps, space)
+        norms = tuple(norm(y, space) for y in _chain(line, xl, steps))
+        ref = {"step_norms": norms, "start_norm": norms[0], "measured": norms[-1]}
+        assert repr(report) == repr(replace(report, **ref))
+        if case % 30 == 0:
+            # the certificates' forward loops, run once more on the chain
+            walk = make_walk(Lattice.HALF_LINE, random_pseq(rng, 0.75, 0.95))
+            lam = complex(rng.choice((-1, 1)) * rng.uniform(6.0, 12.0), rng.choice((0.0, -0.0, 0.5)))
+            got = [
+                fhc_chaos_certificate(walk, lam, space, n_max=12),
+                supercyclicity_criterion_certificate(walk, space),
+            ]
+            with monkeypatch.context() as m:
+                m.setattr(BandedOp, "_orbit", _chain_windows)
+                want = [
+                    fhc_chaos_certificate(walk, lam, space, n_max=12),
+                    supercyclicity_criterion_certificate(walk, space),
+                ]
+            assert repr(got) == repr(want)
+
+
+def test_forward_loops_call_no_apply(monkeypatch):
+    calls = []
+    apply = BandedOp.apply
+    monkeypatch.setattr(BandedOp, "apply", lambda op, x: calls.append(x) or apply(op, x))
+    half = make_walk(Lattice.HALF_LINE, Periodic((0.7, 0.4)))
+    line = make_walk(Lattice.LINE, Constant(0.7))
+    x = FinSeq.from_values([1.0, -0.5j, 0.25], offset=1)
+    xl = FinSeq.from_values([1.0, -0.5, 0.25], offset=-1, lattice=Lattice.LINE)
+    half.power_apply(40, x)
+    half.power_entry(40, 3, 1)
+    for projective in (False, True):
+        orbit_density_probe(half, x, [FinSeq.unit(2)], SpaceSpec.lq(2), 40, projective=projective)
+    constant_tail_obstruction(line, 1.0 + 0.5j, xl, 0, 40)
+    line_walk_lower_bound(line, xl, 40, SpaceSpec.lq(1))
+    assert calls == []
