@@ -25,12 +25,13 @@ parity chain is a running product of the r_k, so long tails come from
 ``np.multiply.accumulate`` (:func:`_product_tail` says why the bits agree).
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
-p > 1/2.  Each basis vector is pinned to a coordinate vector on the first
-n coordinates, the rest solved row by row in Python ``complex`` from rows
-of W^n (leading band entry p^n > 0) that one banded pass builds as floats.
-Their bits are those of complex rows: W^n is nonnegative, each column sums
-at most two nonnegative products onto +0 (in any order), and before Python
-3.14 a float c enters c * u_k as complex(c, 0.0).
+the kernel weights decay.  ker W is spanned by the closed-form kernel
+vector u_0 (:func:`kernel_vector`), and W S = I, so ker W^n is spanned by
+S^k u_0, k < n.  Each basis vector is the combination of these pinned to
+a coordinate vector on the first n coordinates; the leading minor is
+lower triangular and solved in Python ``complex``, and the combination is
+summed through ``_cmul`` in a fixed order, so its bits do not depend on
+the BLAS or SIMD path.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .classify import _log_odds, kernel_decay_log_factors, kernel_weight, kernel_weights
 from .operators import BandedOp, PSeq
-from .seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
+from .seqspace import FinSeq, Lattice, SpaceSpec, _abs, _cmul, norm
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
 _SCALAR_TAIL = 32  # tail entries taken one by one before the array set-up pays off
@@ -311,37 +312,20 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     )
 
 
-def _power_rows(op: BandedOp, n: int, window: int) -> list[list[float]]:
-    """Row j of W^n on columns max(0, j - n) .. j + n, for each j < window."""
-    cols = np.arange(window)[:, None] + np.arange(-n, n + 1)  # [j, n + d]: column j + d
-    up, down = op._band(cols)
-    held = np.arange(min(n, window))  # the rows whose band reaches column -1
-    band = np.eye(1, 2 * n + 1, n).repeat(window, axis=0)  # row j starts as e_j
-    for _ in range(n):
-        nxt = np.zeros(cols.shape)
-        nxt[:, 1:] += up[:, :-1] * band[:, :-1]
-        nxt[:, :-1] += down[:, 1:] * band[:, 1:]
-        nxt[held, n - held] += nxt[held, n - 1 - held]  # row 0 holds
-        nxt[held, n - 1 - held] = 0.0
-        band = nxt
-    return [row[max(0, n - j) :] for j, row in enumerate(band.tolist())]
+def kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
+    """Zero-eigenvector coordinates of the half-line walk, u_0 = 1.
 
-
-def _pinned_vector(rows: list[list[float]], n: int, i: int, tol: float) -> FinSeq:
-    """Kernel vector equal to e_i on coordinates 0..n-1, solved from ``rows``."""
-    u: list[complex] = [1.0 + 0.0j if k == i else 0.0 + 0.0j for k in range(n)]
-    for j, row in enumerate(rows):
-        if row[-1] <= 0:
-            raise AssertionError("leading band entry of W^n must be positive")
-        acc = 0.0 + 0.0j
-        for c, uk in zip(row, u[max(0, j - n) : j + n]):
-            acc += c * uk
-        u.append(-acc / row[-1])
-    # drop the tail once it is below tolerance for good
-    last = len(u) - 1
-    while last > 0 and abs(u[last]) < tol and abs(u[last - 1]) < tol:
-        last -= 1
-    return FinSeq(Lattice.HALF_LINE, 0, u[: last + 1])
+    Row n-1 of the operator forces u_n = ((p_{n-1} - 1)/p_{n-1}) u_{n-2}
+    (and u_1 = ((p_0 - 1)/p_0) u_0 from the boundary row), so the
+    truncated vector satisfies the eigen-equation exactly except at the
+    truncation frontier.  |u_n| equals the parity weight w_n.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    u = [1.0]
+    for n in range(1, n_max + 1):
+        u.append(jump_ratio(pseq.at(n - 1)) * u[max(n - 2, 0)])
+    return u
 
 
 def kernel_basis(
@@ -350,11 +334,15 @@ def kernel_basis(
     """Basis of the kernel of W^n for a half-line walk with decaying weights.
 
     Returns the first ``count`` (default all n) basis vectors.  Vector i is
-    e_i on coordinates 0..n-1 (an identity leading minor); the rest is
-    solved from rows 0..window-1 of W^n, on the window [0, window + n].
-    The rows are built once, in memory O(window * n).  Trailing entries
-    below ``tol`` are dropped; they shrink like the kernel weights (for
-    constant p that is sqrt((1-p)/p) per index).
+    e_i on coordinates 0..n-1 (an identity leading minor), the combination
+    of S^k u_0, k < n, that meets it; the minor is lower triangular, with
+    diagonal 1/(p_0 ... p_{k-1}).  The vectors are computed on the window
+    [0, window + n) and cut there, so the window should reach past where
+    they fall below ``tol`` (``kernel_window_for_tol(pseq, tol) + n`` does).
+    Within it each entry is exact up to rounding: entry j of a preimage
+    reads only entries below j, so each S^k u_0 is taken from an input cut
+    at the window.  Trailing entries below ``tol`` are dropped; they shrink
+    like the kernel weights (for constant p, sqrt((1-p)/p) per index).
     """
     _require_half_line(op)
     even, odd = kernel_decay_log_factors(op.pseq)
@@ -369,8 +357,34 @@ def kernel_basis(
         raise ValueError("window must be positive")
     if count is not None and not 1 <= count <= n:
         raise ValueError(f"count must lie between 1 and the power {n}, got {count}")
-    rows = _power_rows(op, n, window)
-    return [_pinned_vector(rows, n, i, tol) for i in range(count or n)]
+    size = window + n
+    powers = np.zeros((n, size), np.complex128)  # row k: S^k u_0 on [0, size)
+    powers[0] = kernel_vector(op.pseq, size - 1)
+    for k in range(1, n):
+        prev = FinSeq(Lattice.HALF_LINE, 0, powers[k - 1])
+        s = right_inverse(op, prev, tol=tol, max_support=size - 1)
+        top = min(s.offset + len(s.values), size)
+        powers[k, s.offset : top] = s.values[: top - s.offset]
+    minor = powers[:, :n].T.tolist()  # minor[j][k] = (S^k u_0)_j, zero for k > j
+    basis = []
+    for i in range(count or n):
+        # coefficients c_i .. c_{n-1} with minor @ c = e_i, by forward substitution
+        c: list[complex] = []
+        for j in range(i, n):
+            acc = (1.0 if j == i else 0.0) + 0j
+            for mk, ck in zip(minor[j][i:j], c):
+                acc -= mk * ck
+            c.append(acc / minor[j][j])
+        v = np.zeros(size, np.complex128)
+        for ck, row in zip(c, powers[i:]):
+            v += _cmul(ck, row)
+        v[:n] = 0.0
+        v[i] = 1.0
+        # drop the tail once it is below tolerance for good
+        big = np.flatnonzero(~(_abs(v) < tol))
+        last = min(int(big[-1]) + 1, size - 1) if len(big) else 0
+        basis.append(FinSeq(Lattice.HALF_LINE, 0, v[: last + 1]))
+    return basis
 
 
 def kernel_span_approx(

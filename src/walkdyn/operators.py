@@ -269,7 +269,7 @@ class BandedOp:
         once; two buffers alternate, +0 off the support as ``apply`` pads it:
         float64 if x is finite with a +0 imaginary part (``apply`` keeps it
         +0), else complex128 with ``_cmul``, whose zero terms tie signs."""
-        if n and x.lattice is not self.lattice:
+        if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
         yield x.offset, x.values
         half = self.lattice is Lattice.HALF_LINE

@@ -12,8 +12,9 @@ solve p z^2 - lam z + (1-p) = 0 and their moduli decide membership of
 (q_n) in c0, l^q or l^infinity, away from the unit circle.
 
 Zero-eigenvalue structure is available for position-dependent
-probabilities as well: right kernel vectors, their parity weights, and
-left (dual) kernel vectors with exact summability and boundedness tests.
+probabilities as well: parity weights, and left (dual) kernel vectors
+with exact summability and boundedness tests (the right kernel vector is
+:func:`walkdyn.inverse_kernel.kernel_vector`).
 """
 
 from __future__ import annotations
@@ -209,30 +210,10 @@ def alternating_kernel_weights(pseq: PSeq, n_max: int) -> list[float]:
     operator has a zero eigenvector in c0 (w_n -> 0) or l^q (sum w_n^q
     finite).  The strict alternating sign here is a bookkeeping
     normalization; the kernel vector itself flips signs in pairs, see
-    :func:`kernel_vector`.
+    :func:`walkdyn.inverse_kernel.kernel_vector`.
     """
     w = kernel_weights(pseq, n_max)
     return [(-1) ** n * w[n] for n in range(n_max + 1)]
-
-
-def kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
-    """Zero-eigenvector coordinates of the half-line walk, u_0 = 1.
-
-    Row n-1 of the operator forces u_n = ((p_{n-1} - 1)/p_{n-1}) u_{n-2}
-    (and u_1 = ((p_0 - 1)/p_0) u_0 from the boundary row), so the
-    truncated vector satisfies the eigen-equation exactly except at the
-    truncation frontier.  |u_n| equals the parity weight w_n.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    u = [1.0]
-    if n_max >= 1:
-        p0 = pseq.at(0)
-        u.append((p0 - 1.0) / p0)
-    for n in range(2, n_max + 1):
-        p = pseq.at(n - 1)
-        u.append(((p - 1.0) / p) * u[n - 2])
-    return u
 
 
 def left_kernel_vector(pseq: PSeq, n_max: int) -> list[float]:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from walkdyn import dynamics, inverse_kernel
+from walkdyn import dynamics
 from walkdyn.dynamics import (
     CertKind,
     Verdict,
@@ -192,7 +192,7 @@ class TestSupercyclicityCertificate:
 
 
 @pytest.mark.parametrize(
-    "certify, solves",
+    "certify, reads",
     [
         (lambda op: fhc_chaos_certificate(op, 3.0, SpaceSpec.c0()), 1),
         (lambda op: supercyclicity_criterion_certificate(op, SpaceSpec.c0()), 2),
@@ -200,19 +200,18 @@ class TestSupercyclicityCertificate:
     ids=["fhc", "supercyclicity"],
 )
 def test_certificates_solve_only_the_kernel_vectors_they_read(
-    walk_075, monkeypatch, certify, solves
+    walk_075, monkeypatch, certify, reads
 ):
-    calls = 0
-    inner = inverse_kernel._pinned_vector
+    counts = []
+    inner = dynamics.kernel_basis
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return inner(*args, **kwargs)
+    def spy(*args, count=None, **kwargs):
+        counts.append(count)
+        return inner(*args, count=count, **kwargs)
 
-    monkeypatch.setattr(inverse_kernel, "_pinned_vector", counting)
+    monkeypatch.setattr(dynamics, "kernel_basis", spy)
     assert certify(walk_075).verdict is Verdict.YES
-    assert calls == solves
+    assert counts == [reads]
 
 
 class TestObstruction:

@@ -211,6 +211,16 @@ def test_apply_rejects_wrong_lattice():
         op.apply(FinSeq.unit(0, Lattice.LINE))
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_forward_orbits_reject_the_wrong_lattice_at_every_power(n):
+    op = make_walk(Lattice.HALF_LINE, Constant(0.7))
+    x = FinSeq.unit(-3, Lattice.LINE)
+    with pytest.raises(ValueError, match="lattice does not match"):
+        op.power_apply(n, x)
+    with pytest.raises(ValueError, match="lattice does not match"):
+        orbit_density_probe(op, x, [FinSeq.unit(0)], n_max=n)
+
+
 def test_negative_power_rejected(walk_075):
     with pytest.raises(ValueError):
         walk_075.power_apply(-1, FinSeq.unit(0))

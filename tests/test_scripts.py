@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize(
@@ -68,3 +69,64 @@ def test_bench_summary_pairs_the_two_sides(tmp_path):
     assert (jobs["change_wins"], jobs["change_losses"], jobs["ties"]) == (1, 1, 1)
     assert jobs["parent"]["median"] == 11.0 and jobs["change"]["median"] == 11.0
     assert jobs["change"]["runs"] == [20.0, 11.0, 11.0]
+
+
+def _within_gates(doc):
+    w = doc["result"]["witness"]
+    w["certified_ratio"] *= 1 + 1e-14
+    w["inverse_residual"] *= 3  # round-off witnesses may move under their gates
+    w["forward_norms"][10] *= 5
+
+
+def _past_tolerance(doc):
+    doc["result"]["witness"]["backward_norms"][3] *= 1 + 1e-9
+
+
+def _verdict(doc):
+    doc["result"]["holds"] = "undetermined"
+
+
+def _witness_over_gate(doc):
+    doc["result"]["witness"]["inverse_residual"] = 2e-10
+
+
+def _norm_before_annihilation(doc):
+    doc["result"]["witness"]["forward_norms"][2] *= 1 + 1e-9
+
+
+def _length(doc):
+    doc["result"]["witness"]["backward_norms"].pop()
+
+
+def _key(doc):
+    del doc["result"]["witness"]["measured_ratio"]
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        (_within_gates, 0),
+        (_past_tolerance, 1),
+        (_verdict, 1),
+        (_witness_over_gate, 1),
+        (_norm_before_annihilation, 1),
+        (_length, 1),
+        (_key, 1),
+    ],
+)
+def test_compare_goldens(tmp_path, edit, code):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side in (old, new):
+        side.mkdir()
+        (side / "kernel_const.json").write_text((GOLDEN / "kernel_const.json").read_text())
+    text = (GOLDEN / "certify_fhc_yes.json").read_text()
+    (old / "certify_fhc_yes.json").write_text(text)
+    doc = json.loads(text)
+    edit(doc)
+    (new / "certify_fhc_yes.json").write_text(json.dumps(doc, indent=2))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_goldens.py"), str(old), str(new)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stdout
+    assert "kernel_const.json: identical" in proc.stdout

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkdyn.classify import kernel_weights
+from walkdyn.inverse_kernel import kernel_vector
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, sup_norm
 from walkdyn.spectral import (
@@ -15,7 +16,6 @@ from walkdyn.spectral import (
     certified_disk_radius,
     dual_point_spectrum_report,
     eigen_sequence,
-    kernel_vector,
     left_kernel_vector,
     point_spectrum_probe,
     symmetric_dual_interval_check,
