@@ -28,6 +28,12 @@ from .seqspace import Lattice
 
 _OVERFLOW_CAP = 1e300
 
+# the finite-horizon series rule of judge_series
+_WINDOW = 20
+_RATIO_MARGIN = 0.05
+_TERM_FLOOR = 1e-14
+_SUM_CAP = 1e6
+
 
 class Classification(enum.Enum):
     POSITIVE_RECURRENT = "positive-recurrent"
@@ -43,38 +49,24 @@ class SeriesOutcome(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ConvergencePolicy:
-    """Finite-horizon decision rule for a positive-term series.
-
-    A series is declared convergent at the first index where the trailing
-    ``window`` term ratios all sit at or below ``1 - ratio_margin``, or a
-    term drops below ``term_floor``.  It is declared divergent at the
-    first index where the partial sum exceeds ``sum_cap`` or the trailing
-    ``window`` ratios all sit at or above ``1 + ratio_margin``.  The first
-    decision sticks, which makes verdicts stable under extending the
-    horizon.  Anything else is Undetermined; this is a heuristic, not a
-    proof.
-    """
-
-    window: int = 20
-    ratio_margin: float = 0.05
-    term_floor: float = 1e-14
-    sum_cap: float = 1e6
-
-
-@dataclass(frozen=True)
 class SeriesDecision:
     outcome: SeriesOutcome
     decided_at: int | None
     partial_sums: tuple[float, ...]
 
 
-def judge_series(
-    terms: Iterable[float], horizon: int, policy: ConvergencePolicy | None = None
-) -> SeriesDecision:
-    """Apply the convergence policy to the first ``horizon`` terms."""
-    policy = policy or ConvergencePolicy()
-    ratios: deque[float] = deque(maxlen=policy.window)
+def judge_series(terms: Iterable[float], horizon: int) -> SeriesDecision:
+    """Finite-horizon decision on the first ``horizon`` terms of a series.
+
+    A positive-term series is declared convergent at the first index where
+    the trailing 20 term ratios all sit at or below 1 - 0.05, or a term
+    drops below 1e-14.  It is declared divergent at the first index where
+    the partial sum exceeds 1e6 or the trailing 20 ratios all sit at or
+    above 1 + 0.05.  The first decision sticks, which makes verdicts
+    stable under extending the horizon.  Anything else is Undetermined;
+    this is a heuristic, not a proof.
+    """
+    ratios: deque[float] = deque(maxlen=_WINDOW)
     sums: list[float] = []
     total = 0.0
     prev = None
@@ -91,13 +83,13 @@ def judge_series(
             ratios.append(t / prev)
         prev = t
         if decided is None:
-            full = len(ratios) == policy.window
-            if t < policy.term_floor or (
-                full and all(r <= 1.0 - policy.ratio_margin for r in ratios)
+            full = len(ratios) == _WINDOW
+            if t < _TERM_FLOOR or (
+                full and all(r <= 1.0 - _RATIO_MARGIN for r in ratios)
             ):
                 outcome, decided = SeriesOutcome.CONVERGES, k
-            elif total > policy.sum_cap or (
-                full and all(r >= 1.0 + policy.ratio_margin for r in ratios)
+            elif total > _SUM_CAP or (
+                full and all(r >= 1.0 + _RATIO_MARGIN for r in ratios)
             ):
                 outcome, decided = SeriesOutcome.DIVERGES, k
     return SeriesDecision(outcome, decided, tuple(sums))
@@ -129,6 +121,8 @@ def invariant_mass_series_terms(pseq: PSeq) -> Iterator[float]:
 
 
 def _partial(terms: Iterator[float], n: int) -> float:
+    if n < 1:
+        raise ValueError("need at least one term")
     total = 0.0
     for k, t in enumerate(terms, start=1):
         if k > n:
@@ -141,39 +135,18 @@ def _partial(terms: Iterator[float], n: int) -> float:
 
 def transience_series_partial(pseq: PSeq, n: int) -> float:
     """Partial sum of the transience series; +inf marker past 1e300."""
-    if n < 1:
-        raise ValueError("need at least one term")
     return _partial(transience_series_terms(pseq), n)
 
 
 def invariant_mass_series_partial(pseq: PSeq, n: int) -> float:
     """Partial sum of the invariant-mass series; +inf marker past 1e300."""
-    if n < 1:
-        raise ValueError("need at least one term")
     return _partial(invariant_mass_series_terms(pseq), n)
 
 
-def kernel_weight(pseq: PSeq, n: int) -> float:
-    """Magnitude of coordinate n of the zero-eigenvector of the walk.
-
-    For even n this is the product of (1-p_j)/p_j over odd j < n; for odd
-    n the product runs over even j < n.  Decay of these weights is what
-    puts the eigenvector in c0 or l^q.  Index 0 is the normalization 1.
-    """
-    if n < 0:
-        raise ValueError("weights are indexed from 0")
-    if n == 0:
-        return 1.0
-    start = 1 if n % 2 == 0 else 0
-    out = 1.0
-    for j in range(start, n, 2):
-        p = pseq.at(j)
-        out *= (1.0 - p) / p
-    return out
-
-
 def kernel_weights(pseq: PSeq, n_max: int) -> list[float]:
-    """Weights for n = 0..n_max (index 0 holds the normalization 1)."""
+    """Weights w_0..w_{n_max}, the moduli of the zero-eigenvector's coordinates:
+    w_0 = 1, and w_n is the product of (1-p_j)/p_j over the j < n of the
+    other parity; their decay puts the eigenvector in c0 or l^q."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     out = [1.0]
@@ -221,17 +194,15 @@ class ClassVerdict:
     detail: dict = field(default_factory=dict)
 
 
-def _evidence(pseq: PSeq, horizon: int, policy: ConvergencePolicy | None):
-    n = min(horizon, 200)
-    s1 = judge_series(transience_series_terms(pseq), n, policy)
-    s2 = judge_series(invariant_mass_series_terms(pseq), n, policy)
+def _evidence(pseq: PSeq, n: int) -> tuple[SeriesDecision, SeriesDecision]:
+    s1 = judge_series(transience_series_terms(pseq), n)
+    s2 = judge_series(invariant_mass_series_terms(pseq), n)
     return s1, s2
 
 
 def classify(
     pseq: PSeq,
     horizon: int = 2000,
-    policy: ConvergencePolicy | None = None,
     lattice: Lattice = Lattice.HALF_LINE,
     method: str = "auto",
 ) -> ClassVerdict:
@@ -243,7 +214,7 @@ def classify(
     sum log((1-p)/p), read as zero within 1e-12 per value.  On the
     line lattice only the constant case is supported (null recurrent at
     p = 1/2, transient otherwise).  ``method="series"`` skips the exact
-    route and runs the finite-horizon policy on both series regardless,
+    route and runs :func:`judge_series` on both series regardless,
     which is how the exact route is audited.
     """
     if method not in ("auto", "series"):
@@ -251,10 +222,10 @@ def classify(
     if method == "series":
         if lattice is Lattice.LINE:
             raise ValueError("the series route classifies the half-line walk only")
-        return _series_classify(pseq, horizon, policy)
+        return _series_classify(pseq, horizon)
     if lattice is Lattice.LINE and not isinstance(pseq, Constant):
         raise ValueError("line-walk classification is implemented for constant p only")
-    s1, s2 = _evidence(pseq, horizon, policy)
+    s1, s2 = _evidence(pseq, min(horizon, 200))
     if lattice is Lattice.LINE:
         verdict = (
             Classification.NULL_RECURRENT
@@ -287,11 +258,8 @@ def classify(
     return ClassVerdict(verdict, method, horizon, s1, s2, detail)
 
 
-def _series_classify(
-    pseq: PSeq, horizon: int, policy: ConvergencePolicy | None
-) -> ClassVerdict:
-    s1 = judge_series(transience_series_terms(pseq), horizon, policy)
-    s2 = judge_series(invariant_mass_series_terms(pseq), horizon, policy)
+def _series_classify(pseq: PSeq, horizon: int) -> ClassVerdict:
+    s1, s2 = _evidence(pseq, horizon)
     if s1.outcome is SeriesOutcome.CONVERGES:
         # summable escape chances decide transience on their own
         verdict = Classification.TRANSIENT

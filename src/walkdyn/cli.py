@@ -54,14 +54,6 @@ from .walk_oracle import WalkConfig, estimate_return_mass, estimate_transition
 
 SCHEMA = 1
 
-_VERDICT_LABEL = {
-    Classification.TRANSIENT: "Transient",
-    Classification.POSITIVE_RECURRENT: "PositiveRecurrent",
-    Classification.NULL_RECURRENT: "NullRecurrent",
-    Classification.UNDETERMINED: "Undetermined",
-}
-
-
 def _jsonable(obj):
     """Recursively convert report values into JSON-safe structures."""
     if isinstance(obj, complex):
@@ -83,9 +75,23 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _pick(report, fields: str) -> dict:
+    """Result entries read off a report.
+
+    ``fields`` lists the entries in order, separated by spaces: ``key``
+    reads the attribute of that name, ``key=attribute`` reads
+    ``attribute`` under the name ``key``.
+    """
+    out = {}
+    for field in fields.split():
+        key, _, attr = field.partition("=")
+        out[key] = getattr(report, attr or key)
+    return out
+
+
 def _fields(report) -> dict:
-    """A report dataclass as a dict of its fields, in declaration order."""
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    """A report dataclass as a dict of all its fields, in declaration order."""
+    return _pick(report, " ".join(f.name for f in dataclasses.fields(report)))
 
 
 def _finseq_json(x: FinSeq) -> dict:
@@ -130,10 +136,13 @@ def parse_grid(text: str) -> list[float]:
     return [a + (b - a) * i / (k - 1) for i in range(k)]
 
 
-def _env_tol() -> float | None:
+def _tol(args, builtin: float) -> float:
+    """--tol when given, else WALKDYN_TOL when set, else ``builtin``."""
+    if getattr(args, "tol", None) is not None:
+        return args.tol
     raw = os.environ.get("WALKDYN_TOL")
     if raw is None:
-        return None
+        return builtin
     try:
         v = float(raw)
     except ValueError:
@@ -141,13 +150,6 @@ def _env_tol() -> float | None:
     if not (0 < v < 1):
         raise ValueError("WALKDYN_TOL must lie strictly between 0 and 1")
     return v
-
-
-def _tol(args, builtin: float) -> float:
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = _env_tol()
-    return env if env is not None else builtin
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pseq", required=True, help="probability sequence, e.g. const:0.7")
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--method", choices=["auto", "series"], default="auto")
-    add_common(p)
+    add_common(p, fmt=False)
 
     p = sub.add_parser("spectrum", help="point-spectrum probes and dual eigenvectors")
     p.add_argument(
@@ -204,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="target vector literal")
     p.add_argument("--power", type=int, default=1, help="apply the inverse this often")
     p.add_argument("--tol", type=float, default=None, help="tail truncation tolerance")
-    p.add_argument("--max-support", type=int, default=None)
+    p.add_argument("--max-support", type=int, default=None, metavar="N",
+                   help="cut each preimage at index max(N, last target index + 2), "
+                   "decayed or not")
     add_common(p, lattice=False)
 
     p = sub.add_parser("kernel", help="kernel basis of a power of the walk operator")
@@ -273,53 +277,57 @@ def _emit_json(config: dict, result: dict) -> None:
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([_csv_cell(c) for c in row])
-
-
-def _csv_cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    if isinstance(c, complex):
-        return repr(c)
-    return c
+    w.writerows(rows)
 
 
 def _coords_csv(x: FinSeq) -> tuple[list[str], list[list]]:
     return ["index", "real", "imag"], [[i, v.real, v.imag] for i, v in x.trim().items()]
 
 
+def _table_csv(rows: list[dict], header: str) -> tuple[list[str], list[list]]:
+    """CSV of the entries that ``header`` names in each result row.
+
+    A column ``x_re`` or ``x_im`` that is not an entry itself holds the
+    real or imaginary part of the entry ``x``.
+    """
+    keys = header.split()
+
+    def cell(row: dict, key: str):
+        if key in row:
+            return row[key]
+        name, part = key.rsplit("_", 1)
+        return row[name].real if part == "re" else row[name].imag
+
+    return keys, [[cell(row, k) for k in keys] for row in rows]
+
+
 def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
     pseq = parse_pseq(args.pseq)
     lattice = Lattice(args.lattice)
-    verdict = classify(pseq, horizon=args.horizon, lattice=lattice, method=args.method)
-    config.update(
-        {"pseq": pseq_text(pseq), "lattice": lattice.value, "horizon": args.horizon,
-         "method": args.method}
-    )
+    config.update(pseq=pseq_text(pseq), lattice=lattice.value, horizon=args.horizon,
+                  method=args.method)
+    v = classify(pseq, horizon=args.horizon, lattice=lattice, method=args.method)
 
     def series_json(s):
-        sums = list(s.partial_sums)
+        sums = s.partial_sums
         return {
-            "outcome": s.outcome.value,
-            "decided_at": s.decided_at,
+            **_pick(s, "outcome decided_at"),
             "terms": len(sums),
             "partial_sums_head": sums[:8],
             "partial_sum_final": sums[-1] if sums else None,
         }
 
     result = {
-        "verdict": _VERDICT_LABEL[verdict.verdict],
-        "method": verdict.method,
-        "horizon": verdict.horizon,
+        # "positive-recurrent" -> "PositiveRecurrent"
+        "verdict": v.verdict.value.title().replace("-", ""),
+        **_pick(v, "method horizon"),
         "evidence": {
-            "transience_series": series_json(verdict.transience_series),
-            "invariant_mass_series": series_json(verdict.invariant_mass_series),
+            "transience_series": series_json(v.transience_series),
+            "invariant_mass_series": series_json(v.invariant_mass_series),
         },
-        "detail": verdict.detail,
+        "detail": v.detail,
     }
-    code = 3 if verdict.verdict is Classification.UNDETERMINED else 0
-    return result, code, None
+    return result, 3 if v.verdict is Classification.UNDETERMINED else 0, None
 
 
 def _spectrum_p(args) -> float:
@@ -335,7 +343,7 @@ def _spectrum_p(args) -> float:
 
 def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
     space = SpaceSpec.parse(args.space)
-    config.update({"mode": args.mode, "space": str(space)})
+    config.update(mode=args.mode, space=str(space))
     if args.mode == "grid":
         p = _spectrum_p(args)
         if args.lam is not None and args.lam_grid:
@@ -346,67 +354,37 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
             lams = [complex(v) for v in parse_grid(args.lam_grid)]
         else:
             raise ValueError("grid mode needs --lam or --lam-grid")
-        config.update({"p": p, "band": args.band,
-                       "lam_grid": args.lam_grid, "lam": args.lam})
-        rows = []
-        counts = {"yes": 0, "no": 0, "undetermined": 0}
-        for lam in lams:
-            v = point_spectrum_probe(p, lam, space, band=args.band)
-            counts[v.member.value] += 1
-            rows.append(
-                {
-                    "lam": v.lam,
-                    "member": v.member.value,
-                    "max_modulus": v.evidence["max_modulus"],
-                    "alpha": v.evidence["alpha"],
-                    "beta": v.evidence["beta"],
-                    "discriminant": v.evidence["discriminant"],
-                    "defective": v.evidence["defective"],
-                }
-            )
-        result = {"space": str(space), "p": p, "rows": rows, "counts": counts}
-        csv_data = (
-            ["lam_re", "lam_im", "member", "max_modulus", "alpha_re", "alpha_im",
-             "beta_re", "beta_im", "defective"],
-            [
-                [r["lam"].real, r["lam"].imag, r["member"], r["max_modulus"],
-                 r["alpha"].real, r["alpha"].imag, r["beta"].real, r["beta"].imag,
-                 r["defective"]]
-                for r in rows
-            ],
+        config.update(p=p, band=args.band, lam_grid=args.lam_grid, lam=args.lam)
+        verdicts = [point_spectrum_probe(p, lam, space, band=args.band) for lam in lams]
+        evidence = ("max_modulus", "alpha", "beta", "discriminant", "defective")
+        rows = [
+            {"lam": v.lam, "member": v.member.value, **{k: v.evidence[k] for k in evidence}}
+            for v in verdicts
+        ]
+        counts = {m.value: sum(v.member is m for v in verdicts) for m in Membership}
+        csv_data = _table_csv(
+            rows, "lam_re lam_im member max_modulus alpha_re alpha_im beta_re beta_im defective"
         )
-        return result, 0, csv_data
+        return {"space": str(space), "p": p, "rows": rows, "counts": counts}, 0, csv_data
     if args.mode == "radius":
         p = _spectrum_p(args)
-        tol = args.tol if args.tol is not None else 1e-6
-        config.update({"p": p, "angles": args.angles, "tol": tol, "band": args.band})
+        tol = _tol(args, 1e-6)
+        config.update(p=p, angles=args.angles, tol=tol, band=args.band)
         r = certified_disk_radius(p, space, n_angles=args.angles, tol=tol, band=args.band)
-        return (
-            {"space": str(space), "p": p, "radius_lower_estimate": r,
-             "note": "largest grid-certified disk radius; a lower estimate only"},
-            0,
-            None,
-        )
+        result = {"space": str(space), "p": p, "radius_lower_estimate": r,
+                  "note": "largest grid-certified disk radius; a lower estimate only"}
+        return result, 0, None
     if args.mode == "dual":
         if not args.pseq:
             raise ValueError("dual mode needs --pseq")
         pseq = parse_pseq(args.pseq)
-        config.update({"pseq": pseq_text(pseq), "n_max": args.n_max})
-        rep = dual_point_spectrum_report(pseq, space, n_max=args.n_max)
-        return _fields(rep), 0, None
+        config.update(pseq=pseq_text(pseq), n_max=args.n_max)
+        return _fields(dual_point_spectrum_report(pseq, space, n_max=args.n_max)), 0, None
     # symmetric interval check at p = 1/2
     lams = tuple(parse_grid(args.lam_grid)) if args.lam_grid else None
-    config.update({"n_max": args.n_max, "lam_grid": args.lam_grid})
+    config.update(n_max=args.n_max, lam_grid=args.lam_grid)
     rep = symmetric_dual_interval_check(n_max=args.n_max, lambdas=lams)
-    result = {
-        "lambdas": list(rep.lambdas),
-        "certified": list(rep.certified),
-        "all_certified": rep.all_certified,
-        "symmetric": rep.symmetric,
-        "n_max": rep.n_max,
-        "conclusion": rep.conclusion,
-    }
-    return result, 0, None
+    return _pick(rep, "lambdas certified all_certified symmetric n_max conclusion"), 0, None
 
 
 def _run_inverse(args, config) -> tuple[dict, int, tuple | None]:
@@ -416,16 +394,13 @@ def _run_inverse(args, config) -> tuple[dict, int, tuple | None]:
     tol = _tol(args, 1e-13)
     if args.power < 0:
         raise ValueError("--power must be nonnegative")
-    config.update(
-        {"pseq": pseq_text(pseq), "v": args.v, "power": args.power,
-         "tolerance": tol, "max_support": args.max_support}
-    )
+    config.update(pseq=pseq_text(pseq), v=args.v, power=args.power, tolerance=tol,
+                  max_support=args.max_support)
     u = right_inverse_power(op, v, args.power, tol=tol, max_support=args.max_support)
-    residual = sup_norm(op.power_apply(args.power, u) - v)
     bound = step_norm_bound(op)
     result = {
         "coordinates": _finseq_json(u),
-        "residual_sup": residual,
+        "residual_sup": sup_norm(op.power_apply(args.power, u) - v),
         "step_norm_bound": bound if math.isfinite(bound) else None,
     }
     return result, 0, _coords_csv(u)
@@ -440,37 +415,29 @@ def _run_kernel(args, config) -> tuple[dict, int, tuple | None]:
     window = args.window
     if window is None:
         window = kernel_window_for_tol(pseq, tol) + args.power
-    config.update(
-        {"pseq": pseq_text(pseq), "power": args.power, "window": window,
-         "tolerance": tol}
-    )
+    config.update(pseq=pseq_text(pseq), power=args.power, window=window, tolerance=tol)
     basis = kernel_basis(op, args.power, window, tol=tol)
-    residuals = [sup_norm(op.power_apply(args.power, b)) for b in basis]
     result = {
         "power": args.power,
         "window": window,
         "vectors": [_finseq_json(b) for b in basis],
-        "residual_sups": residuals,
+        "residual_sups": [sup_norm(op.power_apply(args.power, b)) for b in basis],
     }
-    header = ["vector", "index", "real", "imag"]
-    rows = []
-    for k, b in enumerate(basis):
-        sub_header, sub_rows = _coords_csv(b)
-        rows.extend([[k] + r for r in sub_rows])
-    return result, 0, (header, rows)
+    rows = [[k] + row for k, b in enumerate(basis) for row in _coords_csv(b)[1]]
+    return result, 0, (["vector", "index", "real", "imag"], rows)
 
 
 def _run_certify(args, config) -> tuple[dict, int, tuple | None]:
     pseq = parse_pseq(args.pseq)
     op = make_walk(Lattice.HALF_LINE, pseq)
     space = SpaceSpec.parse(args.space)
-    config.update({"pseq": pseq_text(pseq), "space": str(space)})
+    config.update(pseq=pseq_text(pseq), space=str(space))
     if args.property == "fhc":
         if args.lam is None:
             raise ValueError("certify fhc needs --lambda")
         n_max = args.n_max if args.n_max is not None else 20
         tol = _tol(args, 1e-6)
-        config.update({"n_max": n_max, "tolerance": tol})
+        config.update(n_max=n_max, tolerance=tol)
         cert = fhc_chaos_certificate(op, args.lam, space, n_max=n_max, tol=tol)
     else:
         if args.lam is not None:
@@ -483,16 +450,9 @@ def _run_certify(args, config) -> tuple[dict, int, tuple | None]:
         n_max = args.n_max if args.n_max is not None else 16
         config["n_max"] = n_max
         cert = supercyclicity_criterion_certificate(op, space, n_max=n_max)
-    config.update({"lam": args.lam, "property": args.property})
-    result = {
-        "kind": cert.kind.value,
-        "holds": cert.verdict.value,
-        "reason": cert.reason,
-        "params": cert.params,
-        "witness": cert.witness,
-    }
-    code = 3 if cert.verdict is Verdict.UNDETERMINED else 0
-    return result, code, None
+    config.update(lam=args.lam, property=args.property)
+    result = _pick(cert, "kind holds=verdict reason params witness")
+    return result, 3 if cert.verdict is Verdict.UNDETERMINED else 0, None
 
 
 def _run_probe(args, config) -> tuple[dict, int, tuple | None]:
@@ -503,17 +463,12 @@ def _run_probe(args, config) -> tuple[dict, int, tuple | None]:
         if args.alpha is None:
             raise ValueError("probe obstruction needs --alpha")
         perturb = (
-            parse_vector(args.perturb, lattice)
-            if args.perturb
-            else FinSeq.zero(lattice)
+            parse_vector(args.perturb, lattice) if args.perturb else FinSeq.zero(lattice)
         )
-        config.update(
-            {"pseq": pseq_text(pseq), "lattice": lattice.value, "alpha": args.alpha,
-             "perturb": args.perturb, "i": args.i, "n_max": args.n_max}
-        )
-        rep = constant_tail_obstruction(
-            op, args.alpha, perturb, i_probe=args.i, n_max=args.n_max
-        )
+        config.update(pseq=pseq_text(pseq), lattice=lattice.value, alpha=args.alpha,
+                      perturb=args.perturb, i=args.i, n_max=args.n_max)
+        rep = constant_tail_obstruction(op, args.alpha, perturb, i_probe=args.i,
+                                        n_max=args.n_max)
         return _fields(rep), 0, None
     # line-bound
     op = make_walk(Lattice.LINE, pseq)
@@ -521,9 +476,7 @@ def _run_probe(args, config) -> tuple[dict, int, tuple | None]:
         raise ValueError("probe line-bound needs --x")
     x = parse_vector(args.x, Lattice.LINE)
     space = SpaceSpec.parse(args.space)
-    config.update(
-        {"pseq": pseq_text(pseq), "x": args.x, "n": args.n, "space": str(space)}
-    )
+    config.update(pseq=pseq_text(pseq), x=args.x, n=args.n, space=str(space))
     rep = line_walk_lower_bound(op, x, args.n, space)
     return _fields(rep), 0 if rep.holds else 3, None
 
@@ -532,46 +485,21 @@ def _run_oracle(args, config) -> tuple[dict, int, tuple | None]:
     pseq = parse_pseq(args.pseq)
     lattice = Lattice(args.lattice)
     cfg = WalkConfig(lattice=lattice, pseq=pseq, seed=args.seed, samples=args.samples)
-    config.update(
-        {"pseq": pseq_text(pseq), "lattice": lattice.value, "stat": args.stat,
-         "samples": args.samples, "seed": args.seed}
-    )
+    config.update(pseq=pseq_text(pseq), lattice=lattice.value, stat=args.stat,
+                  samples=args.samples, seed=args.seed)
     if args.stat == "transition":
         if args.n is None or args.j is None:
             raise ValueError("oracle --stat transition needs --n and --j")
-        config.update({"n": args.n, "i": args.i, "j": args.j})
+        config.update(n=args.n, i=args.i, j=args.j)
         est, err = estimate_transition(cfg, args.n, args.i, args.j)
-        result = {
-            "estimate": est,
-            "stderr": err,
-            "samples": args.samples,
-            "seed": args.seed,
-            "n": args.n,
-            "i": args.i,
-            "j": args.j,
-        }
-        csv_data = (
-            ["n", "i", "j", "estimate", "stderr", "samples", "seed"],
-            [[args.n, args.i, args.j, est, err, args.samples, args.seed]],
-        )
-        return result, 0, csv_data
+        result = {"estimate": est, "stderr": err, **_pick(args, "samples seed n i j")}
+        return result, 0, _table_csv([result], "n i j estimate stderr samples seed")
     if args.horizon is None:
         raise ValueError("oracle --stat return-mass needs --horizon")
-    config.update({"horizon": args.horizon, "i": args.i})
+    config.update(horizon=args.horizon, i=args.i)
     est = estimate_return_mass(cfg, args.horizon, args.i)
-    result = {
-        "estimate": est,
-        "stderr": None,
-        "samples": args.samples,
-        "seed": args.seed,
-        "horizon": args.horizon,
-        "i": args.i,
-    }
-    csv_data = (
-        ["horizon", "i", "estimate", "samples", "seed"],
-        [[args.horizon, args.i, est, args.samples, args.seed]],
-    )
-    return result, 0, csv_data
+    result = {"estimate": est, "stderr": None, **_pick(args, "samples seed horizon i")}
+    return result, 0, _table_csv([result], "horizon i estimate samples seed")
 
 
 def _run_orbit(args, config) -> tuple[dict, int, tuple | None]:
@@ -583,23 +511,15 @@ def _run_orbit(args, config) -> tuple[dict, int, tuple | None]:
     if not targets:
         raise ValueError("orbit needs at least one target")
     space = SpaceSpec.parse(args.space)
-    config.update(
-        {"pseq": pseq_text(pseq), "lattice": lattice.value, "x": args.x,
-         "targets": args.targets, "space": str(space), "n_max": args.n_max,
-         "threshold": args.threshold, "projective": args.projective}
-    )
-    rep = orbit_density_probe(
-        op, x, targets, space=space, n_max=args.n_max,
-        threshold=args.threshold, projective=args.projective,
-    )
+    config.update(pseq=pseq_text(pseq), lattice=lattice.value, x=args.x,
+                  targets=args.targets, space=str(space), n_max=args.n_max,
+                  threshold=args.threshold, projective=args.projective)
+    rep = orbit_density_probe(op, x, targets, space=space, n_max=args.n_max,
+                              threshold=args.threshold, projective=args.projective)
     result = {
-        "n_max": rep.n_max,
-        "space": str(rep.space),
-        "threshold": rep.threshold,
-        "projective": rep.projective,
-        "orbit_norms": list(rep.orbit_norms),
+        **_pick(rep, "n_max space threshold projective orbit_norms"),
         "best": [{"distance": d, "at": t} for d, t in rep.best],
-        "visits": [list(v) for v in rep.visits],
+        "visits": rep.visits,
         "lower_density_estimates": [
             lower_density_estimate(v, rep.n_max) if rep.n_max >= 1 else 0.0
             for v in rep.visits

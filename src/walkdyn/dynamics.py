@@ -75,6 +75,23 @@ def _check_dynamics_space(space: SpaceSpec) -> str | None:
     return None
 
 
+def _settle(
+    kind: CertKind,
+    params: dict,
+    witness: dict,
+    checks: list[tuple[str, bool]],
+    conclusion: str,
+) -> Certificate:
+    """YES with the conclusion when every named check passed, else
+    Undetermined naming the checks that failed."""
+    failed = [name for name, ok in checks if not ok]
+    if failed:
+        reason = "numerical verification failed: " + ", ".join(failed)
+        return Certificate(kind, Verdict.UNDETERMINED, params, witness, reason)
+    witness["conclusion"] = conclusion
+    return Certificate(kind, Verdict.YES, params, witness)
+
+
 def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec, lam=None) -> list[float]:
     """Norms of x, Tx, ..., T^n x for T = lam W (T = W without lam)."""
     return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n, lam)]
@@ -148,33 +165,23 @@ def fhc_chaos_certificate(
         if abs(lam) <= 1.0 and (
             space.kind is SpaceKind.C0 or _column_bound(op) <= 1.0 + 1e-12
         ):
-            return Certificate(
-                CertKind.FHC_CHAOS,
-                Verdict.NO,
-                params,
-                witness,
+            verdict, reason = Verdict.NO, (
                 "no by criterion (certified ratio >= 1), and in fact a "
                 "disproof: |lam| <= 1 while the walk is a contraction, so "
-                "every orbit is norm-bounded and none is dense",
+                "every orbit is norm-bounded and none is dense"
             )
-        if math.isfinite(ratio):
-            return Certificate(
-                CertKind.FHC_CHAOS,
-                Verdict.NO,
-                params,
-                witness,
+        elif math.isfinite(ratio):
+            verdict, reason = Verdict.NO, (
                 "no by criterion: certified ratio >= 1 (need |lam| above the "
                 "per-step inverse bound); this blocks the certificate and is "
-                "not a disproof",
+                "not a disproof"
             )
-        return Certificate(
-            CertKind.FHC_CHAOS,
-            Verdict.UNDETERMINED,
-            params,
-            witness,
-            "no per-step bound for the right inverse: the jump probabilities "
-            "do not stay above one half, so preimage tails need not decay",
-        )
+        else:
+            verdict, reason = Verdict.UNDETERMINED, (
+                "no per-step bound for the right inverse: the jump probabilities "
+                "do not stay above one half, so preimage tails need not decay"
+            )
+        return Certificate(CertKind.FHC_CHAOS, verdict, params, witness, reason)
 
     m = 6
     deep_tol = 1e-60
@@ -234,29 +241,19 @@ def fhc_chaos_certificate(
             "periodic_residual": periodic_residual,
         }
     )
-    if inverse_ok and forward_ok and ratios_ok and periodic_ok:
-        witness["conclusion"] = (
-            "frequent hypercyclicity and chaos hold: backward sums converge "
-            "geometrically at the certified ratio and a dense set has "
-            "finite forward orbits"
-        )
-        return Certificate(CertKind.FHC_CHAOS, Verdict.YES, params, witness)
-    failed = [
-        name
-        for name, ok in [
+    return _settle(
+        CertKind.FHC_CHAOS,
+        params,
+        witness,
+        [
             ("inverse-identity", inverse_ok),
             ("forward-annihilation", forward_ok),
             ("backward-ratio", ratios_ok),
             ("periodic-point", periodic_ok),
-        ]
-        if not ok
-    ]
-    return Certificate(
-        CertKind.FHC_CHAOS,
-        Verdict.UNDETERMINED,
-        params,
-        witness,
-        "numerical verification failed: " + ", ".join(failed),
+        ],
+        "frequent hypercyclicity and chaos hold: backward sums converge "
+        "geometrically at the certified ratio and a dense set has "
+        "finite forward orbits",
     )
 
 
@@ -353,27 +350,17 @@ def supercyclicity_criterion_certificate(
         "kernel_chain_log_factors": _chain_factors,
         "window": window,
     }
-    if inverse_ok and forward_ok and product_ok:
-        witness["conclusion"] = (
-            "supercyclicity holds: forward orbits of a dense set terminate "
-            "while the right inverse recovers every target exactly"
-        )
-        return Certificate(CertKind.SUPERCYCLICITY, Verdict.YES, params, witness)
-    failed = [
-        name
-        for name, ok in [
+    return _settle(
+        CertKind.SUPERCYCLICITY,
+        params,
+        witness,
+        [
             ("inverse-exactness", inverse_ok),
             ("forward-annihilation", forward_ok),
             ("product-condition", product_ok),
-        ]
-        if not ok
-    ]
-    return Certificate(
-        CertKind.SUPERCYCLICITY,
-        Verdict.UNDETERMINED,
-        params,
-        witness,
-        "numerical verification failed: " + ", ".join(failed),
+        ],
+        "supercyclicity holds: forward orbits of a dense set terminate "
+        "while the right inverse recovers every target exactly",
     )
 
 

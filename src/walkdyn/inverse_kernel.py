@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .classify import _log_odds, kernel_decay_log_factors, kernel_weight, kernel_weights
+from .classify import _log_odds, kernel_decay_log_factors, kernel_weights
 from .operators import BandedOp, PSeq
 from .seqspace import FinSeq, Lattice, SpaceSpec, _abs, _cmul, norm
 
@@ -204,8 +204,12 @@ def right_inverse(
     a chain that is not exactly zero cannot decay (it does not shrink over
     a cycle of the jump probabilities) and no explicit ``max_support`` is
     supplied, the recurrence runs 128 indices past the support and then
-    raises :class:`TailNotDecayingError`; with ``max_support`` the
-    truncated sequence is returned as-is.  Without ``max_support`` it also
+    raises :class:`TailNotDecayingError`.  With ``max_support`` the
+    recurrence stops at index max(max_support, hi + 2), hi the last index
+    of the support of v, and the truncated sequence is returned as-is,
+    decayed or not; so the result reaches past ``max_support`` when v does
+    (at p = 0.75, ones on 0..10 with ``max_support=5`` give support
+    1..12).  Without ``max_support`` it also
     raises, before the continuation, when the closed-form horizon of the
     chains lies more than ``_TAIL_CAP`` indices past the support.  The
     result has the bits of the plain loop (see the module docstring); past
@@ -294,7 +298,7 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     decay (the horizon would be infinite) and when the window would pass
     ``cap``.
     """
-    horizon = _chain_horizon(pseq, 0, (1.0, kernel_weight(pseq, 1)), tol)
+    horizon = _chain_horizon(pseq, 0, tuple(kernel_weights(pseq, 1)), tol)
     if math.isinf(horizon):
         raise ValueError(
             "kernel weights do not decay (some parity chain has per-cycle "

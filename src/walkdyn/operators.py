@@ -68,10 +68,6 @@ class _PrefixCycle:
         """Every distinct probability value the sequence can take."""
         return tuple(dict.fromkeys(self.prefix + self.cycle))
 
-    def tail_probabilities(self) -> tuple[float, ...]:
-        """Distinct values taken infinitely often (the eventual behavior)."""
-        return tuple(dict.fromkeys(self.cycle))
-
 
 @dataclass(frozen=True)
 class Constant(_PrefixCycle):
@@ -185,12 +181,6 @@ class BandedOp:
 
     lattice: Lattice
     pseq: PSeq
-
-    def describe(self) -> str:
-        shape = "half-line" if self.lattice is Lattice.HALF_LINE else "line"
-        if isinstance(self.pseq, Constant):
-            return f"{shape} walk, constant p={self.pseq.p}"
-        return f"{shape} walk, inhomogeneous ({pseq_text(self.pseq)})"
 
     def _check_index(self, i: int) -> None:
         if self.lattice is Lattice.HALF_LINE and i < 0:

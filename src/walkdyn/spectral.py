@@ -12,9 +12,10 @@ solve p z^2 - lam z + (1-p) = 0 and their moduli decide membership of
 (q_n) in c0, l^q or l^infinity, away from the unit circle.
 
 Zero-eigenvalue structure is available for position-dependent
-probabilities as well: parity weights, and left (dual) kernel vectors
-with exact summability and boundedness tests (the right kernel vector is
-:func:`walkdyn.inverse_kernel.kernel_vector`).
+probabilities as well: left (dual) kernel vectors with exact summability
+and boundedness tests (the right kernel vector is
+:func:`walkdyn.inverse_kernel.kernel_vector`, its weights are
+:func:`walkdyn.classify.kernel_weights`).
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .classify import kernel_decay_log_factors, kernel_weights
+from .classify import kernel_decay_log_factors
 from .operators import PSeq, _check_prob
 from .seqspace import SpaceKind, SpaceSpec
+
+_DEFECT_TOL = 1e-12  # |discriminant| at or below which the roots count as repeated
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,6 @@ class TransferMatrix:
     @property
     def discriminant(self) -> complex:
         return self.lam * self.lam - 4.0 * self.p * (1.0 - self.p)
-
-    def is_defective(self, tol: float = 1e-12) -> bool:
-        return abs(self.discriminant) <= tol
 
     def eigenvalues(self) -> tuple[complex, complex]:
         """Roots of p z^2 - lam z + (1-p) = 0, largest modulus first."""
@@ -97,7 +97,6 @@ def point_spectrum_probe(
     lam: complex,
     space: SpaceSpec,
     band: float = 1e-8,
-    defect_tol: float = 1e-12,
 ) -> SpectrumVerdict:
     """Decide whether the eigenvector candidate at lam lies in the space.
 
@@ -116,7 +115,7 @@ def point_spectrum_probe(
     tm = TransferMatrix(p, lam)
     lam = tm.lam
     disc = tm.discriminant
-    defective = abs(disc) <= defect_tol
+    defective = abs(disc) <= _DEFECT_TOL
     alpha, beta = tm.eigenvalues()
     conjugate_pair = (
         not defective and lam.imag == 0.0 and disc.imag == 0.0 and disc.real < 0.0
@@ -200,20 +199,6 @@ def certified_disk_radius(
         else:
             hi = mid
     return lo
-
-
-def alternating_kernel_weights(pseq: PSeq, n_max: int) -> list[float]:
-    """Signed weight sequence (-1)^n w_n, n = 0..n_max, w_0 = 1.
-
-    The magnitudes w_n are the parity-product weights of
-    :func:`walkdyn.classify.kernel_weight`; they govern whether the walk
-    operator has a zero eigenvector in c0 (w_n -> 0) or l^q (sum w_n^q
-    finite).  The strict alternating sign here is a bookkeeping
-    normalization; the kernel vector itself flips signs in pairs, see
-    :func:`walkdyn.inverse_kernel.kernel_vector`.
-    """
-    w = kernel_weights(pseq, n_max)
-    return [(-1) ** n * w[n] for n in range(n_max + 1)]
 
 
 def left_kernel_vector(pseq: PSeq, n_max: int) -> list[float]:

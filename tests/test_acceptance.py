@@ -27,7 +27,6 @@ from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
 from walkdyn.spectral import (
     Membership,
     TransferMatrix,
-    alternating_kernel_weights,
     dual_point_spectrum_report,
     point_spectrum_probe,
     symmetric_dual_interval_check,
@@ -234,16 +233,12 @@ def test_dual_eigenvector_reports():
 
 
 def test_weight_sequence_consistency():
-    # the zero-eigenvector coordinates equal (-1)^n times the pair-product
-    # weights to 1e-12, for 50 random probability sequences and n <= 40.
+    # the kernel weights equal the pair products of (1-p)/p to 1e-12, for
+    # 50 random probability sequences and n <= 40.
     rng = random.Random(131)
     for _ in range(50):
         pseq = random_pseq(rng, lo=0.15, hi=0.85)
-        coords = alternating_kernel_weights(pseq, 40)
         w = [1.0, (1.0 - pseq.at(0)) / pseq.at(0)]
         for k in range(2, 41):
             w.append(w[k - 2] * (1.0 - pseq.at(k - 1)) / pseq.at(k - 1))
-        assert coords == pytest.approx(
-            [(-1.0) ** n * w[n] for n in range(41)], rel=1e-12, abs=1e-12
-        )
         assert kernel_weights(pseq, 40) == pytest.approx(w, rel=1e-12, abs=1e-12)

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from walkdyn.classify import (
     Classification,
-    ConvergencePolicy,
     SeriesOutcome,
     classify,
     invariant_mass_series_partial,
     judge_series,
     kernel_decay_log_factors,
-    kernel_weight,
     kernel_weights,
     transience_series_partial,
 )
@@ -115,8 +113,6 @@ def test_kernel_weight_recursion():
         for n in range(len(w) - 2):
             ratio = (1 - pseq.at(n + 1)) / pseq.at(n + 1)
             assert w[n + 2] == pytest.approx(w[n] * ratio, rel=1e-12)
-        for n in (0, 3, 17):
-            assert kernel_weight(pseq, n) == pytest.approx(w[n], rel=1e-12)
 
 
 def test_kernel_decay_log_factors_constant():
@@ -156,14 +152,6 @@ def test_verdict_monotone_in_horizon(p):
     b = classify(pseq, horizon=2000, method="series").verdict
     if a is not Classification.UNDETERMINED:
         assert a is b
-
-
-def test_policy_is_frozen_config():
-    pol = ConvergencePolicy(window=10, ratio_margin=0.1)
-    dec = judge_series((0.5**k for k in range(1, 50)), 49, pol)
-    assert dec.outcome is SeriesOutcome.CONVERGES
-    with pytest.raises(Exception):
-        pol.window = 5
 
 
 @pytest.mark.parametrize(

@@ -306,12 +306,14 @@ class TestErrors:
         assert code == 2
 
     def test_unknown_flag_exit_2(self, capsys):
-        # certify is json-only; --format is not among its flags
-        code, _, err = run(
-            capsys, "certify", "fhc", "--pseq", "const:0.75",
-            "--lambda", "3", "--format", "csv",
-        )
-        assert code == 2
+        # certify and classify are json-only; --format is not among their flags
+        for argv in (
+            ["certify", "fhc", "--pseq", "const:0.75", "--lambda", "3"],
+            ["classify", "--pseq", "const:0.75"],
+        ):
+            code, _, err = run(capsys, *argv, "--format", "csv")
+            assert code == 2
+            assert "unrecognized arguments: --format csv" in err
 
     def test_supercyclicity_rejects_tol_exit_2(self, capsys):
         # the certificate has no tolerance to set, so --tol would be ignored
@@ -345,6 +347,12 @@ class TestErrors:
         )
         assert code == 0
         assert doc["config"]["tolerance"] == 1e-6
+
+    def test_tol_env_sets_the_radius_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setenv("WALKDYN_TOL", "1e-2")
+        code, doc = run_json(capsys, "spectrum", "--mode", "radius", "--p", "0.75")
+        assert code == 0
+        assert doc["config"]["tol"] == 1e-2
 
     def test_tol_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WALKDYN_TOL", "1e-6")

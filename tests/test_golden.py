@@ -1,10 +1,11 @@
 """Byte-exact replay of recorded CLI outputs.
 
 Each entry of ``golden/commands.json`` names one command line, its exit
-code and the file under ``golden/`` that holds its exact standard output.
-The test replays every command in process and compares the bytes, so any
-change to a JSON report (a value, a key, its order or its formatting)
-shows up here.
+code and the file under ``golden/`` that holds its exact standard output:
+``<name>.csv`` when the argv asks for ``--format csv``, ``<name>.json``
+otherwise.  The test replays every command in process and compares the
+bytes, so any change to a report (a value, a key, its order or its
+formatting) shows up here.
 """
 
 import io
@@ -32,4 +33,5 @@ def test_golden_output(entry, monkeypatch):
     monkeypatch.delenv("WALKDYN_TOL", raising=False)
     code, out = _replay(entry["argv"])
     assert code == entry["exit"]
-    assert out == (GOLDEN / f"{entry['name']}.json").read_text()
+    ext = "csv" if "csv" in entry["argv"] else "json"
+    assert out == (GOLDEN / f"{entry['name']}.{ext}").read_text()

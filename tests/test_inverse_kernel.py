@@ -203,6 +203,12 @@ def test_max_support_cap_honored(walk_075):
     assert sup is not None and sup[1] <= 40
 
 
+def test_max_support_below_the_target_cuts_two_past_it(walk_075):
+    # the cut is at max(max_support, hi + 2), hi the target's last index
+    v = FinSeq.from_values([1.0] * 11, lattice=Lattice.HALF_LINE)
+    assert right_inverse(walk_075, v, max_support=5).support() == (1, 12)
+
+
 def test_kernel_window_scales_with_tolerance():
     w8 = kernel_window_for_tol(Constant(0.75), 1e-8)
     w30 = kernel_window_for_tol(Constant(0.75), 1e-30)

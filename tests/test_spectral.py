@@ -5,14 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkdyn.classify import kernel_weights
 from walkdyn.inverse_kernel import kernel_vector
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, sup_norm
 from walkdyn.spectral import (
     Membership,
     TransferMatrix,
-    alternating_kernel_weights,
     certified_disk_radius,
     dual_point_spectrum_report,
     eigen_sequence,
@@ -123,16 +121,6 @@ def test_kernel_vector_is_eigenvector():
         # rows 0..22 see fully determined inputs
         for i in range(23):
             assert abs(y.at(i)) <= 1e-10 * max(1.0, max(abs(t) for t in u))
-
-
-def test_alternating_weights_match_weight_magnitudes():
-    rng = random.Random(13)
-    for _ in range(10):
-        pseq = random_pseq(rng)
-        alt = alternating_kernel_weights(pseq, 20)
-        w = kernel_weights(pseq, 20)
-        for n in range(21):
-            assert alt[n] == pytest.approx((-1) ** n * w[n], rel=1e-12)
 
 
 def test_left_kernel_vector_solves_dual_rows():
