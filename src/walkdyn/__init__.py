@@ -3,9 +3,9 @@
 The package builds banded transition operators for simple and
 site-dependent walks on the half-line and the line, inverts them
 explicitly, computes kernel bases of their powers, probes their point
-spectrum through transfer matrices, classifies the underlying walks,
-and assembles numerical certificates for supercyclicity, frequent
-hypercyclicity and chaos of scalar multiples.
+spectrum through the roots of the eigenvector recurrence, classifies the
+underlying walks, and assembles numerical certificates for
+supercyclicity, frequent hypercyclicity and chaos of scalar multiples.
 """
 
 __version__ = "0.1.0"
@@ -15,12 +15,10 @@ from .classify import (
     ClassVerdict,
     SeriesDecision,
     SeriesOutcome,
+    Verdict,
     classify,
-    invariant_mass_series_partial,
     judge_series,
     kernel_decay_log_factors,
-    kernel_weights,
-    transience_series_partial,
 )
 from .dynamics import (
     CertKind,
@@ -28,7 +26,6 @@ from .dynamics import (
     LineBoundReport,
     ObstructionReport,
     OrbitProbeReport,
-    Verdict,
     constant_tail_obstruction,
     fhc_chaos_certificate,
     line_walk_lower_bound,
@@ -64,14 +61,11 @@ from .seqspace import (
     SpaceKind,
     SpaceSpec,
     norm,
-    sup_norm,
 )
 from .spectral import (
     DualSpectrumReport,
     IntervalCheckReport,
-    Membership,
     SpectrumVerdict,
-    TransferMatrix,
     certified_disk_radius,
     dual_point_spectrum_report,
     eigen_sequence,
@@ -95,7 +89,6 @@ __all__ = [
     "Lattice",
     "LineBoundReport",
     "ListWithTail",
-    "Membership",
     "ObstructionReport",
     "OrbitProbeReport",
     "PSeq",
@@ -106,7 +99,6 @@ __all__ = [
     "SpaceSpec",
     "SpectrumVerdict",
     "TailNotDecayingError",
-    "TransferMatrix",
     "Verdict",
     "WalkConfig",
     "certified_disk_radius",
@@ -117,14 +109,12 @@ __all__ = [
     "estimate_return_mass",
     "estimate_transition",
     "fhc_chaos_certificate",
-    "invariant_mass_series_partial",
     "judge_series",
     "jump_ratio",
     "kernel_basis",
     "kernel_decay_log_factors",
     "kernel_span_approx",
     "kernel_vector",
-    "kernel_weights",
     "kernel_window_for_tol",
     "left_kernel_vector",
     "line_walk_lower_bound",
@@ -139,8 +129,6 @@ __all__ = [
     "right_inverse",
     "right_inverse_power",
     "step_norm_bound",
-    "sup_norm",
     "supercyclicity_criterion_certificate",
     "symmetric_dual_interval_check",
-    "transience_series_partial",
 ]

@@ -26,8 +26,6 @@ from typing import Iterable, Iterator
 from .operators import PSeq, Constant, Periodic
 from .seqspace import Lattice
 
-_OVERFLOW_CAP = 1e300
-
 # the finite-horizon series rule of judge_series
 _WINDOW = 20
 _RATIO_MARGIN = 0.05
@@ -39,6 +37,15 @@ class Classification(enum.Enum):
     POSITIVE_RECURRENT = "positive-recurrent"
     NULL_RECURRENT = "null-recurrent"
     TRANSIENT = "transient"
+    UNDETERMINED = "undetermined"
+
+
+class Verdict(enum.Enum):
+    """Answer to a yes/no question about the operator: eigenvalue membership,
+    or a dynamical property of a scalar multiple."""
+
+    YES = "yes"
+    NO = "no"
     UNDETERMINED = "undetermined"
 
 
@@ -120,44 +127,6 @@ def invariant_mass_series_terms(pseq: PSeq) -> Iterator[float]:
         n += 1
 
 
-def _partial(terms: Iterator[float], n: int) -> float:
-    if n < 1:
-        raise ValueError("need at least one term")
-    total = 0.0
-    for k, t in enumerate(terms, start=1):
-        if k > n:
-            break
-        total += t
-        if total > _OVERFLOW_CAP or not math.isfinite(total):
-            return math.inf
-    return total
-
-
-def transience_series_partial(pseq: PSeq, n: int) -> float:
-    """Partial sum of the transience series; +inf marker past 1e300."""
-    return _partial(transience_series_terms(pseq), n)
-
-
-def invariant_mass_series_partial(pseq: PSeq, n: int) -> float:
-    """Partial sum of the invariant-mass series; +inf marker past 1e300."""
-    return _partial(invariant_mass_series_terms(pseq), n)
-
-
-def kernel_weights(pseq: PSeq, n_max: int) -> list[float]:
-    """Weights w_0..w_{n_max}, the moduli of the zero-eigenvector's coordinates:
-    w_0 = 1, and w_n is the product of (1-p_j)/p_j over the j < n of the
-    other parity; their decay puts the eigenvector in c0 or l^q."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    out = [1.0]
-    if n_max >= 1:
-        out.append((1.0 - pseq.at(0)) / pseq.at(0))
-    for n in range(2, n_max + 1):
-        p = pseq.at(n - 1)
-        out.append(out[n - 2] * (1.0 - p) / p)
-    return out
-
-
 def _log_odds(p: float) -> float:
     """log((1-p)/p): the per-index log factor of the transience series."""
     return math.log1p(-p) - math.log(p)
@@ -166,7 +135,9 @@ def _log_odds(p: float) -> float:
 def kernel_decay_log_factors(pseq: PSeq) -> tuple[float, float]:
     """Per-cycle log growth of the even and odd kernel-weight chains.
 
-    Weights satisfy w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}.  Past the prefix a
+    The weights w_n = |u_n| of the kernel vector (u_0 = 1, see
+    :func:`walkdyn.inverse_kernel.kernel_vector`) satisfy
+    w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}.  Past the prefix a
     chain reads the cycle values periodically: all of them when the cycle
     length is odd, one parity class when it is even (the even-coordinate
     chain reads odd indices and vice versa).  The product of (1-p)/p over

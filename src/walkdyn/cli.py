@@ -9,7 +9,7 @@ Exit status: 0 on success, 2 on invalid input, 3 when the computation
 finished but the headline outcome is undetermined (or a preimage tail
 refused to decay).  Complex numbers appear in JSON as [real, imag] pairs.
 The environment variable WALKDYN_TOL overrides the default tolerance of
-subcommands that accept --tol.
+subcommands that accept --tol; either must lie strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import os
 import sys
 
 from . import __version__
-from .classify import Classification, classify
+from .classify import Classification, Verdict, classify
 from .dynamics import (
-    Verdict,
     constant_tail_obstruction,
     fhc_chaos_certificate,
     line_walk_lower_bound,
@@ -42,9 +41,8 @@ from .inverse_kernel import (
     step_norm_bound,
 )
 from .operators import Constant, make_walk, parse_pseq, pseq_text
-from .seqspace import FinSeq, Lattice, SpaceSpec, sup_norm
+from .seqspace import FinSeq, Lattice, SpaceSpec
 from .spectral import (
-    Membership,
     certified_disk_radius,
     dual_point_spectrum_report,
     point_spectrum_probe,
@@ -137,18 +135,21 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _tol(args, builtin: float) -> float:
-    """--tol when given, else WALKDYN_TOL when set, else ``builtin``."""
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    raw = os.environ.get("WALKDYN_TOL")
-    if raw is None:
-        return builtin
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ValueError(f"WALKDYN_TOL must be a number, got {raw!r}") from None
+    """--tol when given, else WALKDYN_TOL when set, else ``builtin``.
+
+    A given tolerance must lie strictly between 0 and 1.
+    """
+    source, v = "--tol", getattr(args, "tol", None)
+    if v is None:
+        source, raw = "WALKDYN_TOL", os.environ.get("WALKDYN_TOL")
+        if raw is None:
+            return builtin
+        try:
+            v = float(raw)
+        except ValueError:
+            raise ValueError(f"WALKDYN_TOL must be a number, got {raw!r}") from None
     if not (0 < v < 1):
-        raise ValueError("WALKDYN_TOL must lie strictly between 0 and 1")
+        raise ValueError(f"{source} must lie strictly between 0 and 1")
     return v
 
 
@@ -192,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=float, help="constant jump probability for grid/radius")
     p.add_argument("--pseq", help="probability sequence (dual mode, or const:p)")
-    p.add_argument("--space", default="c0", help="c0, c, linf or l<q> (e.g. l2)")
+    p.add_argument("--space", help="c0, c, linf or l<q> (e.g. l2); default c0")
     p.add_argument("--lam", type=complex, help="single eigenvalue candidate")
     p.add_argument("--lam-grid", help="real grid start:stop:count")
-    p.add_argument("--band", type=float, default=1e-8, help="unit-circle caution band")
-    p.add_argument("--angles", type=int, default=24, help="angle count (radius mode)")
-    p.add_argument("--n-max", type=int, default=200, help="coordinate horizon")
-    p.add_argument("--tol", type=float, default=None, help="radius search tolerance")
+    p.add_argument("--band", type=float, help="unit-circle caution band (default 1e-8)")
+    p.add_argument("--angles", type=int, help="angle count (radius mode, default 24)")
+    p.add_argument("--n-max", type=int, help="coordinate horizon (default 200)")
+    p.add_argument("--tol", type=float, help="radius search tolerance")
     add_common(p, lattice=False)
 
     p = sub.add_parser("inverse", help="preimages under the walk operator")
@@ -341,8 +342,24 @@ def _spectrum_p(args) -> float:
     raise ValueError("spectrum needs --p or --pseq const:<p>")
 
 
+# the flags each spectrum mode reads, besides --mode and --format
+_SPECTRUM_FLAGS = {
+    "grid": "p pseq space lam lam_grid band",
+    "radius": "p pseq space band angles tol",
+    "dual": "pseq space n_max",
+    "symmetric": "lam_grid n_max",
+}
+
+
 def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
-    space = SpaceSpec.parse(args.space)
+    allowed = _SPECTRUM_FLAGS[args.mode].split()
+    for flag in "p pseq space lam lam_grid band angles n_max tol".split():
+        if getattr(args, flag) is not None and flag not in allowed:
+            raise ValueError(f"spectrum --mode {args.mode} takes no --{flag.replace('_', '-')}")
+    space = SpaceSpec.parse(args.space or "c0")
+    band = 1e-8 if args.band is None else args.band
+    angles = 24 if args.angles is None else args.angles
+    n_max = 200 if args.n_max is None else args.n_max
     config.update(mode=args.mode, space=str(space))
     if args.mode == "grid":
         p = _spectrum_p(args)
@@ -354,14 +371,14 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
             lams = [complex(v) for v in parse_grid(args.lam_grid)]
         else:
             raise ValueError("grid mode needs --lam or --lam-grid")
-        config.update(p=p, band=args.band, lam_grid=args.lam_grid, lam=args.lam)
-        verdicts = [point_spectrum_probe(p, lam, space, band=args.band) for lam in lams]
+        config.update(p=p, band=band, lam_grid=args.lam_grid, lam=args.lam)
+        verdicts = [point_spectrum_probe(p, lam, space, band=band) for lam in lams]
         evidence = ("max_modulus", "alpha", "beta", "discriminant", "defective")
         rows = [
             {"lam": v.lam, "member": v.member.value, **{k: v.evidence[k] for k in evidence}}
             for v in verdicts
         ]
-        counts = {m.value: sum(v.member is m for v in verdicts) for m in Membership}
+        counts = {m.value: sum(v.member is m for v in verdicts) for m in Verdict}
         csv_data = _table_csv(
             rows, "lam_re lam_im member max_modulus alpha_re alpha_im beta_re beta_im defective"
         )
@@ -369,8 +386,8 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
     if args.mode == "radius":
         p = _spectrum_p(args)
         tol = _tol(args, 1e-6)
-        config.update(p=p, angles=args.angles, tol=tol, band=args.band)
-        r = certified_disk_radius(p, space, n_angles=args.angles, tol=tol, band=args.band)
+        config.update(p=p, angles=angles, tol=tol, band=band)
+        r = certified_disk_radius(p, space, n_angles=angles, tol=tol, band=band)
         result = {"space": str(space), "p": p, "radius_lower_estimate": r,
                   "note": "largest grid-certified disk radius; a lower estimate only"}
         return result, 0, None
@@ -378,12 +395,12 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
         if not args.pseq:
             raise ValueError("dual mode needs --pseq")
         pseq = parse_pseq(args.pseq)
-        config.update(pseq=pseq_text(pseq), n_max=args.n_max)
-        return _fields(dual_point_spectrum_report(pseq, space, n_max=args.n_max)), 0, None
+        config.update(pseq=pseq_text(pseq), n_max=n_max)
+        return _fields(dual_point_spectrum_report(pseq, space, n_max=n_max)), 0, None
     # symmetric interval check at p = 1/2
     lams = tuple(parse_grid(args.lam_grid)) if args.lam_grid else None
-    config.update(n_max=args.n_max, lam_grid=args.lam_grid)
-    rep = symmetric_dual_interval_check(n_max=args.n_max, lambdas=lams)
+    config.update(n_max=n_max, lam_grid=args.lam_grid)
+    rep = symmetric_dual_interval_check(n_max=n_max, lambdas=lams)
     return _pick(rep, "lambdas certified all_certified symmetric n_max conclusion"), 0, None
 
 
@@ -400,7 +417,7 @@ def _run_inverse(args, config) -> tuple[dict, int, tuple | None]:
     bound = step_norm_bound(op)
     result = {
         "coordinates": _finseq_json(u),
-        "residual_sup": sup_norm(op.power_apply(args.power, u) - v),
+        "residual_sup": (op.power_apply(args.power, u) - v).sup_abs(),
         "step_norm_bound": bound if math.isfinite(bound) else None,
     }
     return result, 0, _coords_csv(u)
@@ -421,7 +438,7 @@ def _run_kernel(args, config) -> tuple[dict, int, tuple | None]:
         "power": args.power,
         "window": window,
         "vectors": [_finseq_json(b) for b in basis],
-        "residual_sups": [sup_norm(op.power_apply(args.power, b)) for b in basis],
+        "residual_sups": [op.power_apply(args.power, b).sup_abs() for b in basis],
     }
     rows = [[k] + row for k, b in enumerate(basis) for row in _coords_csv(b)[1]]
     return result, 0, (["vector", "index", "real", "imag"], rows)

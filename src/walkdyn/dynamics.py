@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import kernel_decay_log_factors
+from .classify import Verdict, kernel_decay_log_factors
 from .inverse_kernel import (
     kernel_basis,
     kernel_window_for_tol,
@@ -38,12 +38,6 @@ from .inverse_kernel import (
 )
 from .operators import BandedOp, Constant, pseq_text
 from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
-
-
-class Verdict(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    UNDETERMINED = "undetermined"
 
 
 class CertKind(enum.Enum):

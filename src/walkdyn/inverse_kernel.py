@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .classify import _log_odds, kernel_decay_log_factors, kernel_weights
+from .classify import _log_odds, kernel_decay_log_factors
 from .operators import BandedOp, PSeq
 from .seqspace import FinSeq, Lattice, SpaceSpec, _abs, _cmul, norm
 
@@ -291,6 +291,7 @@ def right_inverse_power(
 def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     """Index horizon past which the kernel weights stay below tol.
 
+    The weights are the moduli of the kernel vector (:func:`kernel_vector`).
     Returns the first index n such that the 2L + 2 weights ending at n
     (L the cycle length of the probability sequence) and every later
     weight lie below tol.  The weights are computed only up to the
@@ -298,15 +299,15 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     decay (the horizon would be infinite) and when the window would pass
     ``cap``.
     """
-    horizon = _chain_horizon(pseq, 0, tuple(kernel_weights(pseq, 1)), tol)
+    horizon = _chain_horizon(pseq, 0, tuple(map(abs, kernel_vector(pseq, 1))), tol)
     if math.isinf(horizon):
         raise ValueError(
             "kernel weights do not decay (some parity chain has per-cycle "
             "growth factor >= 1), so no finite window reaches the tolerance"
         )
     if horizon <= cap:
-        w = kernel_weights(pseq, horizon)
-        last = max((n for n, wn in enumerate(w) if wn >= tol), default=-1)
+        u = kernel_vector(pseq, horizon)
+        last = max((n for n, un in enumerate(u) if abs(un) >= tol), default=-1)
         window = last + 2 * len(pseq.cycle) + 2
         if window <= cap:
             return window
@@ -322,13 +323,14 @@ def kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
     Row n-1 of the operator forces u_n = ((p_{n-1} - 1)/p_{n-1}) u_{n-2}
     (and u_1 = ((p_0 - 1)/p_0) u_0 from the boundary row), so the
     truncated vector satisfies the eigen-equation exactly except at the
-    truncation frontier.  |u_n| equals the parity weight w_n.
+    truncation frontier.  |u_n| is the kernel weight w_n, the product of
+    (1-p_j)/p_j over the j < n of the other parity.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     u = [1.0]
-    for n in range(1, n_max + 1):
-        u.append(jump_ratio(pseq.at(n - 1)) * u[max(n - 2, 0)])
+    for n, r in enumerate(jump_ratio(pseq.prob_array(np.arange(n_max))).tolist(), 1):
+        u.append(r * u[max(n - 2, 0)])
     return u
 
 

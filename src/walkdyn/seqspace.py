@@ -262,7 +262,3 @@ def _norm_of_moduli(mags: np.ndarray, space: SpaceSpec) -> float:
         total = math.fsum([r**q for r in (mags / scale).tolist()])
         return scale * total ** (1.0 / q)
     return float(mags.max(initial=0.0))
-
-
-def sup_norm(x: FinSeq) -> float:
-    return x.sup_abs()

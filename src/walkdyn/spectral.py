@@ -1,67 +1,33 @@
-"""Point-spectrum probes for the half-line walk via its transfer matrix.
+"""Point-spectrum probes for the half-line walk via its eigenvector recurrence.
 
 For the constant-p half-line walk, any eigenvector candidate for the
 eigenvalue lam is a scalar multiple of the sequence (q_n) fixed by
 
     q_0 = 1,  q_1 = (lam + p - 1)/p,
-    (1-p) q_n - lam q_{n+1} + p q_{n+2} = 0,
+    (1-p) q_n - lam q_{n+1} + p q_{n+2} = 0.
 
-equivalently by iterating the companion matrix [[lam/p, (p-1)/p], [1, 0]],
-whose determinant is (1-p)/p for every lam.  The characteristic roots
-solve p z^2 - lam z + (1-p) = 0 and their moduli decide membership of
+The characteristic roots alpha, beta solve p z^2 - lam z + (1-p) = 0, so
+alpha beta = (1-p)/p for every lam, and their moduli decide membership of
 (q_n) in c0, l^q or l^infinity, away from the unit circle.
 
 Zero-eigenvalue structure is available for position-dependent
 probabilities as well: left (dual) kernel vectors with exact summability
 and boundedness tests (the right kernel vector is
-:func:`walkdyn.inverse_kernel.kernel_vector`, its weights are
-:func:`walkdyn.classify.kernel_weights`).
+:func:`walkdyn.inverse_kernel.kernel_vector`; the per-cycle decay of its
+moduli is :func:`walkdyn.classify.kernel_decay_log_factors`).
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field
 
-from .classify import kernel_decay_log_factors
+from .classify import Verdict, kernel_decay_log_factors
 from .operators import PSeq, _check_prob
 from .seqspace import SpaceKind, SpaceSpec
 
 _DEFECT_TOL = 1e-12  # |discriminant| at or below which the roots count as repeated
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Companion matrix of the three-term eigenvector recurrence."""
-
-    p: float
-    lam: complex
-
-    def __post_init__(self):
-        _check_prob(self.p)
-        object.__setattr__(self, "lam", complex(self.lam))
-
-    def entries(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.lam / self.p, (self.p - 1.0) / self.p), (1.0 + 0.0j, 0.0 + 0.0j))
-
-    def det(self) -> complex:
-        (a, b), (c, d) = self.entries()
-        return a * d - b * c
-
-    @property
-    def discriminant(self) -> complex:
-        return self.lam * self.lam - 4.0 * self.p * (1.0 - self.p)
-
-    def eigenvalues(self) -> tuple[complex, complex]:
-        """Roots of p z^2 - lam z + (1-p) = 0, largest modulus first."""
-        s = cmath.sqrt(self.discriminant)
-        a = (self.lam + s) / (2.0 * self.p)
-        b = (self.lam - s) / (2.0 * self.p)
-        if abs(a) >= abs(b):
-            return a, b
-        return b, a
 
 
 def eigen_sequence(p: float, lam: complex, n_max: int) -> list[complex]:
@@ -78,17 +44,11 @@ def eigen_sequence(p: float, lam: complex, n_max: int) -> list[complex]:
     return q
 
 
-class Membership(enum.Enum):
-    YES = "yes"
-    NO = "no"
-    UNDETERMINED = "undetermined"
-
-
 @dataclass(frozen=True)
 class SpectrumVerdict:
     lam: complex
     space: SpaceSpec
-    member: Membership
+    member: Verdict
     evidence: dict = field(default_factory=dict)
 
 
@@ -112,11 +72,13 @@ def point_spectrum_probe(
     near the circle stay Undetermined.
     """
     _check_prob(p)
-    tm = TransferMatrix(p, lam)
-    lam = tm.lam
-    disc = tm.discriminant
+    lam = complex(lam)
+    disc = lam * lam - 4.0 * p * (1.0 - p)
+    s = cmath.sqrt(disc)
+    # the roots of p z^2 - lam z + (1-p) = 0, largest modulus first
+    a, b = (lam + s) / (2.0 * p), (lam - s) / (2.0 * p)
+    alpha, beta = (a, b) if abs(a) >= abs(b) else (b, a)
     defective = abs(disc) <= _DEFECT_TOL
-    alpha, beta = tm.eigenvalues()
     conjugate_pair = (
         not defective and lam.imag == 0.0 and disc.imag == 0.0 and disc.real < 0.0
     )
@@ -146,21 +108,21 @@ def point_spectrum_probe(
         growth = (lam + p - 1.0) / p / theta - 1.0
         evidence["defective_growth_coef"] = growth
         if abs(growth) > 1e-12:
-            member = Membership.NO
+            member = Verdict.NO
         elif space.kind is SpaceKind.LINF:
-            member = Membership.YES
+            member = Verdict.YES
         elif space.kind is SpaceKind.C and theta == 1.0:
-            member = Membership.YES
+            member = Verdict.YES
         else:
-            member = Membership.NO
+            member = Verdict.NO
     elif unit_pair:
-        member = Membership.YES if space.kind is SpaceKind.LINF else Membership.NO
+        member = Verdict.YES if space.kind is SpaceKind.LINF else Verdict.NO
     elif m < 1.0 - band:
-        member = Membership.YES
+        member = Verdict.YES
     elif m > 1.0 + band:
-        member = Membership.NO
+        member = Verdict.NO
     else:
-        member = Membership.UNDETERMINED
+        member = Verdict.UNDETERMINED
     return SpectrumVerdict(lam, space, member, evidence)
 
 
@@ -183,7 +145,7 @@ def certified_disk_radius(
         for k in range(n_angles):
             th = 2.0 * math.pi * k / n_angles
             lam = complex(r * math.cos(th), r * math.sin(th))
-            if point_spectrum_probe(p, lam, space, band=band).member is not Membership.YES:
+            if point_spectrum_probe(p, lam, space, band=band).member is not Verdict.YES:
                 return False
         return True
 
@@ -226,7 +188,7 @@ def left_kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
 @dataclass(frozen=True)
 class DualSpectrumReport:
     space: SpaceSpec
-    zero_is_dual_eigenvalue: Membership
+    zero_is_dual_eigenvalue: Verdict
     conclusion: str | None
     coords: tuple[float, ...]
     detail: dict = field(default_factory=dict)
@@ -258,18 +220,18 @@ def dual_point_spectrum_report(
     ):
         # summability in l^s with s = 1 or s = q/(q-1): both chains must decay
         member = (
-            Membership.YES if even < -tol and odd < -tol else Membership.NO
+            Verdict.YES if even < -tol and odd < -tol else Verdict.NO
         )
         test = "summability"
     else:
         # l1 predual: boundedness in l^infinity
         member = (
-            Membership.YES if even <= tol and odd <= tol else Membership.NO
+            Verdict.YES if even <= tol and odd <= tol else Verdict.NO
         )
         test = "boundedness"
     coords = tuple(left_kernel_vector(pseq, n_max))
     conclusion = None
-    if member is Membership.YES:
+    if member is Verdict.YES:
         conclusion = (
             f"0 is an eigenvalue of the dual operator on ({space})'; no nonzero "
             f"scalar multiple of the walk operator is hypercyclic on {space}"

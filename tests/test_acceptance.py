@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from walkdyn.classify import Classification, classify, kernel_weights
+from walkdyn.classify import Classification, classify
 from walkdyn.dynamics import (
     Verdict,
     constant_tail_obstruction,
@@ -19,14 +19,13 @@ from walkdyn.dynamics import (
 )
 from walkdyn.inverse_kernel import (
     kernel_basis,
+    kernel_vector,
     kernel_window_for_tol,
     right_inverse,
 )
 from walkdyn.operators import Constant, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 from walkdyn.spectral import (
-    Membership,
-    TransferMatrix,
     dual_point_spectrum_report,
     point_spectrum_probe,
     symmetric_dual_interval_check,
@@ -52,7 +51,7 @@ def test_right_inverse_identity_randomized():
         if v.is_zero:
             v = FinSeq.unit(0)
         u = right_inverse(op, v)
-        assert sup_norm(op.apply(u) - v) < 1e-10
+        assert (op.apply(u) - v).sup_abs() < 1e-10
 
 
 def test_right_inverse_decay_bound():
@@ -100,7 +99,8 @@ def test_kernel_basis_membership():
 
 
 def test_transfer_matrix_spectrum_grid():
-    # determinant identity to 1e-12 on a mixed real/complex grid; for
+    # root product (1-p)/p, the companion matrix's determinant, to 1e-12
+    # on a mixed real/complex grid, larger root first; for
     # p = 0.75 every real lam in [0, 1) is a certified c0 eigenvalue;
     # for p in {0.3, 0.5} nothing is certified anywhere on |lam| <= 2.
     grid = [complex(-2.0 + 0.1 * k, 0.0) for k in range(41)]
@@ -111,18 +111,20 @@ def test_transfer_matrix_spectrum_grid():
     ]
     for p in (0.3, 0.5, 0.6, 0.75, 0.9):
         for lam in grid:
-            assert abs(TransferMatrix(p, lam).det() - (1.0 - p) / p) <= 1e-12
+            ev = point_spectrum_probe(p, lam, SpaceSpec.c0()).evidence
+            assert abs(ev["alpha"] * ev["beta"] - (1.0 - p) / p) <= 1e-12
+            assert ev["alpha_modulus"] >= ev["beta_modulus"]
 
     for k in range(20):
         lam = 0.05 * k
         verdict = point_spectrum_probe(0.75, lam, SpaceSpec.c0())
-        assert verdict.member is Membership.YES, f"lam={lam}"
+        assert verdict.member is Verdict.YES, f"lam={lam}"
 
     for p in (0.3, 0.5):
         for space in (SpaceSpec.c0(), SpaceSpec.lq(2)):
             for lam in grid:
                 verdict = point_spectrum_probe(p, lam, space)
-                assert verdict.member is not Membership.YES, f"p={p} lam={lam}"
+                assert verdict.member is not Verdict.YES, f"p={p} lam={lam}"
 
 
 def test_classification_exactness_and_periodic_fast_path():
@@ -188,7 +190,7 @@ def test_line_walk_lower_bound():
             n = rng.randint(1, 20)
             rep = line_walk_lower_bound(op, x, n, SpaceSpec.c0())
             assert rep.holds
-            assert rep.measured >= factor**n * sup_norm(x) * (1 - 1e-10)
+            assert rep.measured >= factor**n * x.sup_abs() * (1 - 1e-10)
 
 
 def test_constant_tail_obstruction_limits():
@@ -222,7 +224,7 @@ def test_dual_eigenvector_reports():
     # emitted; p = 1/2: every lam on the default symmetric grid inside
     # (-0.95, 0.95) certifies a bounded eigenvector candidate.
     rep = dual_point_spectrum_report(Constant(0.25), SpaceSpec.c0())
-    assert rep.zero_is_dual_eigenvalue is Membership.YES
+    assert rep.zero_is_dual_eigenvalue is Verdict.YES
     assert rep.conclusion is not None and "hypercyclic" in rep.conclusion
 
     interval = symmetric_dual_interval_check()
@@ -241,4 +243,5 @@ def test_weight_sequence_consistency():
         w = [1.0, (1.0 - pseq.at(0)) / pseq.at(0)]
         for k in range(2, 41):
             w.append(w[k - 2] * (1.0 - pseq.at(k - 1)) / pseq.at(k - 1))
-        assert kernel_weights(pseq, 40) == pytest.approx(w, rel=1e-12, abs=1e-12)
+        weights = [abs(u) for u in kernel_vector(pseq, 40)]
+        assert weights == pytest.approx(w, rel=1e-12, abs=1e-12)

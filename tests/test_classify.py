@@ -8,12 +8,12 @@ from walkdyn.classify import (
     Classification,
     SeriesOutcome,
     classify,
-    invariant_mass_series_partial,
+    invariant_mass_series_terms,
     judge_series,
     kernel_decay_log_factors,
-    kernel_weights,
-    transience_series_partial,
+    transience_series_terms,
 )
+from walkdyn.inverse_kernel import kernel_vector
 from walkdyn.operators import Constant, ListWithTail, Periodic
 from walkdyn.seqspace import Lattice
 
@@ -95,20 +95,23 @@ def test_partial_sums_match_direct_products():
     for n in range(1, 9):
         prod *= (1 - pseq.at(n)) / pseq.at(n)
         t += prod
-    assert transience_series_partial(pseq, 8) == pytest.approx(t, rel=1e-12)
+    sums = judge_series(transience_series_terms(pseq), 8).partial_sums
+    assert len(sums) == 8
+    assert sums[-1] == pytest.approx(t, rel=1e-12)
     m = 0.0
     prod = 1.0
     for n in range(1, 9):
         prod *= pseq.at(n - 1) / (1 - pseq.at(n))
         m += prod
-    assert invariant_mass_series_partial(pseq, 8) == pytest.approx(m, rel=1e-12)
+    sums = judge_series(invariant_mass_series_terms(pseq), 8).partial_sums
+    assert sums[-1] == pytest.approx(m, rel=1e-12)
 
 
 def test_kernel_weight_recursion():
     rng = random.Random(7)
     for _ in range(20):
         pseq = random_pseq(rng)
-        w = kernel_weights(pseq, 30)
+        w = [abs(u) for u in kernel_vector(pseq, 30)]
         assert w[0] == 1.0
         for n in range(len(w) - 2):
             ratio = (1 - pseq.at(n + 1)) / pseq.at(n + 1)
@@ -138,7 +141,7 @@ def test_kernel_decay_log_factors_match_weights():
             step = 2
         even, odd = kernel_decay_log_factors(pseq)
         base = 40  # past any list head
-        w = kernel_weights(pseq, base + step + 2)
+        w = [abs(u) for u in kernel_vector(pseq, base + step + 2)]
         for start, factor in ((base, even), (base + 1, odd)):
             measured = math.log(w[start + step]) - math.log(w[start])
             assert measured == pytest.approx(factor, rel=1e-9, abs=1e-12)

@@ -315,6 +315,62 @@ class TestErrors:
             assert code == 2
             assert "unrecognized arguments: --format csv" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["inverse", "--pseq", "const:0.75", "--v", "e0", "--tol", "2"],
+            ["inverse", "--pseq", "const:0.75", "--v", "e0", "--tol", "0"],
+            ["inverse", "--pseq", "const:0.75", "--v", "e0", "--tol", "-1"],
+            ["inverse", "--pseq", "const:0.75", "--v", "e0", "--tol", "nan"],
+            ["kernel", "--pseq", "const:0.75", "--tol", "0"],
+            ["certify", "fhc", "--pseq", "const:0.75", "--lambda", "3", "--tol", "-1"],
+            ["spectrum", "--mode", "radius", "--p", "0.75", "--tol", "1"],
+        ],
+    )
+    def test_tol_flag_outside_the_unit_interval_exit_2(self, capsys, argv):
+        # the flag gets the same (0, 1) check as WALKDYN_TOL; before it, --tol 2
+        # gave a "preimage" with residual 0.33 and --tol 0 blamed the jump
+        # probabilities
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--tol must lie strictly between 0 and 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            # the first flag the mode does not read is named
+            (["--p", "0.75", "--lam", "0.5", "--tol", "0.3", "--angles", "3"], "--angles"),
+            (["--p", "0.75", "--lam", "0.5", "--tol", "0.3"], "--tol"),
+            (["--p", "0.75", "--lam", "0.5", "--n-max", "5"], "--n-max"),
+            (["--mode", "radius", "--p", "0.75", "--lam", "0.5"], "--lam"),
+            (["--mode", "radius", "--p", "0.75", "--lam-grid=0:1:3"], "--lam-grid"),
+            (["--mode", "radius", "--p", "0.75", "--n-max", "5"], "--n-max"),
+            (["--mode", "dual", "--pseq", "const:0.25", "--p", "0.25"], "--p"),
+            (["--mode", "dual", "--pseq", "const:0.25", "--band", "0.1"], "--band"),
+            (["--mode", "dual", "--pseq", "const:0.25", "--tol", "0.1"], "--tol"),
+            (["--mode", "symmetric", "--space", "l1"], "--space"),
+            (["--mode", "symmetric", "--pseq", "const:0.5"], "--pseq"),
+            (["--mode", "symmetric", "--angles", "3"], "--angles"),
+        ],
+    )
+    def test_spectrum_rejects_the_flags_of_other_modes(self, capsys, argv, flag):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.rstrip().endswith(f"takes no {flag}")
+
+    def test_spectrum_modes_take_their_own_flags(self, capsys):
+        code, doc = run_json(
+            capsys, "spectrum", "--mode", "radius", "--pseq", "const:0.75",
+            "--space", "l2", "--band", "1e-6", "--angles", "4", "--tol", "1e-3",
+        )
+        assert code == 0
+        assert doc["config"] | {"argv": None} == {
+            "argv": None, "subcommand": "spectrum", "format": "json", "mode": "radius",
+            "space": "l2", "p": 0.75, "angles": 4, "tol": 1e-3, "band": 1e-6,
+        }
+
     def test_supercyclicity_rejects_tol_exit_2(self, capsys):
         # the certificate has no tolerance to set, so --tol would be ignored
         code, out, err = run(

@@ -15,7 +15,7 @@ from walkdyn.dynamics import (
     supercyclicity_criterion_certificate,
 )
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm, sup_norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
 from conftest import random_finseq
 
@@ -139,7 +139,7 @@ class TestFhcCertificate:
             nonlocal calls
             calls += 1
             u = inner(op, z, *args, **kwargs)
-            return u if calls == 1 else u + FinSeq.unit(2) * (1e-4 * sup_norm(z))
+            return u if calls == 1 else u + FinSeq.unit(2) * (1e-4 * z.sup_abs())
 
         monkeypatch.setattr(dynamics, "right_inverse", skewed)
         cert = fhc_chaos_certificate(walk_075, 3.0, SpaceSpec.c0())

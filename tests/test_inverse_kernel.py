@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkdyn.classify import kernel_weights
 from walkdyn.inverse_kernel import (
     TailNotDecayingError,
     _chain_horizon,
     jump_ratio,
     kernel_basis,
     kernel_span_approx,
+    kernel_vector,
     kernel_window_for_tol,
     ratio_bound,
     right_inverse,
@@ -22,7 +22,7 @@ from walkdyn.inverse_kernel import (
     step_norm_bound,
 )
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, _cmul, norm, sup_norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, _cmul, norm
 
 from conftest import random_finseq, random_pseq
 
@@ -37,7 +37,7 @@ def test_known_preimage_of_e0(walk_075):
     assert u.at(1).real == pytest.approx(4 / 3, rel=1e-14)
     assert u.at(2) == 0
     assert u.at(3).real == pytest.approx(-4 / 9, rel=1e-14)
-    assert sup_norm(walk_075.apply(u) - FinSeq.unit(0)) < 1e-12
+    assert (walk_075.apply(u) - FinSeq.unit(0)).sup_abs() < 1e-12
 
 
 def test_first_coordinate_always_zero(walk_075):
@@ -58,7 +58,7 @@ def test_identity_randomized_constant_and_inhomogeneous():
         op = walk(pseq)
         v = random_finseq(rng)
         u = right_inverse(op, v)
-        assert sup_norm(op.apply(u) - v) < 1e-10
+        assert (op.apply(u) - v).sup_abs() < 1e-10
 
 
 def test_power_inverse_prefix_zeros_and_identity(walk_075):
@@ -71,7 +71,7 @@ def test_power_inverse_prefix_zeros_and_identity(walk_075):
         y = u
         for _ in range(n):
             y = walk_075.apply(y)
-        assert sup_norm(y - v) < 1e-9
+        assert (y - v).sup_abs() < 1e-9
 
 
 def test_decay_bound_in_sup_and_lq():
@@ -227,7 +227,7 @@ def test_kernel_basis_identity_minor_and_annihilation():
             for i, b in enumerate(basis):
                 for j in range(n):
                     assert b.at(j) == (1.0 if i == j else 0.0)
-                assert sup_norm(op.power_apply(n, b)) < 1e-10
+                assert op.power_apply(n, b).sup_abs() < 1e-10
 
 
 def test_kernel_basis_inhomogeneous():
@@ -236,7 +236,7 @@ def test_kernel_basis_inhomogeneous():
     window = kernel_window_for_tol(pseq, 1e-14) + 2
     basis = kernel_basis(op, 2, window)
     for b in basis:
-        assert sup_norm(op.power_apply(2, b)) < 1e-10
+        assert op.power_apply(2, b).sup_abs() < 1e-10
 
 
 def test_kernel_basis_rejects_non_decaying():
@@ -376,21 +376,22 @@ def test_kernel_vectors_decay_like_weights():
     op = walk(Constant(0.75))
     window = kernel_window_for_tol(Constant(0.75), 1e-14) + 1
     (b,) = kernel_basis(op, 1, window)
-    decay = math.sqrt((1 - 0.75) / 0.75)
     sup = b.support()
     mags = [abs(b.at(i)) for i in range(sup[1] + 1)]
+    weights = [abs(u) for u in kernel_vector(Constant(0.75), sup[1])]
+    assert weights[6] / weights[4] == pytest.approx((1 - 0.75) / 0.75, rel=1e-15)
     for i in range(4, sup[1] - 2, 2):
-        assert mags[i + 2] == pytest.approx(mags[i] * decay**2, rel=1e-9)
+        assert mags[i + 2] == pytest.approx(mags[i] * weights[i + 2] / weights[i], rel=1e-9)
 
 
 def test_kernel_span_approx_agrees_on_leading_window(walk_075):
     target = FinSeq.unit(0) * 0.5 + FinSeq.unit(2) * 0.25
     combo, gap = kernel_span_approx(target, walk_075)
     # power = support extent of the target
-    assert sup_norm(walk_075.power_apply(3, combo)) < 1e-8
+    assert walk_075.power_apply(3, combo).sup_abs() < 1e-8
     for i in range(3):
         assert combo.at(i) == pytest.approx(target.at(i), abs=1e-13)
-    assert 0 < gap == pytest.approx(sup_norm(target - combo), rel=1e-12)
+    assert 0 < gap == pytest.approx((target - combo).sup_abs(), rel=1e-12)
 
 
 def test_kernel_window_raises_when_cap_binds():
@@ -399,11 +400,72 @@ def test_kernel_window_raises_when_cap_binds():
         kernel_window_for_tol(Constant(0.5001), 1e-12)
 
 
+def _reference_weights(pseq, n_max):
+    """Kernel weights w_0..w_n_max by their own recursion, with w_0 = 1,
+    w_1 = (1-p_0)/p_0 and w_n = w_{n-2} (1-p_{n-1})/p_{n-1}."""
+    w = [1.0, (1.0 - pseq.at(0)) / pseq.at(0)]
+    for n in range(2, n_max + 1):
+        p = pseq.at(n - 1)
+        w.append(w[n - 2] * (1.0 - p) / p)
+    return w[: n_max + 1]
+
+
+def _reference_window(pseq, tol, cap=12000):
+    """kernel_window_for_tol with the weights taken from _reference_weights."""
+    horizon = _chain_horizon(pseq, 0, tuple(_reference_weights(pseq, 1)), tol)
+    if math.isinf(horizon):
+        raise ValueError(
+            "kernel weights do not decay (some parity chain has per-cycle "
+            "growth factor >= 1), so no finite window reaches the tolerance"
+        )
+    if horizon <= cap:
+        w = _reference_weights(pseq, horizon)
+        last = max((n for n, wn in enumerate(w) if wn >= tol), default=-1)
+        window = last + 2 * len(pseq.cycle) + 2
+        if window <= cap:
+            return window
+    raise ValueError(
+        f"no kernel window up to cap={cap} reaches tol={tol:g}: the kernel "
+        f"weights stay above it until about index {horizon}"
+    )
+
+
+def test_kernel_window_matches_the_reference_weights():
+    # the window read off |kernel_vector| is the window read off the weight
+    # recursion, raises included, on 2,400 seeded (pseq, tol) cases
+    rng = random.Random(2024)
+
+    def prob():
+        return rng.uniform(0.5, 0.6) if rng.random() < 0.3 else rng.uniform(0.05, 0.95)
+
+    outcomes = {"window": 0, "no decay": 0, "cap": 0}
+    for k in range(2400):
+        if k % 3 == 0:
+            pseq = Constant(prob())
+        elif k % 3 == 1:
+            head = tuple(prob() for _ in range(rng.randint(1, 8)))
+            pseq = ListWithTail(head, prob(), rng.randint(-5, 5))
+        else:
+            pseq = Periodic(tuple(prob() for _ in range(rng.randint(1, 6))))
+        tol = 10.0 ** rng.uniform(-80, -3)
+        try:
+            expected = _reference_window(pseq, tol)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                kernel_window_for_tol(pseq, tol)
+            assert str(got.value) == str(exc)
+            outcomes["cap" if "cap=" in str(exc) else "no decay"] += 1
+        else:
+            assert kernel_window_for_tol(pseq, tol) == expected, (pseq, tol)
+            outcomes["window"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 def test_kernel_window_covers_a_rising_prefix():
     # the weights dip below tol early in the prefix, then climb back to ~1
     pseq = ListWithTail((0.999,) * 12 + (0.001,) * 12, 0.6)
     n = kernel_window_for_tol(pseq, 1e-8)
-    assert max(kernel_weights(pseq, n + 200)[n + 1 :]) < 1e-8
+    assert max(abs(u) for u in kernel_vector(pseq, n + 200)[n + 1 :]) < 1e-8
 
 
 @pytest.mark.parametrize(
@@ -420,4 +482,4 @@ def test_right_inverse_judges_decay_per_chain(pseq):
     op = walk(pseq)
     v = FinSeq.unit(0)
     u = right_inverse(op, v)
-    assert sup_norm(op.apply(u) - v) < 1e-10
+    assert (op.apply(u) - v).sup_abs() < 1e-10

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from walkdyn.seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm, sup_norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -31,7 +31,7 @@ def test_zero_is_zero():
     z = FinSeq.zero()
     assert z.is_zero
     assert z.support() is None
-    assert sup_norm(z) == 0.0
+    assert z.sup_abs() == 0.0
 
 
 def test_half_line_rejects_negative_offset():
@@ -87,7 +87,7 @@ def test_norm_ordering(x):
     s = norm(x, SpaceSpec.c0())
     assert l1 >= l2 - 1e-9 * max(1, l1)
     assert l2 >= s - 1e-9 * max(1, l2)
-    assert s == sup_norm(x)
+    assert s == x.sup_abs()
     assert norm(x, SpaceSpec.c()) == s
     assert norm(x, SpaceSpec.linf()) == s
 

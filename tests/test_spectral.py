@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from walkdyn.inverse_kernel import kernel_vector
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, sup_norm
+from walkdyn.classify import Verdict
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec
 from walkdyn.spectral import (
-    Membership,
-    TransferMatrix,
     certified_disk_radius,
     dual_point_spectrum_report,
     eigen_sequence,
@@ -28,11 +27,13 @@ lams = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=Fal
 @given(probs, lams)
 @settings(max_examples=150, deadline=None)
 def test_transfer_determinant_invariant(p, lam):
-    m = TransferMatrix(p, lam)
-    assert m.det() == pytest.approx((1 - p) / p, rel=1e-12, abs=1e-12)
-    a, b = m.eigenvalues()
+    # the root product is the determinant (1-p)/p of the companion matrix
+    # [[lam/p, (p-1)/p], [1, 0]], for every lam; the larger root comes first
+    ev = point_spectrum_probe(p, lam, SpaceSpec.c0()).evidence
+    a, b = ev["alpha"], ev["beta"]
     assert a * b == pytest.approx((1 - p) / p, rel=1e-9, abs=1e-9)
-    assert abs(a) >= abs(b) - 1e-12
+    assert abs(a) >= abs(b)
+    assert (ev["alpha_modulus"], ev["beta_modulus"]) == (abs(a), abs(b))
 
 
 @given(probs, lams)
@@ -54,7 +55,7 @@ def test_membership_inside_disk_yes():
     # axis binds at |t| = 2p-1
     for lam in (0.0, 0.3, 0.7, 0.95, 0.4j, -0.8):
         v = point_spectrum_probe(0.75, lam, SpaceSpec.c0())
-        assert v.member is Membership.YES
+        assert v.member is Verdict.YES
         assert v.evidence["max_modulus"] < 1.0
 
 
@@ -64,18 +65,18 @@ def test_membership_no_for_recurrent_p():
         for re in grid:
             for im in (0.0, 0.5):
                 v = point_spectrum_probe(p, complex(re, im), SpaceSpec.c0())
-                assert v.member is not Membership.YES
+                assert v.member is not Verdict.YES
                 v = point_spectrum_probe(p, complex(re, im), SpaceSpec.lq(2))
-                assert v.member is not Membership.YES
+                assert v.member is not Verdict.YES
 
 
 def test_unit_circle_pair_linf_yes():
     # conjugate pair exactly on the unit circle only at p = 1/2
     v = point_spectrum_probe(0.5, 0.6, SpaceSpec.linf())
-    assert v.member is Membership.YES
+    assert v.member is Verdict.YES
     assert v.evidence["unit_circle_pair"] is True
     v = point_spectrum_probe(0.5, 0.6, SpaceSpec.c0())
-    assert v.member is Membership.NO
+    assert v.member is Verdict.NO
 
 
 def test_defective_unit_cases():
@@ -83,14 +84,14 @@ def test_defective_unit_cases():
     # vanishes at lam = 1 (constant eigenvector) but not at lam = -1
     v = point_spectrum_probe(0.5, 1.0, SpaceSpec.linf())
     assert v.evidence["defective"] is True
-    assert v.member is Membership.YES
+    assert v.member is Verdict.YES
     v = point_spectrum_probe(0.5, 1.0, SpaceSpec.c())
-    assert v.member is Membership.YES
+    assert v.member is Verdict.YES
     v = point_spectrum_probe(0.5, 1.0, SpaceSpec.c0())
-    assert v.member is Membership.NO
+    assert v.member is Verdict.NO
     v = point_spectrum_probe(0.5, -1.0, SpaceSpec.linf())
     assert v.evidence["defective"] is True
-    assert v.member is Membership.NO
+    assert v.member is Verdict.NO
 
 
 def test_band_gives_undetermined():
@@ -99,7 +100,7 @@ def test_band_gives_undetermined():
     # real root hits modulus 1 at lam = 1 + (1-p) = sqrt disc case; pick the
     # boundary lam where alpha = 1: p*1 - lam + (1-p) = 0 -> lam = 1
     v = point_spectrum_probe(p, 1.0 + 1e-12, SpaceSpec.c0())
-    assert v.member is Membership.UNDETERMINED
+    assert v.member is Verdict.UNDETERMINED
 
 
 def test_certified_disk_radius_values():
@@ -139,23 +140,23 @@ def test_left_kernel_vector_solves_dual_rows():
 
 def test_dual_report_summable_case():
     rep = dual_point_spectrum_report(Constant(0.25), SpaceSpec.c0())
-    assert rep.zero_is_dual_eigenvalue is Membership.YES
+    assert rep.zero_is_dual_eigenvalue is Verdict.YES
     assert "no nonzero scalar multiple" in rep.conclusion
     assert len(rep.coords) > 0
 
 
 def test_dual_report_growing_case():
     rep = dual_point_spectrum_report(Constant(0.75), SpaceSpec.c0())
-    assert rep.zero_is_dual_eigenvalue is Membership.NO
+    assert rep.zero_is_dual_eigenvalue is Verdict.NO
     assert rep.conclusion is None
 
 
 def test_dual_report_l1_boundary():
     # p = 1/2: chains are flat, summability fails but boundedness holds
     rep = dual_point_spectrum_report(Constant(0.5), SpaceSpec.lq(1))
-    assert rep.zero_is_dual_eigenvalue is Membership.YES
+    assert rep.zero_is_dual_eigenvalue is Verdict.YES
     rep = dual_point_spectrum_report(Constant(0.5), SpaceSpec.c0())
-    assert rep.zero_is_dual_eigenvalue is Membership.NO
+    assert rep.zero_is_dual_eigenvalue is Verdict.NO
 
 
 def test_dual_report_rejects_linf():
