@@ -332,14 +332,14 @@ def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
 
 
 def _spectrum_p(args) -> float:
+    if (args.p is None) == (args.pseq is None):
+        raise ValueError("give exactly one of --p and --pseq")
     if args.p is not None:
         return args.p
-    if args.pseq:
-        pseq = parse_pseq(args.pseq)
-        if isinstance(pseq, Constant):
-            return pseq.p
-        raise ValueError("grid/radius modes need a constant probability (use --p)")
-    raise ValueError("spectrum needs --p or --pseq const:<p>")
+    pseq = parse_pseq(args.pseq)
+    if isinstance(pseq, Constant):
+        return pseq.p
+    raise ValueError("grid/radius modes need a constant probability (use --p)")
 
 
 # the flags each spectrum mode reads, besides --mode and --format
@@ -386,6 +386,8 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
     if args.mode == "radius":
         p = _spectrum_p(args)
         tol = _tol(args, 1e-6)
+        if angles < 1:
+            raise ValueError(f"--angles must be at least 1, got {angles}")
         config.update(p=p, angles=angles, tol=tol, band=band)
         r = certified_disk_radius(p, space, n_angles=angles, tol=tol, band=band)
         result = {"space": str(space), "p": p, "radius_lower_estimate": r,

@@ -23,6 +23,7 @@ the property out.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -31,6 +32,7 @@ import numpy as np
 
 from .classify import Verdict, kernel_decay_log_factors
 from .inverse_kernel import (
+    _backward,
     kernel_basis,
     kernel_window_for_tol,
     right_inverse,
@@ -205,14 +207,13 @@ def fhc_chaos_certificate(
     period = m
     terms_needed = int(math.ceil(math.log(1e-14) / (period * math.log(ratio)))) + 1
     terms_needed = min(max(terms_needed, 2), 60)
-    back = [fwd[0]]
-    x = z = sample
-    for k in range(1, max(n_max, terms_needed * period) + 1):
-        z = (s_sample if k == 1 else right_inverse(op, z)) * (1.0 / lam)
+    back, x = [fwd[0]], sample
+    steps = max(n_max, terms_needed * period)
+    for k, (lo, z) in enumerate(_backward(op, s_sample * (1.0 / lam), steps - 1, lam), 1):
         if k <= n_max:
-            back.append(norm(z, space))
+            back.append(_norm_of_moduli(_abs(z), space))
         if k % period == 0 and k <= terms_needed * period:
-            x = x + z
+            x = x + FinSeq(op.lattice, lo, z)
     ratios = [back[k + 1] / back[k] for k in range(n_max) if back[k] > 0]
     max_ratio = max(ratios) if ratios else 0.0
     ratios_ok = max_ratio <= ratio * (1.0 + tol)
@@ -309,12 +310,9 @@ def supercyclicity_criterion_certificate(
     back = [norm(target, space)]
     step_residual = 0.0
     z = target
-    for _ in range(n_max):
-        nxt = right_inverse(op, z)
-        step_residual = max(
-            step_residual,
-            norm(op.apply(nxt) - z, space) / max(norm(z, space), 1e-300),
-        )
+    for lo, values in itertools.islice(_backward(op, target, n_max), 1, None):
+        nxt = FinSeq(op.lattice, lo, values)
+        step_residual = max(step_residual, norm(op.apply(nxt) - z, space) / max(back[-1], 1e-300))
         z = nxt
         back.append(norm(z, space))
     z = op.power_apply(n_max, z)

@@ -18,11 +18,25 @@ reassociated into array operations.  Every entry takes the floating-point
 operations of Python ``complex`` arithmetic in the same order, so the
 result is bit-identical to the plain loop over indices, which the tests
 keep as the reference.  CPython divides a complex by a float through
-p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p); these are formed on
-arrays from one ``prob_array`` call, and the recurrence over the support
-runs as a loop over Python numbers.  Past the support v vanishes and each
-parity chain is a running product of the r_k, so long tails come from
-``np.multiply.accumulate`` (:func:`_product_tail` says why the bits agree).
+p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p).  Past the support v
+vanishes and each parity chain is a running product of the r_k, so long
+tails come from ``np.multiply.accumulate`` (:func:`_product_tail`).
+
+Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
+S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
+run, into arrays that double on demand, and folds the trim and the 1/lam
+scaling into each step.  A start whose imaginary parts are all +0 runs on
+the float plane: (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 +
+r_{n-1} u_{n-2} past v, are the real parts of the complex entries, whose
+imaginary parts stay +0; a step that overflows there is redone in
+``complex``, where 0.0 * inf makes nan parts.  A real scaling stays on the
+plane: x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c =
+1/lam, and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and
+the complex path makes zeros of either sign; under a real lam a start with
+imaginary zeros of either sign takes the plane as well.  The paths then
+differ at most in the signs of zeros: nonzero entries keep their bits, and
+every norm, trim and stop test reads through ``hypot``, ``abs`` or ``== 0``.
+Other starts, and complex lam, run on ``complex``.
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 the kernel weights decay.  ker W is spanned by the closed-form kernel
@@ -137,60 +151,138 @@ def _chain_horizon(
     return last + span
 
 
-def _scalar_tail(pseq: PSeq, u: list[complex], stop: int, threshold: float) -> bool:
-    """Extend u past the support of the target up to index ``stop - 1``.
-
-    Each entry is 0j + r_{n-1} * u_{n-2}, as the recurrence evaluates it
-    with v_{n-1} = 0.  Returns True, and stops, at the first n where u_n
-    and u_{n-1} are both within ``threshold``.
-    """
-    for n in range(len(u), stop):
-        u.append(0j + jump_ratio(pseq.at(n - 1)) * u[n - 2])
-        if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
-            return True
-    return False
-
-
 def _product_tail(
-    pseq: PSeq, u: list[complex], cap: int, threshold: float
+    pseq: PSeq, s: int, last: list, cap: int, threshold: float
 ) -> tuple[np.ndarray | None, bool]:
-    """:func:`_scalar_tail` continued up to ``cap`` on arrays, same bits.
+    """The tail u_s+2, ... after u_s, u_s+1 (``last``) on arrays, same bits.
 
-    From u_s, u_{s+1}, the last two entries of u, each part of each parity
-    chain is a running product of the r_k.  CPython evaluates 0j + r * x
-    as (0.0 + (r*re - 0.0*im), 0.0 + (r*im + 0.0*re)), which for finite
-    parts is (r*re + 0.0, r*im + 0.0): the products with every zero given
-    a plus sign.  Moduli come from ``np.hypot``, as ``abs`` takes them.
-    Returns (u_0 .. u_n, True) for the first n that passes the stop test,
-    else (u_0 .. u_cap, False).  Returns (None, False) when the moduli
-    overflow: there CPython's 0.0 * inf makes nan parts and ``abs`` raises
-    OverflowError, so the entries must be taken one by one.  A chain that
-    overflows stays non-finite, so no stop test passes after it, and the
-    last entry of each chain shows whether one did.
+    CPython's 0j + r * x is (r*re + 0.0, r*im + 0.0) for finite parts, so
+    each part of each parity chain is a running product of the r_k, and
+    moduli come from ``np.hypot``, as ``abs`` takes them.  Returns (u_s+2 ..
+    u_n, True) for the first n that passes the stop test, else (u_s+2 ..
+    u_cap, False), or (None, False) when a chain, which then stays
+    non-finite, overflows: there 0.0 * inf makes nan parts, so the entries
+    must be taken one by one.
     """
-    s = len(u) - 2
-    # rows (re, im) of u_0 .. u_cap; past s + 1 they hold r_s+1 .. r_cap-1
+    # rows (re, im) of u_s .. u_cap; past s + 1 they hold r_s+1 .. r_cap-1
     # (and a row of ones if the count is odd) before the products
-    rows = np.empty((cap + 1 + (cap + 1 - s) % 2, 2))
-    rows[: s + 2] = np.array(u, np.complex128).view(np.float64).reshape(-1, 2)
-    rows[s + 2 : cap + 1] = jump_ratio(pseq.prob_array(np.arange(s + 1, cap)))[:, None]
-    rows[cap + 1 :] = 1.0
-    chains = rows[s:].reshape(-1, 2, 2)
+    size = cap + 1 - s
+    rows = np.empty((size + size % 2, 2))
+    rows[:2] = np.array(last, np.complex128).view(np.float64).reshape(-1, 2)
+    rows[2:size] = jump_ratio(pseq.prob_array(np.arange(s + 1, cap)))[:, None]
+    rows[size:] = 1.0
+    chains = rows.reshape(-1, 2, 2)
     np.multiply.accumulate(chains, axis=0, out=chains)
-    rows[s + 2 :] += 0.0
-    mags = np.hypot(rows[s + 1 : cap + 1, 0], rows[s + 1 : cap + 1, 1])  # |u_s+1| ..
+    rows[2:] += 0.0
+    mags = np.hypot(rows[1:size, 0], rows[1:size, 1])  # |u_s+1| .. |u_cap|
     small = mags <= threshold
     done = small[1:] & small[:-1]  # the stop test at n = s + 2 .. cap
     k = int(done.argmax())
     values = rows.view(np.complex128).ravel()
     if done[k]:
-        return values[: s + 3 + k], True
+        return values[2 : k + 3], True
     if np.isfinite(mags[-2:]).all():
-        return values[: cap + 1], False
+        return values[2:size], False
     return None, False
 
 
-@np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
+def _backward(
+    op: BandedOp, v: FinSeq, k: int, lam: complex | None = None, tol=1e-13, max_support=None
+):
+    """Yield (offset, values) for v, Sv/lam, ..., S^k v/lam^k (S^j v without lam):
+    the windows ``right_inverse`` then ``* (1/lam)`` leave, on the float plane
+    their real parts (module docstring).  Raises as ``right_inverse`` does."""
+    _require_half_line(op)
+    if v.lattice is not Lattice.HALF_LINE:
+        raise ValueError("the vector must live on the half-line")
+    pseq = op.pseq
+    c = None if lam is None else complex(1.0 / lam)
+    p, rl = np.empty(0), []  # p_n and r_n, read once per run, doubled on demand
+
+    def extend(u: list, lo: int, stop: int, threshold: float, r: list) -> bool:
+        """Continue u (from index lo) past v up to index stop - 1 by 0 + r_{n-1} u_{n-2};
+        True, and stop, at the first n with |u_n|, |u_{n-1}| within the threshold."""
+        for n in range(lo + len(u), stop):
+            u.append(u[0] + r[n - 1] * u[-2])  # u[0] = u_lo, a zero of the plane's type
+            if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
+                return True
+        return False
+
+    @np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
+    def step(lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+        """S x from index lo on, for x on lo..hi (nonzero at both ends), on
+        the plane of x; None when the float plane overflows."""
+        flat = x.dtype == np.float64
+        a = np.empty(len(x), x.dtype)  # CPython divides a complex by a float through p + 0j
+        a.real = (x.real + x.imag * 0.0) / p[lo : hi + 1]
+        if not flat:
+            a.imag = (x.imag - x.real * 0.0) / p[lo : hi + 1]
+        u = [0.0 if flat else 0j]  # u_lo, zero like every entry below it
+        x0 = x1 = u[0]
+        for an, rn in zip(a.tolist(), rl[lo : hi + 1]):
+            x0, x1 = x1, an + rn * x0
+            u.append(x1)
+        if flat and not math.isfinite(x0 + x1):  # a chain stays non-finite
+            return None
+        threshold = tol * float((np.abs(x) if flat else _abs(x)).max())  # hypot(x, 0) = |x|
+        if max_support is not None:
+            cap = max(max_support, hi + 2)
+        else:
+            # past hi + 1 the preimage follows the parity chains from u_hi, u_hi+1
+            horizon = _chain_horizon(pseq, hi, (abs(x0), abs(x1)), threshold)
+            if math.isfinite(horizon) and horizon > hi + _TAIL_CAP:
+                raise TailNotDecayingError(
+                    "preimage tail decays too slowly: it stays above tolerance until "
+                    f"about index {horizon}, more than the cap of {_TAIL_CAP} indices "
+                    "past the support",
+                    max(abs(x0), abs(x1)),
+                )
+            cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
+        # most tails stop within a few entries of the support: those entries
+        # are taken one by one, and the rest, if any, as running products
+        stopped = extend(u, lo, min(cap, hi + _SCALAR_TAIL) + 1, threshold, rl)
+        if not stopped and lo + len(u) <= cap:
+            tail, stopped = _product_tail(pseq, lo + len(u) - 2, u[-2:], cap, threshold)
+            if tail is None:
+                r = jump_ratio(pseq.prob_array(np.arange(cap))).tolist()
+                stopped = extend(u, lo, cap + 1, threshold, r)
+            else:
+                u = np.concatenate((u, tail.real if flat else tail))
+        if flat and not math.isfinite(u[-1] + u[-2]):
+            return None
+        if not stopped and max_support is None:
+            last = max(abs(complex(u[-1])), abs(complex(u[-2])))
+            raise TailNotDecayingError(
+                "preimage tail has not decayed below tolerance: the jump "
+                f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
+                last,
+            )
+        return np.array(u, x.dtype)
+
+    yield v.offset, v.values
+    lo, hi = v.support() or (0, -1)
+    x = v.window(lo, hi + 1)
+    # the float plane: every imaginary part +0, or zero under a real lam,
+    # whose scaling drops the signs of zeros anyway (module docstring)
+    if not x.imag.any() and (c is not None and not c.imag or not np.signbit(x.imag).any()):
+        x = x.real
+    for _ in range(k):
+        if lo <= hi:
+            if len(rl) < hi + _SCALAR_TAIL:
+                p = pseq.prob_array(np.arange(max(2 * len(rl), hi + _SCALAR_TAIL)))
+                rl = jump_ratio(p).tolist()
+            u = step(lo, hi, x)
+            if u is None:  # redo the step in complex (step calls no step: no reference cycle)
+                u = step(lo, hi, x.astype(np.complex128))
+            nz = np.flatnonzero(u)
+            first, last = (int(nz[0]), int(nz[-1])) if len(nz) else (0, -1)
+            lo, hi, x = lo + first, lo + last, u[first : last + 1]
+            if c is not None:  # the float plane keeps the real part of _cmul(c, x + 0j)
+                flat = x.dtype == np.float64 and not c.imag
+                x = x * c.real - c.imag * 0.0 if flat else _cmul(c, x)
+        yield (lo if lo <= hi else 0), x
+
+
 def right_inverse(
     op: BandedOp,
     v: FinSeq,
@@ -199,75 +291,21 @@ def right_inverse(
 ) -> FinSeq:
     """Preimage u with W u = v, u_0 = 0, truncated once the tail decays.
 
-    The recurrence is evaluated until both parity chains of the geometric
-    continuation fall below ``tol * sup|v|`` past the support of v.  When
-    a chain that is not exactly zero cannot decay (it does not shrink over
-    a cycle of the jump probabilities) and no explicit ``max_support`` is
-    supplied, the recurrence runs 128 indices past the support and then
-    raises :class:`TailNotDecayingError`.  With ``max_support`` the
-    recurrence stops at index max(max_support, hi + 2), hi the last index
-    of the support of v, and the truncated sequence is returned as-is,
-    decayed or not; so the result reaches past ``max_support`` when v does
-    (at p = 0.75, ones on 0..10 with ``max_support=5`` give support
-    1..12).  Without ``max_support`` it also
-    raises, before the continuation, when the closed-form horizon of the
-    chains lies more than ``_TAIL_CAP`` indices past the support.  The
-    result has the bits of the plain loop (see the module docstring); past
-    the support the first ``_SCALAR_TAIL`` entries are taken one by one.
+    The recurrence runs until both parity chains of the geometric
+    continuation fall below ``tol * sup|v|`` past the support of v.  When a
+    chain that is not exactly zero cannot decay (it does not shrink over a
+    cycle of the jump probabilities) and no ``max_support`` is supplied, it
+    runs 128 indices past the support and raises
+    :class:`TailNotDecayingError`; it also raises, before the continuation,
+    when the closed-form horizon of the chains lies more than ``_TAIL_CAP``
+    indices past the support.  With ``max_support`` it stops at index
+    max(max_support, hi + 2), hi the last index of the support of v, and
+    returns the truncated sequence, decayed or not (at p = 0.75, ones on
+    0..10 with ``max_support=5`` give support 1..12).  The result has the
+    bits of the plain loop (see the module docstring).
     """
-    _require_half_line(op)
-    if v.lattice is not Lattice.HALF_LINE:
-        raise ValueError("the vector must live on the half-line")
-    vt = v.trim()
-    sup = vt.support()
-    if sup is None:
-        return FinSeq.zero(Lattice.HALF_LINE)
-    hi = sup[1]
-    scale = vt.sup_abs()
-    threshold = tol * scale
-
-    pseq = op.pseq
-    p = pseq.prob_array(np.arange(hi + 1))  # p_0 .. p_hi
-    vs = np.zeros(hi + 1, np.complex128)
-    vs[vt.offset :] = vt.values
-    a = np.empty(hi + 1, np.complex128)
-    a.real = (vs.real + vs.imag * 0.0) / p
-    a.imag = (vs.imag - vs.real * 0.0) / p
-    u = [0j]
-    x0 = x1 = 0j
-    for an, rn in zip(a.tolist(), jump_ratio(p).tolist()):
-        x0, x1 = x1, an + rn * x0
-        u.append(x1)
-    if max_support is not None:
-        cap = max(max_support, hi + 2)
-    else:
-        # past hi + 1 the preimage follows the parity chains from u_hi, u_hi+1
-        horizon = _chain_horizon(pseq, hi, (abs(u[hi]), abs(u[hi + 1])), threshold)
-        if math.isfinite(horizon) and horizon > hi + _TAIL_CAP:
-            raise TailNotDecayingError(
-                "preimage tail decays too slowly: it stays above tolerance until "
-                f"about index {horizon}, more than the cap of {_TAIL_CAP} indices "
-                "past the support",
-                max(abs(u[hi]), abs(u[hi + 1])),
-            )
-        cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
-    # most tails stop within a few entries of the support: those entries
-    # are taken one by one, and the rest, if any, as running products
-    stopped = _scalar_tail(pseq, u, min(cap, hi + _SCALAR_TAIL) + 1, threshold)
-    values = u
-    if not stopped and len(u) <= cap:
-        values, stopped = _product_tail(pseq, u, cap, threshold)
-        if values is None:
-            stopped = _scalar_tail(pseq, u, cap + 1, threshold)
-            values = u
-    if stopped or max_support is not None:
-        return FinSeq(Lattice.HALF_LINE, 1, values[1:]).trim()  # u_0 = 0
-    last = max(abs(complex(values[-1])), abs(complex(values[-2])))
-    raise TailNotDecayingError(
-        "preimage tail has not decayed below tolerance: the jump "
-        f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
-        last,
-    )
+    *_, (lo, values) = _backward(op, v, 1, tol=tol, max_support=max_support)
+    return FinSeq(Lattice.HALF_LINE, lo, values)
 
 
 def right_inverse_power(
@@ -277,15 +315,15 @@ def right_inverse_power(
     tol: float = 1e-13,
     max_support: int | None = None,
 ) -> FinSeq:
-    """n-fold right inverse.  Coordinates 0..n-1 of the result are exact
-    zeros, and each application multiplies the norm by at most the step
-    bound, so the sup norm grows no faster than step_norm_bound(op)**n."""
+    """n-fold right inverse, bit for bit n calls of :func:`right_inverse`,
+    in one loop.  Coordinates 0..n-1 of the result are exact zeros, and
+    each application multiplies the norm by at most the step bound, so the
+    sup norm grows no faster than step_norm_bound(op)**n."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    cur = v
-    for _ in range(n):
-        cur = right_inverse(op, cur, tol=tol, max_support=max_support)
-    return cur
+    for lo, values in _backward(op, v, n, tol=tol, max_support=max_support):
+        pass  # each step replaces the last; only S^n v is kept
+    return FinSeq(Lattice.HALF_LINE, lo, values)
 
 
 def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
@@ -328,10 +366,12 @@ def kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    u = [1.0]
-    for n, r in enumerate(jump_ratio(pseq.prob_array(np.arange(n_max))).tolist(), 1):
-        u.append(r * u[max(n - 2, 0)])
-    return u
+    r = jump_ratio(pseq.prob_array(np.arange(n_max)))
+    u = np.ones(n_max + 1)
+    with np.errstate(over="ignore", under="ignore"):  # each chain is a running product
+        np.multiply.accumulate(r[0::2], out=u[1::2])
+        np.multiply.accumulate(r[1::2], out=u[2::2])
+    return u.tolist()
 
 
 def kernel_basis(
@@ -367,10 +407,8 @@ def kernel_basis(
     powers = np.zeros((n, size), np.complex128)  # row k: S^k u_0 on [0, size)
     powers[0] = kernel_vector(op.pseq, size - 1)
     for k in range(1, n):
-        prev = FinSeq(Lattice.HALF_LINE, 0, powers[k - 1])
-        s = right_inverse(op, prev, tol=tol, max_support=size - 1)
-        top = min(s.offset + len(s.values), size)
-        powers[k, s.offset : top] = s.values[: top - s.offset]
+        s = right_inverse(op, FinSeq(Lattice.HALF_LINE, 0, powers[k - 1]), tol, size - 1)
+        powers[k, s.offset : s.offset + len(s.values)] = s.values[: size - s.offset]
     minor = powers[:, :n].T.tolist()  # minor[j][k] = (S^k u_0)_j, zero for k > j
     basis = []
     for i in range(count or n):

@@ -140,6 +140,8 @@ def certified_disk_radius(
     the unit-circle band both bite.  Returns 0.0 when even lam = 0 fails.
     """
     _check_prob(p)
+    if n_angles < 1:
+        raise ValueError(f"n_angles must be at least 1, got {n_angles}")
 
     def ok(r: float) -> bool:
         for k in range(n_angles):

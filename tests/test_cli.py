@@ -360,6 +360,32 @@ class TestErrors:
         assert out == ""
         assert err.rstrip().endswith(f"takes no {flag}")
 
+    @pytest.mark.parametrize("angles", ["0", "-2"])
+    def test_spectrum_radius_needs_an_angle_exit_2(self, capsys, angles):
+        # before, --angles 0 certified every radius and reported 2.0
+        code, out, err = run(
+            capsys, "spectrum", "--mode", "radius", "--p", "0.75", "--space", "c0",
+            "--angles", angles,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--angles must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "0.75", "--pseq", "const:0.3", "--lam", "0.9"],
+            ["--mode", "radius", "--p", "0.75", "--pseq", "const:0.3"],
+            ["--lam", "0.9"],
+        ],
+    )
+    def test_spectrum_takes_exactly_one_of_p_and_pseq(self, capsys, argv):
+        # before, --pseq was dropped without a word when --p was given
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 2
+        assert out == ""
+        assert "give exactly one of --p and --pseq" in err
+
     def test_spectrum_modes_take_their_own_flags(self, capsys):
         code, doc = run_json(
             capsys, "spectrum", "--mode", "radius", "--pseq", "const:0.75",

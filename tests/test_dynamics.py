@@ -14,6 +14,7 @@ from walkdyn.dynamics import (
     orbit_density_probe,
     supercyclicity_criterion_certificate,
 )
+from walkdyn.inverse_kernel import right_inverse, step_norm_bound
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
@@ -94,20 +95,30 @@ class TestFhcCertificate:
     @pytest.mark.parametrize("lam, n_max", [(3.0, 20), (10.0, 40)])
     def test_one_backward_orbit_feeds_every_check(self, walk_075, monkeypatch, lam, n_max):
         # the inverse identity, the backward norms and the periodic point
-        # all read the one orbit (S/lam)^k sample
-        calls = 0
-        inner = dynamics.right_inverse
+        # all read the one orbit (S/lam)^k sample: S(sample) is taken once,
+        # and every later step once, in one run of the backward loop
+        calls = runs = steps = 0
+        inner_inverse, inner_orbit = dynamics.right_inverse, dynamics._backward
 
-        def counting(*args, **kwargs):
+        def counting_inverse(*args, **kwargs):
             nonlocal calls
             calls += 1
-            return inner(*args, **kwargs)
+            return inner_inverse(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "right_inverse", counting)
+        def counting_orbit(*args, **kwargs):
+            nonlocal runs, steps
+            runs += 1
+            for item in inner_orbit(*args, **kwargs):
+                steps += 1
+                yield item
+
+        monkeypatch.setattr(dynamics, "right_inverse", counting_inverse)
+        monkeypatch.setattr(dynamics, "_backward", counting_orbit)
         cert = fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0(), n_max=n_max)
         assert cert.verdict is Verdict.YES
         w = cert.witness
-        assert calls == max(n_max, w["periodic_terms"] * w["periodic_period"])
+        assert (calls, runs) == (1, 1)
+        assert steps == max(n_max, w["periodic_terms"] * w["periodic_period"])  # z_1 .. z_K
 
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
@@ -131,17 +142,16 @@ class TestFhcCertificate:
 
     def test_wrong_periodic_point_still_fails(self, walk_075, monkeypatch):
         # every backward step after the first is off by 1e-4 |z| at one
-        # coordinate, so only the periodic point is wrong
-        calls = 0
-        inner = dynamics.right_inverse
+        # coordinate, so only the periodic point is wrong; the orbit starts
+        # from z_1 = S(sample)/lam, which the inverse identity also reads
+        def skewed(op, z, k, lam):
+            yield z.offset, z.values
+            for _ in range(k):
+                u = right_inverse(op, z) + FinSeq.unit(2) * (1e-4 * z.sup_abs())
+                z = u * (1.0 / lam)
+                yield z.offset, z.values
 
-        def skewed(op, z, *args, **kwargs):
-            nonlocal calls
-            calls += 1
-            u = inner(op, z, *args, **kwargs)
-            return u if calls == 1 else u + FinSeq.unit(2) * (1e-4 * z.sup_abs())
-
-        monkeypatch.setattr(dynamics, "right_inverse", skewed)
+        monkeypatch.setattr(dynamics, "_backward", skewed)
         cert = fhc_chaos_certificate(walk_075, 3.0, SpaceSpec.c0())
         assert cert.verdict is Verdict.UNDETERMINED
         assert cert.reason == "numerical verification failed: periodic-point"
@@ -212,6 +222,53 @@ def test_certificates_solve_only_the_kernel_vectors_they_read(
     monkeypatch.setattr(dynamics, "kernel_basis", spy)
     assert certify(walk_075).verdict is Verdict.YES
     assert counts == [reads]
+
+
+def _public_orbit(op, v, k, lam=None):
+    """The backward orbit from public calls only: right_inverse, then * (1/lam)."""
+    yield v.offset, v.values
+    for _ in range(k):
+        v = right_inverse(op, v)
+        v = v if lam is None else v * (1.0 / lam)
+        yield v.offset, v.values
+
+
+_ORBIT_WALKS = {
+    "const": Constant(0.75),
+    "list": ListWithTail((0.6, 0.9, 0.7), 0.8),
+    "periodic": Periodic((0.7, 0.85)),
+}
+_ORBIT_SPACES = {"c0": SpaceSpec.c0(), "l1": SpaceSpec.lq(1), "l2": SpaceSpec.lq(2)}
+
+
+@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+@pytest.mark.parametrize("form", _ORBIT_WALKS)
+@pytest.mark.parametrize("factor", [1.3, -1.4, 0.8 + 1.1j], ids=["pos", "neg", "complex"])
+def test_fhc_backward_orbit_matches_the_public_orbit(monkeypatch, factor, form, space):
+    # the float plane drops the signs of zeros for lam < 0 only, which no
+    # norm reads: every witness, the backward norms bit for bit among them,
+    # is the one the public right_inverse(z) * (1/lam) orbit gives
+    op = walk(_ORBIT_WALKS[form])
+    lam = factor * step_norm_bound(op)
+    cert = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
+    assert cert.verdict is Verdict.YES, cert.reason
+    monkeypatch.setattr(dynamics, "_backward", _public_orbit)
+    ref = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
+    assert cert.witness["backward_norms"] == ref.witness["backward_norms"]
+    assert repr(cert) == repr(ref)
+
+
+@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+@pytest.mark.parametrize("form", _ORBIT_WALKS)
+def test_supercyclicity_backward_orbit_matches_the_public_orbit(monkeypatch, form, space):
+    op = walk(_ORBIT_WALKS[form])
+    cert = supercyclicity_criterion_certificate(op, _ORBIT_SPACES[space])
+    assert cert.verdict is Verdict.YES, cert.reason
+    monkeypatch.setattr(dynamics, "_backward", _public_orbit)
+    ref = supercyclicity_criterion_certificate(op, _ORBIT_SPACES[space])
+    for key in ("backward_norms", "step_residual"):
+        assert cert.witness[key] == ref.witness[key]
+    assert repr(cert) == repr(ref)
 
 
 class TestObstruction:

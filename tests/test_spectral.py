@@ -111,6 +111,14 @@ def test_certified_disk_radius_values():
     assert certified_disk_radius(0.5, SpaceSpec.c0()) == 0.0
 
 
+@pytest.mark.parametrize("n_angles", [0, -3])
+def test_certified_disk_radius_needs_an_angle(n_angles):
+    # with no angle on the grid every radius passed: 2.0 for p = 0.75, whose
+    # certified radius is 0.5
+    with pytest.raises(ValueError, match="n_angles must be at least 1"):
+        certified_disk_radius(0.75, SpaceSpec.c0(), n_angles=n_angles)
+
+
 def test_kernel_vector_is_eigenvector():
     rng = random.Random(12)
     for _ in range(15):
