@@ -14,9 +14,10 @@ Round-off witnesses of the certificates are exempt from the tolerance:
 ``periodic_residual``, ``max_product``, and the ``forward_norms`` past
 ``annihilation_index``.  Each may move, but only while it stays under
 its certificate gate in both files (the tail of ``forward_norms`` through
-the sum that the gate reads).  The periodic-point gate scales with
-max(1, |x|) for a periodic point x that the report does not hold, so it
-is taken at its floor 1e-8 * max(1, |lam|)**period.
+the sum that the gate reads).  The gates are the current ones, so an old
+file is judged by them too: for fhc each step's relative residual is at
+most 1e-10, and the rescaled forward tail at most 1e-10 times the
+rescaled head.
 
 Prints one line per pair and exits 1 if any pair fails, 2 if the
 directories share no file.
@@ -42,12 +43,13 @@ def roundoff(doc) -> dict:
     if kind == "fhc-chaos":
         re, im = result["params"]["lam"]
         scale = max(1.0, math.hypot(re, im))
-        tail_gate = 1e-10 * max(1.0, max(fwd[: m + 1]))
+        scaled = [f / scale**n for n, f in enumerate(fwd)]
+        tail_gate = 1e-10 * max(scaled[: m + 1])
         return {
-            "inverse_residual": (w["inverse_residual"], 1e-10 * max(1.0, fwd[0])),
+            "inverse_residual": (w["inverse_residual"], 1e-10),
             "forward_scaled_tail": (w["forward_scaled_tail"], tail_gate),
-            "periodic_residual": (w["periodic_residual"], 1e-8 * scale ** w["periodic_period"]),
-            "forward_norms": (math.fsum(f / scale**n for n, f in enumerate(fwd) if n >= m), tail_gate),
+            "periodic_residual": (w["periodic_residual"], 1e-10),
+            "forward_norms": (math.fsum(scaled[m:]), tail_gate),
         }
     if kind == "supercyclicity":
         back = w["backward_norms"]

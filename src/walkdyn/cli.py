@@ -8,8 +8,7 @@ lists and verdict grids can be requested as CSV instead.
 Exit status: 0 on success, 2 on invalid input, 3 when the computation
 finished but the headline outcome is undetermined (or a preimage tail
 refused to decay).  Complex numbers appear in JSON as [real, imag] pairs.
-The environment variable WALKDYN_TOL overrides the default tolerance of
-subcommands that accept --tol; either must lie strictly between 0 and 1.
+A --tol must lie strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import dataclasses
 import enum
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -135,21 +133,12 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _tol(args, builtin: float) -> float:
-    """--tol when given, else WALKDYN_TOL when set, else ``builtin``.
-
-    A given tolerance must lie strictly between 0 and 1.
-    """
-    source, v = "--tol", getattr(args, "tol", None)
+    """--tol when given, which must lie strictly between 0 and 1, else ``builtin``."""
+    v = getattr(args, "tol", None)
     if v is None:
-        source, raw = "WALKDYN_TOL", os.environ.get("WALKDYN_TOL")
-        if raw is None:
-            return builtin
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ValueError(f"WALKDYN_TOL must be a number, got {raw!r}") from None
+        return builtin
     if not (0 < v < 1):
-        raise ValueError(f"{source} must lie strictly between 0 and 1")
+        raise ValueError("--tol must lie strictly between 0 and 1")
     return v
 
 
@@ -158,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="walkdyn",
         description="Probes and certificates for random-walk transition operators "
         "acting on sequence spaces.",
-        epilog="WALKDYN_TOL overrides the default tolerance of --tol options. "
-        "Reports embed schema, tool version and the exact argv.",
+        epilog="Reports embed schema, tool version and the exact argv.",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

@@ -12,7 +12,11 @@ When the certified ratio bound/|lam| is below 1 the standard criteria for
 frequent hypercyclicity, Devaney chaos and supercyclicity apply.  Every
 quantity the argument needs is recomputed numerically and reported in the
 certificate's witness; a failed recomputation downgrades the verdict to
-Undetermined rather than passing silently.
+Undetermined rather than passing silently.  Both certificates read one
+checked backward orbit (:func:`_checked_backward`): one run of the
+backward loop, with the identity lam W z_k = z_{k-1} measured on every
+step.  Decisions at a threshold (the certified ratio, the column sums of
+a disproof) are taken exactly on the floats' dyadic values.
 
 Negative results come in two flavors and the distinction is kept explicit:
 "no by criterion" only records that this route is blocked, while a genuine
@@ -23,7 +27,6 @@ the property out.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -31,13 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classify import Verdict, kernel_decay_log_factors
-from .inverse_kernel import (
-    _backward,
-    kernel_basis,
-    kernel_window_for_tol,
-    right_inverse,
-    step_norm_bound,
-)
+from .inverse_kernel import _backward, kernel_basis, kernel_window_for_tol, step_norm_bound
 from .operators import BandedOp, Constant, pseq_text
 from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
 
@@ -93,25 +90,48 @@ def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec, lam=None) ->
     return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n, lam)]
 
 
-def _column_bound(op: BandedOp) -> float:
-    """The operator's column-sum norm sup_j sum_i |A_{i,j}|.
+def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=None):
+    """One run of the backward loop, checked on every step.
 
-    The entries are nonnegative, so these are the entries of W' 1.  Column
-    j sums rows j-1 and j+1 only, and away from the prefix its sum repeats
-    with the cycle, so the columns from the boundary (or one cycle before
-    the prefix, on the line) to one cycle past the prefix attain the
+    Returns the norms of z_0 .. z_n, z_k = (S/lam)^k v (S^k v without lam),
+    the residual ||lam W z_k - z_{k-1}|| / ||z_{k-1}|| of each step
+    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.
+    """
+    norms, residuals, z = [], [], None
+    for lo, values in _backward(op, v, n, lam):
+        nxt = FinSeq(op.lattice, lo, values)
+        if z is not None:
+            image = op.apply(nxt) if lam is None else lam * op.apply(nxt)
+            residuals.append(norm(image - z, space) / max(norms[-1], 1e-300))
+        z = nxt
+        norms.append(norm(z, space))
+    return norms, residuals, z
+
+
+def _column_bound(op: BandedOp):
+    """The operator's column-sum norm sup_j sum_i |A_{i,j}|, as a Fraction.
+
+    Column j sums p_{j-1} (row j-1) and 1 - p_{j+1} (row j+1); on the
+    half-line column 0 sums 1 - p_0 and 1 - p_1.  Each float is a dyadic
+    rational, so the sums are exact.  Away from the prefix a column's sum
+    repeats with the cycle, so the columns from the boundary (or one cycle
+    before the prefix, on the line) to one cycle past the prefix attain the
     supremum.  On the half-line a prefix that ends before index 0 is never
     read, so the range then runs from the boundary columns through one cycle.
     """
+    from fractions import Fraction  # on demand, off the CLI's import path
+
     pseq = op.pseq
     reach = len(pseq.cycle) + 1
     end = pseq.start + len(pseq.prefix)
-    lo, hi, first = pseq.start - reach, end + reach, pseq.start - reach - 1
+    lo, hi = pseq.start - reach, end + reach
     if op.lattice is Lattice.HALF_LINE:
-        lo, hi, first = 0, max(end, 0) + reach, 0
-    # ones on rows first .. hi+1 fill every column lo .. hi
-    sums = op.apply_transpose(FinSeq(op.lattice, first, (1.0,) * (hi + 2 - first)))
-    return float(sums.window(lo, hi + 1).real.max())
+        lo, hi = 0, max(end, 0) + reach
+    p = [Fraction(pseq.at(n)) for n in range(lo - 1, hi + 2)]  # p_{lo-1} .. p_{hi+1}
+    sums = [p[k - 1] + (1 - p[k + 1]) for k in range(1, hi - lo + 2)]  # columns lo .. hi
+    if op.lattice is Lattice.HALF_LINE:
+        sums[0] = (1 - p[1]) + (1 - p[2])
+    return max(sums)
 
 
 def fhc_chaos_certificate(
@@ -123,17 +143,25 @@ def fhc_chaos_certificate(
 ) -> Certificate:
     """Certificate of frequent hypercyclicity and chaos for lam * walk.
 
-    YES requires the certified contraction ratio step_norm_bound/|lam| to
-    be below 1 and every supporting computation to check out: W(Sx) = x on
-    the sample, forward orbits of a kernel sample vanish past the
-    annihilation index, backward orbit norms contract at least as fast as
-    the certified ratio, and an explicitly summed periodic point is fixed
-    by T^period up to roundoff (judged relative to |lam|^period, by which
-    T^period amplifies it).  A NO from ratio >= 1 only reports that this
-    criterion is blocked; when additionally |lam| <= 1 makes every orbit
-    bounded, the NO is flagged as a genuine disproof.  When the kernel
-    window for the sample would pass its cap, the verdict is Undetermined
-    and the reason names the cap.
+    The criterion (Grosse-Erdmann & Peris, Linear Chaos, ch. 9) needs W S =
+    I, ||(S/lam)^k|| <= ratio^k with ratio = step_norm_bound/|lam| < 1, and
+    T^m s = 0 for T = lam W and a kernel sample s of W^m.  Then z_k =
+    (S/lam)^k s sums to a periodic point x = sum_j z_{jm}, T^m x = x, whose
+    terms past z_{Jm} add at most ||z_{Jm}|| ratio^m / (1 - ratio^m)
+    (``backward_norms``, ``certified_ratio``); no sum is formed.
+
+    YES requires ratio < 1, decided exactly as well, and checks on one
+    backward orbit z_0 .. z_{n_max} and the forward orbit of s: lam W z_k =
+    z_{k-1} to 1e-10 relative at k = 1 (inverse-identity) and at k = 2 ..
+    n_max (periodic-point, the n_max // m periods of ``periodic_terms``);
+    the forward tail past m below 1e-10 of the head, every term rescaled by
+    |lam|^n, which amplifies its roundoff; backward norms contracting at
+    least at the certified ratio.  A NO from ratio >= 1 only reports that
+    this criterion is blocked; when in addition |lam| <= 1 and the walk is
+    a contraction (on c0 always, else when every column sums to at most 1,
+    exactly), every orbit is bounded and the NO is flagged as a genuine
+    disproof.  When the kernel window for the sample would pass its cap,
+    the verdict is Undetermined and the reason names the cap.
     """
     lam = complex(lam)
     params = {
@@ -157,10 +185,15 @@ def fhc_chaos_certificate(
     ratio = bound / abs(lam)
     witness: dict = {"step_bound": bound, "certified_ratio": ratio}
 
-    if ratio >= 1.0:
-        if abs(lam) <= 1.0 and (
-            space.kind is SpaceKind.C0 or _column_bound(op) <= 1.0 + 1e-12
-        ):
+    # the float ratio rounds, so |lam| is compared exactly as well: with
+    # every p_k above one half, sup |r_k| = (1 - min p)/min p and the step
+    # bound is 1/(2 min p - 1)
+    from fractions import Fraction  # on demand, off the CLI's import path
+
+    lam2 = Fraction(lam.real) ** 2 + Fraction(lam.imag) ** 2
+    gap = 2 * Fraction(min(op.pseq.probabilities())) - 1
+    if ratio >= 1.0 or not (gap > 0 and lam2 * gap**2 > 1):
+        if lam2 <= 1 and (space.kind is SpaceKind.C0 or _column_bound(op) <= 1):
             verdict, reason = Verdict.NO, (
                 "no by criterion (certified ratio >= 1), and in fact a "
                 "disproof: |lam| <= 1 while the walk is a contraction, so "
@@ -187,52 +220,33 @@ def fhc_chaos_certificate(
         return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, str(exc))
     (sample,) = kernel_basis(op, m, window, tol=deep_tol, count=1)
 
-    # right-inverse identity on the sample; S(sample) is also the first
-    # backward step
-    s_sample = right_inverse(op, sample)
-    ws_residual = norm(op.apply(s_sample) - sample, space)
-    inverse_ok = ws_residual <= 1e-10 * max(1.0, norm(sample, space))
-
     # forward orbit of the kernel sample under T = lam W; roundoff in the
-    # iterated products is amplified by |lam|^n, so judge the tail after
-    # rescaling each term back
+    # iterated products is amplified by |lam|^n, so every term is rescaled
+    # back before the tail is judged against the head
     fwd = _orbit_norms(op, sample, n_max, space, lam)
     scale = max(1.0, abs(lam))
-    scaled_tail = math.fsum(f / scale**n for n, f in enumerate(fwd) if n >= m)
-    forward_ok = scaled_tail <= 1e-10 * max(1.0, max(fwd[: m + 1]))
+    scaled = [f / scale**n for n, f in enumerate(fwd)]
+    scaled_tail = math.fsum(scaled[m:])
+    forward_ok = scaled_tail <= 1e-10 * max(scaled[: m + 1])
 
-    # one backward orbit z_k = (S/lam)^k sample, streamed: its norms for
-    # k <= n_max, and the periodic point x = sum_j z_{j m}, which satisfies
-    # T^m x = x, from every m-th iterate
-    period = m
-    terms_needed = int(math.ceil(math.log(1e-14) / (period * math.log(ratio)))) + 1
-    terms_needed = min(max(terms_needed, 2), 60)
-    back, x = [fwd[0]], sample
-    steps = max(n_max, terms_needed * period)
-    for k, (lo, z) in enumerate(_backward(op, s_sample * (1.0 / lam), steps - 1, lam), 1):
-        if k <= n_max:
-            back.append(_norm_of_moduli(_abs(z), space))
-        if k % period == 0 and k <= terms_needed * period:
-            x = x + FinSeq(op.lattice, lo, z)
+    # one checked backward orbit z_k = (S/lam)^k sample, k <= n_max
+    back, residuals, _ = _checked_backward(op, sample, n_max, space, lam)
     ratios = [back[k + 1] / back[k] for k in range(n_max) if back[k] > 0]
     max_ratio = max(ratios) if ratios else 0.0
     ratios_ok = max_ratio <= ratio * (1.0 + tol)
-
-    *_, (lo, tx) = op._orbit(x, period, lam)
-    periodic_residual = norm(FinSeq(op.lattice, lo, tx) - x, space)
-    periodic_ok = periodic_residual <= 1e-8 * max(1.0, norm(x, space)) * scale**period
+    periodic_residual = max(residuals[1:])
 
     witness.update(
         {
-            "inverse_residual": ws_residual,
+            "inverse_residual": residuals[0],
             "annihilation_index": m,
             "forward_norms": tuple(fwd),
             "forward_scaled_tail": scaled_tail,
             "backward_norms": tuple(back),
             "max_empirical_ratio": max_ratio,
             "measured_ratio": back[-1] / back[-2] if back[-2] > 0 else 0.0,
-            "periodic_period": period,
-            "periodic_terms": terms_needed,
+            "periodic_period": m,
+            "periodic_terms": n_max // m,
             "periodic_residual": periodic_residual,
         }
     )
@@ -241,10 +255,10 @@ def fhc_chaos_certificate(
         params,
         witness,
         [
-            ("inverse-identity", inverse_ok),
+            ("inverse-identity", residuals[0] <= 1e-10),
             ("forward-annihilation", forward_ok),
             ("backward-ratio", ratios_ok),
-            ("periodic-point", periodic_ok),
+            ("periodic-point", all(r <= 1e-10 for r in residuals[1:])),
         ],
         "frequent hypercyclicity and chaos hold: backward sums converge "
         "geometrically at the certified ratio and a dense set has "
@@ -307,14 +321,8 @@ def supercyclicity_criterion_certificate(
     # well conditioned, so W(Sz) = z is demanded tightly along the whole
     # backward orbit; the full W^n S^n round trip passes through norms of
     # order (2p-1)^{-n}, so its residual is gated by that dynamic range
-    back = [norm(target, space)]
-    step_residual = 0.0
-    z = target
-    for lo, values in itertools.islice(_backward(op, target, n_max), 1, None):
-        nxt = FinSeq(op.lattice, lo, values)
-        step_residual = max(step_residual, norm(op.apply(nxt) - z, space) / max(back[-1], 1e-300))
-        z = nxt
-        back.append(norm(z, space))
+    back, residuals, z = _checked_backward(op, target, n_max, space)
+    step_residual = max(0.0, *residuals)
     z = op.power_apply(n_max, z)
     inverse_residual = norm(z - target, space)
     dynamic_range = max(back) / max(back[0], 1e-300)

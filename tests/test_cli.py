@@ -328,7 +328,7 @@ class TestErrors:
         ],
     )
     def test_tol_flag_outside_the_unit_interval_exit_2(self, capsys, argv):
-        # the flag gets the same (0, 1) check as WALKDYN_TOL; before it, --tol 2
+        # a tolerance must lie in (0, 1); before this check, --tol 2
         # gave a "preimage" with residual 0.33 and --tol 0 blamed the jump
         # probabilities
         code, out, err = run(capsys, *argv)
@@ -413,37 +413,6 @@ class TestErrors:
         err = doc["result"]["error"]
         assert err["type"] == "tail-not-decaying"
         assert err["last_magnitude"] > 0
-
-    def test_bad_tol_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALKDYN_TOL", "nope")
-        code, _, err = run(
-            capsys, "inverse", "--pseq", "const:0.75", "--v", "e0"
-        )
-        assert code == 2
-        assert "WALKDYN_TOL" in err
-
-    def test_tol_env_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALKDYN_TOL", "1e-6")
-        code, doc = run_json(
-            capsys, "inverse", "--pseq", "const:0.75", "--v", "e0"
-        )
-        assert code == 0
-        assert doc["config"]["tolerance"] == 1e-6
-
-    def test_tol_env_sets_the_radius_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALKDYN_TOL", "1e-2")
-        code, doc = run_json(capsys, "spectrum", "--mode", "radius", "--p", "0.75")
-        assert code == 0
-        assert doc["config"]["tol"] == 1e-2
-
-    def test_tol_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WALKDYN_TOL", "1e-6")
-        code, doc = run_json(
-            capsys, "inverse", "--pseq", "const:0.75", "--v", "e0",
-            "--tol", "1e-9",
-        )
-        assert code == 0
-        assert doc["config"]["tolerance"] == 1e-9
 
 
 class TestParsers:

@@ -95,30 +95,58 @@ class TestFhcCertificate:
     @pytest.mark.parametrize("lam, n_max", [(3.0, 20), (10.0, 40)])
     def test_one_backward_orbit_feeds_every_check(self, walk_075, monkeypatch, lam, n_max):
         # the inverse identity, the backward norms and the periodic point
-        # all read the one orbit (S/lam)^k sample: S(sample) is taken once,
-        # and every later step once, in one run of the backward loop
-        calls = runs = steps = 0
-        inner_inverse, inner_orbit = dynamics.right_inverse, dynamics._backward
-
-        def counting_inverse(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return inner_inverse(*args, **kwargs)
+        # all read the one orbit z_k = (S/lam)^k sample, k <= n_max, in one
+        # run of the backward loop; no separate right inverse is taken
+        runs = yields = 0
+        inner = dynamics._backward
 
         def counting_orbit(*args, **kwargs):
-            nonlocal runs, steps
+            nonlocal runs, yields
             runs += 1
-            for item in inner_orbit(*args, **kwargs):
-                steps += 1
+            for item in inner(*args, **kwargs):
+                yields += 1
                 yield item
 
-        monkeypatch.setattr(dynamics, "right_inverse", counting_inverse)
         monkeypatch.setattr(dynamics, "_backward", counting_orbit)
         cert = fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0(), n_max=n_max)
         assert cert.verdict is Verdict.YES
-        w = cert.witness
-        assert (calls, runs) == (1, 1)
-        assert steps == max(n_max, w["periodic_terms"] * w["periodic_period"])  # z_1 .. z_K
+        assert not hasattr(dynamics, "right_inverse")
+        assert (runs, yields) == (1, n_max + 1)  # z_0 .. z_{n_max}
+        assert cert.witness["periodic_terms"] == n_max // 6
+
+    def test_ratio_one_ulp_below_one_decided_exactly(self):
+        # the float ratio reads 0.9999999999999999, but sup |r_k| sits at
+        # min p, so the exact test is |lam| (2 min p - 1) > 1, and it fails
+        op = walk(Periodic((0.8841995512517797, 0.8443879956274093)))
+        cert = fhc_chaos_certificate(op, 1.4518508378583153, SpaceSpec.c0())
+        assert cert.witness["certified_ratio"] < 1.0
+        assert cert.verdict is Verdict.NO
+        assert "not a disproof" in cert.reason
+
+    @pytest.mark.parametrize(
+        "pseq, lam",
+        [
+            # a column sums to 0.6 + (1 - 0.5999999999999) = 1 + 1e-13
+            (Periodic((0.6, 0.6, 0.5999999999999)), 1.0),
+            # abs() rounds |lam| to 1, while |lam|^2 = 1 + 1e-18 exactly
+            (Constant(0.75), 1 + 1e-9j),
+        ],
+        ids=["column-sum", "lam-modulus"],
+    )
+    def test_disproof_gate_decided_exactly(self, pseq, lam):
+        cert = fhc_chaos_certificate(walk(pseq), lam, SpaceSpec.lq(1))
+        assert cert.verdict is Verdict.NO
+        assert "not a disproof" in cert.reason
+
+    def test_forward_tail_judged_against_the_scaled_head(self, monkeypatch):
+        # a kernel window cut at 1e-16 leaves T^6 s = 12.5 at lam = 24: its
+        # rescaled tail 6.8e-7 is small against the unscaled head 2e6, but
+        # not against the rescaled head 4.5e3
+        inner = dynamics.kernel_window_for_tol
+        monkeypatch.setattr(dynamics, "kernel_window_for_tol", lambda pseq, tol: inner(pseq, 1e-16))
+        cert = fhc_chaos_certificate(walk(Constant(0.55)), 24.0, SpaceSpec.c0())
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.reason == "numerical verification failed: forward-annihilation"
 
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
@@ -133,28 +161,31 @@ class TestFhcCertificate:
         ],
     )
     def test_periodic_point_judged_relative_to_lam_power(self, p, lam, space):
-        # T^6 amplifies the roundoff in the periodic point by |lam|^6: the
-        # residuals are 1.4e-8, 3.6e-5 and 3.0e-4, yet 2e-17, 4e-17 and
-        # 1.3e-12 once divided by |lam|^6
+        # at these |lam|, T^6 would amplify the roundoff of a summed periodic
+        # point by |lam|^6; the per-step identity lam W z_k = z_{k-1} needs
+        # no such factor and holds to about 5e-16
         cert = fhc_chaos_certificate(walk(Constant(p)), lam, space)
         assert cert.verdict is Verdict.YES, cert.reason
-        assert cert.witness["periodic_residual"] > 1e-8
+        assert cert.witness["periodic_residual"] <= 1e-10
 
     def test_wrong_periodic_point_still_fails(self, walk_075, monkeypatch):
-        # every backward step after the first is off by 1e-4 |z| at one
-        # coordinate, so only the periodic point is wrong; the orbit starts
-        # from z_1 = S(sample)/lam, which the inverse identity also reads
+        # every backward step after the first is off by 1e-3 |z| at one
+        # coordinate, so only the periodic point is wrong; at lam = 30 a
+        # gate scaled by |lam|^6 would forgive it
         def skewed(op, z, k, lam):
             yield z.offset, z.values
-            for _ in range(k):
-                u = right_inverse(op, z) + FinSeq.unit(2) * (1e-4 * z.sup_abs())
+            for step in range(1, k + 1):
+                u = right_inverse(op, z)
+                if step > 1:
+                    u = u + FinSeq.unit(2) * (1e-3 * z.sup_abs())
                 z = u * (1.0 / lam)
                 yield z.offset, z.values
 
         monkeypatch.setattr(dynamics, "_backward", skewed)
-        cert = fhc_chaos_certificate(walk_075, 3.0, SpaceSpec.c0())
-        assert cert.verdict is Verdict.UNDETERMINED
-        assert cert.reason == "numerical verification failed: periodic-point"
+        for lam in (3.0, 30.0):
+            cert = fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0())
+            assert cert.verdict is Verdict.UNDETERMINED
+            assert cert.reason == "numerical verification failed: periodic-point"
 
 
 class TestSupercyclicityCertificate:

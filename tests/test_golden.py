@@ -29,8 +29,7 @@ def _replay(argv):
 
 
 @pytest.mark.parametrize("entry", COMMANDS, ids=[e["name"] for e in COMMANDS])
-def test_golden_output(entry, monkeypatch):
-    monkeypatch.delenv("WALKDYN_TOL", raising=False)
+def test_golden_output(entry):
     code, out = _replay(entry["argv"])
     assert code == entry["exit"]
     ext = "csv" if "csv" in entry["argv"] else "json"

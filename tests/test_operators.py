@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,9 +167,20 @@ def test_column_bound_is_largest_dense_column_sum():
         # the block holds the prefix and two cycles on each side of it
         half = abs(pseq.start) + len(pseq.prefix) + 2 * len(pseq.cycle) + 4
         m = dense_matrix(op, 2 * half)
+        idx = range(2 * half) if lattice is Lattice.HALF_LINE else range(-half, half)
+
+        def exact(a, i, j):
+            # entry() rounds 1 - p for p < 1/2: take each nonzero entry
+            # exactly, p_i on the move up and 1 - p_i otherwise
+            p = Fraction(pseq.at(i))
+            return 0 if a == 0 else p if j == i + 1 else 1 - p
+
         # the last column (and the first, on the line) misses a row of its own
         first = 0 if lattice is Lattice.HALF_LINE else 1
-        sums = [math.fsum(abs(row[c]) for row in m) for c in range(first, 2 * half - 1)]
+        sums = [
+            sum(exact(row[c], i, idx[c]) for row, i in zip(m, idx))
+            for c in range(first, 2 * half - 1)
+        ]
         assert _column_bound(op) == max(sums)
 
 

@@ -26,7 +26,6 @@ GOLDEN = ROOT / "tests" / "golden"
 )
 def test_script_runs(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WALKDYN_TOL", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT,
