@@ -37,7 +37,6 @@ from .inverse_kernel import (
     TailNotDecayingError,
     jump_ratio,
     kernel_basis,
-    kernel_span_approx,
     kernel_vector,
     kernel_window_for_tol,
     ratio_bound,
@@ -113,7 +112,6 @@ __all__ = [
     "jump_ratio",
     "kernel_basis",
     "kernel_decay_log_factors",
-    "kernel_span_approx",
     "kernel_vector",
     "kernel_window_for_tol",
     "left_kernel_vector",

@@ -15,7 +15,9 @@ certificate's witness; a failed recomputation downgrades the verdict to
 Undetermined rather than passing silently.  Both certificates read one
 checked backward orbit (:func:`_checked_backward`): one run of the
 backward loop, with the identity lam W z_k = z_{k-1} measured on every
-step.  Decisions at a threshold (the certified ratio, the column sums of
+step.  For a real start and a real lam both orbits are checked on float64,
+the forward one on |lam|: the bits for lam > 0, the moduli (all a norm
+reads) for lam < 0.  Decisions at a threshold (the certified ratio, the column sums of
 a disproof) are taken exactly on the floats' dyadic values.
 
 Negative results come in two flavors and the distinction is kept explicit:
@@ -90,22 +92,48 @@ def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec, lam=None) ->
     return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n, lam)]
 
 
+def _diff_moduli(lo: int, y: np.ndarray, y_mags: np.ndarray, t_lo: int, t, t_mags) -> np.ndarray:
+    """The moduli of the entries of FinSeq(lo, y) - FinSeq(t_lo, t), given
+    y_mags = |y| and t_mags = |t|: |y - t| on the overlap, with the rest of
+    both patched in around it, in no fixed order (max and fsum read a set)."""
+    a = max(lo, t_lo)
+    b = max(a, min(lo + len(y), t_lo + len(t)))
+    i, j, k, m = a - lo, b - lo, a - t_lo, b - t_lo
+    diff = _abs(y[i:j] - t[k:m])
+    return np.concatenate((y_mags[:i], diff, y_mags[j:], t_mags[:k], t_mags[m:]))
+
+
 def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=None):
     """One run of the backward loop, checked on every step.
 
     Returns the norms of z_0 .. z_n, z_k = (S/lam)^k v (S^k v without lam),
     the residual ||lam W z_k - z_{k-1}|| / ||z_{k-1}|| of each step
-    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.
+    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  On the float plane
+    (a real start, lam None or real) lam W z_k is formed on float64: the
+    real parts of ``lam * op.apply(z_k)`` up to the signs of zeros, whose
+    imaginary parts are zeros; every modulus, and so every norm, is the same.
     """
-    norms, residuals, z = [], [], None
-    for lo, values in _backward(op, v, n, lam):
-        nxt = FinSeq(op.lattice, lo, values)
-        if z is not None:
-            image = op.apply(nxt) if lam is None else lam * op.apply(nxt)
-            residuals.append(norm(image - z, space) / max(norms[-1], 1e-300))
-        z = nxt
-        norms.append(norm(z, space))
-    return norms, residuals, z
+    norms, residuals, prev = [], [], None
+    up = down = np.empty(0)  # the band, read once per run and doubled on demand
+    for lo, z in _backward(op, v, n, lam):
+        if prev and z.dtype == np.float64 and len(z) and (lam is None or not lam.imag):
+            # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0), so
+            # apply's rows are lo - 1 .. hi + 1 and row 0 holds on a zero
+            hi = lo + len(z) - 1
+            if len(up) < hi + 2:
+                up, down = op._band(np.arange(2 * hi + 4))
+            zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
+            image = down[lo - 1 : hi + 2] * zs[:-2] + up[lo - 1 : hi + 2] * zs[2:]
+            w = lo - 1, image * (1.0 if lam is None else lam.real)
+        elif prev:
+            w = op.apply(FinSeq(op.lattice, lo, z))
+            w = w.offset, (w if lam is None else lam * w).values
+        if prev:
+            diff = _diff_moduli(*w, _abs(w[1]), *prev)
+            residuals.append(_norm_of_moduli(diff, space) / max(norms[-1], 1e-300))
+        prev = lo, z, _abs(z)
+        norms.append(_norm_of_moduli(prev[2], space))
+    return norms, residuals, FinSeq(op.lattice, lo, z)
 
 
 def _column_bound(op: BandedOp):
@@ -200,8 +228,11 @@ def fhc_chaos_certificate(
                 "every orbit is norm-bounded and none is dense"
             )
         elif math.isfinite(ratio):
+            test = "certified ratio >= 1" if ratio >= 1.0 else (
+                "the certified ratio rounds below 1, but |lam|^2 (2 min p - 1)^2 <= 1 exactly"
+            )
             verdict, reason = Verdict.NO, (
-                "no by criterion: certified ratio >= 1 (need |lam| above the "
+                f"no by criterion: {test} (need |lam| above the "
                 "per-step inverse bound); this blocks the certificate and is "
                 "not a disproof"
             )
@@ -222,8 +253,10 @@ def fhc_chaos_certificate(
 
     # forward orbit of the kernel sample under T = lam W; roundoff in the
     # iterated products is amplified by |lam|^n, so every term is rescaled
-    # back before the tail is judged against the head
-    fwd = _orbit_norms(op, sample, n_max, space, lam)
+    # back before the tail is judged against the head.  For a real lam each
+    # entry of T^n s is +- that of (|lam| W)^n s, and only moduli are read,
+    # so the orbit runs on |lam|, on the float plane
+    fwd = _orbit_norms(op, sample, n_max, space, lam if lam.imag else abs(lam))
     scale = max(1.0, abs(lam))
     scaled = [f / scale**n for n, f in enumerate(fwd)]
     scaled_tail = math.fsum(scaled[m:])
@@ -523,23 +556,29 @@ def orbit_density_probe(
     space = space or SpaceSpec.c0()
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if any(t.lattice is not op.lattice for t in targets):
+        raise ValueError("cannot combine sequences over different lattices")
     best = [(math.inf, -1)] * len(targets)
     visits: list[list[int]] = [[] for _ in targets]
     norms: list[float] = []
+    t_mags = [_abs(t.values) for t in targets]
     for step, (lo, y) in enumerate(op._orbit(x, n_max)):
         mags = _abs(y)
         norms.append(_norm_of_moduli(mags, space))
         den = math.fsum([r**2 for r in mags.tolist()]) if projective else 0.0
         for t_idx, t in enumerate(targets):
             if not projective:
-                d = norm(FinSeq(op.lattice, lo, y) - t, space)
+                d = _diff_moduli(lo, y, mags, t.offset, t.values, t_mags[t_idx])
+                d = _norm_of_moduli(d, space)
             elif den > 0:
                 # c = sum t_i conj(y_i) / den in index order; only zeros are left out
                 a = max(lo, t.offset)
                 b = max(a, min(lo + len(y), t.offset + len(t.values)))
                 conj = np.conj(y[a - lo : b - lo].astype(np.complex128))
                 c = sum(_cmul(t.values[a - t.offset : b - t.offset], conj).tolist()) / den
-                d = norm(FinSeq(op.lattice, lo, _cmul(complex(c), y)) - t, space)
+                cy = _cmul(complex(c), y)
+                d = _diff_moduli(lo, cy, _abs(cy), t.offset, t.values, t_mags[t_idx])
+                d = _norm_of_moduli(d, space)
             else:
                 d = norm(t, space)
             if d < best[t_idx][0]:

@@ -35,7 +35,8 @@ plane: x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c =
 the complex path makes zeros of either sign; under a real lam a start with
 imaginary zeros of either sign takes the plane as well.  The paths then
 differ at most in the signs of zeros: nonzero entries keep their bits, and
-every norm, trim and stop test reads through ``hypot``, ``abs`` or ``== 0``.
+every norm, trim and stop test reads through ``hypot``, ``abs`` or ``== 0``;
+so the contract is exact bits for lam > 0, and moduli only for lam < 0.
 Other starts, and complex lam, run on ``complex``.
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
@@ -56,7 +57,7 @@ import numpy as np
 
 from .classify import _log_odds, kernel_decay_log_factors
 from .operators import BandedOp, PSeq
-from .seqspace import FinSeq, Lattice, SpaceSpec, _abs, _cmul, norm
+from .seqspace import FinSeq, Lattice, _abs, _cmul
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
 _SCALAR_TAIL = 32  # tail entries taken one by one before the array set-up pays off
@@ -224,7 +225,7 @@ def _backward(
             u.append(x1)
         if flat and not math.isfinite(x0 + x1):  # a chain stays non-finite
             return None
-        threshold = tol * float((np.abs(x) if flat else _abs(x)).max())  # hypot(x, 0) = |x|
+        threshold = tol * float(_abs(x).max())
         if max_support is not None:
             cap = max(max_support, hi + 2)
         else:
@@ -430,35 +431,3 @@ def kernel_basis(
         basis.append(FinSeq(Lattice.HALF_LINE, 0, v[: last + 1]))
     return basis
 
-
-def kernel_span_approx(
-    x: FinSeq,
-    op: BandedOp,
-    tolerance: float = 1e-10,
-    space: SpaceSpec | None = None,
-) -> tuple[FinSeq, float]:
-    """Approximate x by a kernel vector of W^n, n = extent of x's support.
-
-    Because basis vector i matches e_i on the first n coordinates, the
-    combination sum_i x_i V_i agrees with x there exactly and the achieved
-    error is the norm of the basis tails.  Returns (combination, error in
-    the chosen space; sup norm by default).
-    """
-    _require_half_line(op)
-    xt = x.trim()
-    sup = xt.support()
-    if sup is None:
-        return FinSeq.zero(Lattice.HALF_LINE), 0.0
-    if sup[0] < 0:
-        raise ValueError("the vector must live on the half-line")
-    n = sup[1] + 1
-    kernel_tol = tolerance * 1e-3
-    window = n + max(16, kernel_window_for_tol(op.pseq, max(kernel_tol, 1e-300)) + 8)
-    basis = kernel_basis(op, n, window, tol=kernel_tol)
-    combo = FinSeq.zero(Lattice.HALF_LINE)
-    for i in range(n):
-        c = xt.at(i)
-        if c != 0:
-            combo = combo + c * basis[i]
-    err_space = space or SpaceSpec.c0()
-    return combo, norm(xt - combo, err_space)

@@ -14,7 +14,9 @@ finitely supported input stays finitely supported and the action is exact
 up to floating-point rounding.  The row action gathers and the column
 action scatters along one band description; powers run in one buffered
 forward loop (``BandedOp._orbit``) with the bits of repeated application,
-and nothing is ever truncated to a finite matrix.
+and nothing is ever truncated to a finite matrix.  The loop runs on
+float64 for a real start under A or lam A with lam > 0, bit for bit; for a
+real lam < 0 only moduli are kept (callers run it on |lam|).
 """
 
 from __future__ import annotations
@@ -258,14 +260,18 @@ class BandedOp:
         ``apply`` then ``lam *`` store, with their bits.  The band is read
         once; two buffers alternate, +0 off the support as ``apply`` pads it:
         float64 if x is finite with a +0 imaginary part (``apply`` keeps it
-        +0), else complex128 with ``_cmul``, whose zero terms tie signs."""
+        +0) and lam is None or finite, positive with a +0 imaginary part
+        (``_cmul(lam, y)`` is then the float product, zeros included, until
+        a product overflows: from there the loop runs on complex128), else
+        complex128 with ``_cmul``, whose zero terms tie signs."""
         if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
         yield x.offset, x.values
         half = self.lattice is Lattice.HALF_LINE
         lo, hi = x.support() or (0, -1)
         win = x.window(lo, hi + 1)
-        flat = lam is None and not win.imag.any() and not np.signbit(win.imag).any()
+        flat = lam is None or 0 < lam.real < np.inf and not np.signbit(lam.imag) and not lam.imag
+        flat = flat and not win.imag.any() and not np.signbit(win.imag).any()
         flat = flat and np.isfinite(win.real).all()
         base = -1 if half else lo - n - 1  # buffer position 0 holds this index
         up, down = self._band(np.arange(base, hi + n + 2))
@@ -290,7 +296,11 @@ class BandedOp:
                 out += u * right
             else:
                 nxt[g0:g1] = _cmul(d, left) + _cmul(u, right)
-            if lam is not None:
+            if lam is not None and flat:
+                nxt[a:b] *= lam.real
+                if not np.isfinite(nxt[a:b]).all():  # 0 * inf is nan in the next _cmul
+                    flat, cur, nxt = False, cur.astype(np.complex128), nxt.astype(np.complex128)
+            elif lam is not None:
                 nxt[a:b] = _cmul(lam, nxt[a:b])
             s, e = a, b - 1
             while s <= e and not nxt[s]:

@@ -45,6 +45,8 @@ def _cmul(a, z: np.ndarray) -> np.ndarray:
 
 
 def _abs(values: np.ndarray) -> np.ndarray:
+    if values.dtype == np.float64:
+        return np.abs(values)  # hypot(x, 0) = |x|, bit for bit
     return np.hypot(values.real, values.imag)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from walkdyn import dynamics
@@ -14,8 +15,8 @@ from walkdyn.dynamics import (
     orbit_density_probe,
     supercyclicity_criterion_certificate,
 )
-from walkdyn.inverse_kernel import right_inverse, step_norm_bound
-from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
+from walkdyn.inverse_kernel import _backward, right_inverse, step_norm_bound
+from walkdyn.operators import BandedOp, Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
 from conftest import random_finseq
@@ -121,6 +122,16 @@ class TestFhcCertificate:
         cert = fhc_chaos_certificate(op, 1.4518508378583153, SpaceSpec.c0())
         assert cert.witness["certified_ratio"] < 1.0
         assert cert.verdict is Verdict.NO
+        assert "not a disproof" in cert.reason
+
+    def test_ratio_rounding_below_one_names_the_exact_test(self):
+        # the witness reads a float ratio below 1, so the reason must not
+        # claim ratio >= 1: it names the exact test that blocked the route
+        op = walk(Periodic((0.8841995512517797, 0.8443879956274093)))
+        cert = fhc_chaos_certificate(op, 1.4518508378583153, SpaceSpec.c0())
+        assert cert.witness["certified_ratio"] == 0.9999999999999999
+        assert "certified ratio >= 1" not in cert.reason
+        assert "|lam|^2 (2 min p - 1)^2 <= 1 exactly" in cert.reason
         assert "not a disproof" in cert.reason
 
     @pytest.mark.parametrize(
@@ -287,6 +298,65 @@ def test_fhc_backward_orbit_matches_the_public_orbit(monkeypatch, factor, form, 
     ref = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
     assert cert.witness["backward_norms"] == ref.witness["backward_norms"]
     assert repr(cert) == repr(ref)
+
+
+@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+@pytest.mark.parametrize("form", _ORBIT_WALKS)
+@pytest.mark.parametrize("factor", [1.3, -1.4, 0.8 + 1.1j], ids=["pos", "neg", "complex"])
+def test_fhc_forward_orbit_matches_the_public_chain(monkeypatch, factor, form, space):
+    # a real lam runs the forward orbit on |lam|: the norms, and so every
+    # witness, are those of the public lam * op.apply(y) chain
+    op = walk(_ORBIT_WALKS[form])
+    lam = factor * step_norm_bound(op)
+    cert = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
+    assert cert.verdict is Verdict.YES, cert.reason
+
+    def public_chain(op, y, n, _lam):
+        yield y.offset, y.values
+        for _ in range(n):
+            y = lam * op.apply(y)
+            yield y.offset, y.values
+
+    monkeypatch.setattr(BandedOp, "_orbit", public_chain)
+    ref = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
+    assert cert.witness["forward_norms"] == ref.witness["forward_norms"]
+    assert repr(cert) == repr(ref)
+
+
+def _checked_reference(op, v, n, space, lam):
+    """Norms and residuals of the backward loop's windows, from FinSeqs and
+    the public apply: norm(lam W z_k - z_{k-1}) / norm(z_{k-1})."""
+    zs = [FinSeq(op.lattice, lo, values) for lo, values in _backward(op, v, n, lam)]
+    norms = [norm(z, space) for z in zs]
+    residuals = []
+    for k in range(1, n + 1):
+        image = op.apply(zs[k]) if lam is None else lam * op.apply(zs[k])
+        residuals.append(norm(image - zs[k - 1], space) / max(norms[k - 1], 1e-300))
+    return norms, residuals, zs[-1]
+
+
+@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+@pytest.mark.parametrize("form", _ORBIT_WALKS)
+@pytest.mark.parametrize(
+    "factor",
+    [None, 1.3, -1.4, complex(1.2, -0.0), 0.8 + 1.1j],
+    ids=["none", "pos", "neg", "minus-zero-imag", "complex"],
+)
+def test_checked_backward_matches_finseq_residuals(factor, form, space):
+    # the float plane forms lam W z_k - z_{k-1} without FinSeqs; its norms
+    # and residuals are those of the FinSeq arithmetic, bit for bit
+    op = walk(_ORBIT_WALKS[form])
+    lam = None if factor is None else factor * step_norm_bound(op)
+    rng = random.Random(f"{factor}{form}{space}")
+    starts = [random_finseq(rng, max_index=5) for _ in range(3)]
+    starts.append(random_finseq(rng, max_index=5, complex_entries=True))
+    for v in starts:
+        planes = {values.dtype for _, values in _backward(op, v, 3, lam)}
+        real = not v.values.imag.any() and (factor is None or not complex(factor).imag)
+        assert (np.dtype(np.float64) in planes) is real
+        got = dynamics._checked_backward(op, v, 10, _ORBIT_SPACES[space], lam)
+        want = _checked_reference(op, v, 10, _ORBIT_SPACES[space], lam)
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)

@@ -15,7 +15,6 @@ from walkdyn.inverse_kernel import (
     _chain_horizon,
     jump_ratio,
     kernel_basis,
-    kernel_span_approx,
     kernel_vector,
     kernel_window_for_tol,
     ratio_bound,
@@ -446,16 +445,6 @@ def test_kernel_vectors_decay_like_weights():
     assert weights[6] / weights[4] == pytest.approx((1 - 0.75) / 0.75, rel=1e-15)
     for i in range(4, sup[1] - 2, 2):
         assert mags[i + 2] == pytest.approx(mags[i] * weights[i + 2] / weights[i], rel=1e-9)
-
-
-def test_kernel_span_approx_agrees_on_leading_window(walk_075):
-    target = FinSeq.unit(0) * 0.5 + FinSeq.unit(2) * 0.25
-    combo, gap = kernel_span_approx(target, walk_075)
-    # power = support extent of the target
-    assert walk_075.power_apply(3, combo).sup_abs() < 1e-8
-    for i in range(3):
-        assert combo.at(i) == pytest.approx(target.at(i), abs=1e-13)
-    assert 0 < gap == pytest.approx((target - combo).sup_abs(), rel=1e-12)
 
 
 def test_kernel_window_raises_when_cap_binds():

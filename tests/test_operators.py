@@ -374,7 +374,9 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
         got = op.power_apply(n, x)
         assert (got.offset, got.values.tobytes()) == (orbit[-1].offset, orbit[-1].values.tobytes())
         # the orbit of lam * W, every step, as the certificates run it
-        lam = rng.choice((complex(-2.0, 0.0), complex(0.5, -0.0), complex(-0.6, 1.3)))
+        lam = rng.choice(
+            (complex(-2.0, 0.0), complex(0.5, -0.0), complex(-0.6, 1.3), complex(1.7, 0.0))
+        )
         got = [
             (lo, FinSeq(op.lattice, lo, values).values.tobytes())
             for lo, values in op._orbit(x, min(n, 60), lam)
@@ -417,6 +419,77 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
                     supercyclicity_criterion_certificate(walk, space),
                 ]
             assert repr(got) == repr(want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_forward_loop_leaves_the_float_plane_when_lam_overflows():
+    # lam > 0 keeps float64 until a product overflows; the next apply then
+    # reads 0 * inf as nan in the complex chain, and so does the loop
+    op = make_walk(Lattice.HALF_LINE, Constant(0.75))
+    x = FinSeq(Lattice.HALF_LINE, 0, [1.0, -2.0, 0.5])
+    for lam in (1e200, complex(1e200, 0.0)):
+        got = [
+            (lo, FinSeq(op.lattice, lo, values).values.tobytes())
+            for lo, values in op._orbit(x, 4, lam)
+        ]
+        want = [(y.offset, y.values.tobytes()) for y in _chain(op, x, 4, lam)]
+        assert got == want
+
+
+_HALF = make_walk(Lattice.HALF_LINE, Constant(0.7))
+_LINE = make_walk(Lattice.LINE, Periodic((0.6, 0.3)))
+_H, _L = Lattice.HALF_LINE, Lattice.LINE
+
+_PROBE_EDGES = {
+    # every target lies below the orbit's window for the first steps
+    "below": (_HALF, FinSeq(_H, 20, [1.0, -0.5]), [FinSeq.unit(0), FinSeq(_H, 2, [0.5, 0, 0.25j])]),
+    # every target lies above it
+    "above": (_HALF, FinSeq.unit(0), [FinSeq(_H, 30, [1.0, 2.0 - 1.0j])]),
+    # targets reaching past one end of the window, or both, and the empty one
+    "straddling": (
+        _HALF,
+        FinSeq(_H, 4, [1.0, 2.0, -1.0]),
+        [
+            FinSeq(_H, 0, [0.5] + [0.0] * 12 + [1j]),
+            FinSeq(_H, 5, [0.25, -0.5, 0.75 + 0.5j, 0.0, 0.0, 1.0]),
+            FinSeq.zero(),
+        ],
+    ),
+    # half the smallest subnormal rounds to zero: the orbit is 0 from step 1
+    "dies-out": (
+        make_walk(_H, Constant(0.5)),
+        FinSeq(_H, 3, [5e-324]),
+        [FinSeq.unit(2), FinSeq.zero(), FinSeq(_H, 1, [1j, 0.5])],
+    ),
+    # line targets at negative offsets, below and inside the window
+    "line-negative": (
+        _LINE,
+        FinSeq(_L, -2, [1.0, 0.5]),
+        [FinSeq(_L, -9, [0.25, -1.0]), FinSeq(_L, -3, [1j, 0.5 - 0.5j, 2.0])],
+    ),
+    # a complex start against complex targets
+    "complex": (
+        _LINE,
+        FinSeq(_L, 1, [1 + 1j, -0.5j]),
+        [FinSeq(_L, -4, [0.3 + 0.2j]), FinSeq(_L, 0, [1j, 0.0, -1 - 1j])],
+    ),
+}
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["plain", "projective"])
+@pytest.mark.parametrize("space", [SpaceSpec.c0(), SpaceSpec.lq(1), SpaceSpec.lq(2.5)], ids=str)
+@pytest.mark.parametrize("case", _PROBE_EDGES)
+def test_orbit_probe_edge_targets_match_the_reference(case, space, projective):
+    op, x, targets = _PROBE_EDGES[case]
+    report = orbit_density_probe(op, x, targets, space, 12, 1.0, projective)
+    ref = _reference_probe(list(_chain(op, x, 12)), targets, space, 1.0, projective)
+    assert repr(report) == repr(replace(report, **ref))
+
+
+def test_orbit_probe_rejects_targets_on_another_lattice():
+    with pytest.raises(ValueError, match="lattices"):
+        orbit_density_probe(_HALF, FinSeq.unit(0), [FinSeq.unit(0, Lattice.LINE)])
 
 
 def test_forward_loops_call_no_apply(monkeypatch):
