@@ -346,6 +346,8 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
             raise ValueError(f"spectrum --mode {args.mode} takes no --{flag.replace('_', '-')}")
     space = SpaceSpec.parse(args.space or "c0")
     band = 1e-8 if args.band is None else args.band
+    if not band >= 0:
+        raise ValueError(f"--band must be nonnegative, got {band}")
     angles = 24 if args.angles is None else args.angles
     n_max = 200 if args.n_max is None else args.n_max
     config.update(mode=args.mode, space=str(space))

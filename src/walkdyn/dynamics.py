@@ -15,10 +15,11 @@ certificate's witness; a failed recomputation downgrades the verdict to
 Undetermined rather than passing silently.  Both certificates read one
 checked backward orbit (:func:`_checked_backward`): one run of the
 backward loop, with the identity lam W z_k = z_{k-1} measured on every
-step.  For a real start and a real lam both orbits are checked on float64,
-the forward one on |lam|: the bits for lam > 0, the moduli (all a norm
-reads) for lam < 0.  Decisions at a threshold (the certified ratio, the column sums of
-a disproof) are taken exactly on the floats' dyadic values.
+step.  Forward, T^n s = lam^n W^n s: that loop iterates W alone, and lam
+only scales the reported norms.  Backward, (S/lam)^k s shrinks at the
+certified ratio while S^k s grows like bound^k and would overflow: that
+loop keeps its 1/lam scaling.  Decisions at a threshold (the certified
+ratio, the column sums of a disproof) are exact on the floats' values.
 
 Negative results come in two flavors and the distinction is kept explicit:
 "no by criterion" only records that this route is blocked, while a genuine
@@ -29,6 +30,7 @@ the property out.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -87,9 +89,9 @@ def _settle(
     return Certificate(kind, Verdict.YES, params, witness)
 
 
-def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec, lam=None) -> list[float]:
-    """Norms of x, Tx, ..., T^n x for T = lam W (T = W without lam)."""
-    return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n, lam)]
+def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec) -> list[float]:
+    """Norms of x, Wx, ..., W^n x."""
+    return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n)]
 
 
 def _diff_moduli(lo: int, y: np.ndarray, y_mags: np.ndarray, t_lo: int, t, t_mags) -> np.ndarray:
@@ -108,28 +110,30 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
 
     Returns the norms of z_0 .. z_n, z_k = (S/lam)^k v (S^k v without lam),
     the residual ||lam W z_k - z_{k-1}|| / ||z_{k-1}|| of each step
-    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  On the float plane
-    (a real start, lam None or real) lam W z_k is formed on float64: the
-    real parts of ``lam * op.apply(z_k)`` up to the signs of zeros, whose
-    imaginary parts are zeros; every modulus, and so every norm, is the same.
+    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  lam W z_k is formed
+    on the plane of each window ``_backward`` yields, with the operations
+    of ``lam * op.apply(z_k)``: its bits on complex128, its real parts on
+    float64 up to the signs of zeros; every modulus, and so every norm, is
+    the same.
     """
     norms, residuals, prev = [], [], None
     up = down = np.empty(0)  # the band, read once per run and doubled on demand
     for lo, z in _backward(op, v, n, lam):
-        if prev and z.dtype == np.float64 and len(z) and (lam is None or not lam.imag):
-            # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0), so
-            # apply's rows are lo - 1 .. hi + 1 and row 0 holds on a zero
+        if prev:
+            # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0; read an
+            # empty one at 1): apply's rows are lo - 1 .. hi + 1, row 0 on a zero
+            lo = max(lo, 1)
             hi = lo + len(z) - 1
             if len(up) < hi + 2:
                 up, down = op._band(np.arange(2 * hi + 4))
             zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
-            image = down[lo - 1 : hi + 2] * zs[:-2] + up[lo - 1 : hi + 2] * zs[2:]
-            w = lo - 1, image * (1.0 if lam is None else lam.real)
-        elif prev:
-            w = op.apply(FinSeq(op.lattice, lo, z))
-            w = w.offset, (w if lam is None else lam * w).values
-        if prev:
-            diff = _diff_moduli(*w, _abs(w[1]), *prev)
+            d, u = down[lo - 1 : hi + 2], up[lo - 1 : hi + 2]
+            if z.dtype == np.float64:  # the float plane, where 1/lam is real
+                w = (d * zs[:-2] + u * zs[2:]) * (1.0 if lam is None else lam.real)
+            else:
+                w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
+                w = w if lam is None else _cmul(lam, w)
+            diff = _diff_moduli(lo - 1, w, _abs(w), *prev)
             residuals.append(_norm_of_moduli(diff, space) / max(norms[-1], 1e-300))
         prev = lo, z, _abs(z)
         norms.append(_norm_of_moduli(prev[2], space))
@@ -173,23 +177,25 @@ def fhc_chaos_certificate(
 
     The criterion (Grosse-Erdmann & Peris, Linear Chaos, ch. 9) needs W S =
     I, ||(S/lam)^k|| <= ratio^k with ratio = step_norm_bound/|lam| < 1, and
-    T^m s = 0 for T = lam W and a kernel sample s of W^m.  Then z_k =
-    (S/lam)^k s sums to a periodic point x = sum_j z_{jm}, T^m x = x, whose
-    terms past z_{Jm} add at most ||z_{Jm}|| ratio^m / (1 - ratio^m)
-    (``backward_norms``, ``certified_ratio``); no sum is formed.
+    T^m s = 0, that is W^m s = 0, for T = lam W and a kernel sample s of
+    W^m.  Then z_k = (S/lam)^k s sums to a periodic point x = sum_j z_{jm},
+    T^m x = x, whose terms past z_{Jm} add at most ||z_{Jm}|| ratio^m /
+    (1 - ratio^m) (``backward_norms``, ``certified_ratio``); no sum is formed.
 
     YES requires ratio < 1, decided exactly as well, and checks on one
     backward orbit z_0 .. z_{n_max} and the forward orbit of s: lam W z_k =
     z_{k-1} to 1e-10 relative at k = 1 (inverse-identity) and at k = 2 ..
-    n_max (periodic-point, the n_max // m periods of ``periodic_terms``);
-    the forward tail past m below 1e-10 of the head, every term rescaled by
-    |lam|^n, which amplifies its roundoff; backward norms contracting at
-    least at the certified ratio.  A NO from ratio >= 1 only reports that
-    this criterion is blocked; when in addition |lam| <= 1 and the walk is
-    a contraction (on c0 always, else when every column sums to at most 1,
-    exactly), every orbit is bounded and the NO is flagged as a genuine
-    disproof.  When the kernel window for the sample would pass its cap,
-    the verdict is Undetermined and the reason names the cap.
+    n_max (periodic-point, the n_max // m periods of ``periodic_terms``),
+    every norm above the residuals' 1e-300 floor (backward-underflow); the
+    tail of ||W^n s||, n >= m, below 1e-10 of the head (``forward_norms``
+    holds ||T^n s|| = ||W^n s|| |lam|^n, inf past the float range); backward
+    norms contracting at least at the certified ratio.  A NO from ratio >= 1
+    only reports that this criterion is blocked; when in addition |lam| <= 1
+    and the walk is a contraction (on c0 always, else when every column
+    sums to at most 1, exactly), every orbit is bounded and the NO is
+    flagged as a genuine disproof.  When the kernel window for the sample
+    would pass its cap, the verdict is Undetermined and the reason names
+    the cap.
     """
     lam = complex(lam)
     params = {
@@ -203,6 +209,8 @@ def fhc_chaos_certificate(
         raise ValueError("the certificate machinery is built for the half-line walk")
     if lam == 0:
         raise ValueError("lam must be nonzero")
+    if not np.isfinite(lam):
+        raise ValueError("lam must be finite")
     if n_max < 8:
         raise ValueError("n_max below 8 leaves no room past the annihilation index")
     blocked = _check_dynamics_space(space)
@@ -251,36 +259,30 @@ def fhc_chaos_certificate(
         return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, str(exc))
     (sample,) = kernel_basis(op, m, window, tol=deep_tol, count=1)
 
-    # forward orbit of the kernel sample under T = lam W; roundoff in the
-    # iterated products is amplified by |lam|^n, so every term is rescaled
-    # back before the tail is judged against the head.  For a real lam each
-    # entry of T^n s is +- that of (|lam| W)^n s, and only moduli are read,
-    # so the orbit runs on |lam|, on the float plane
-    fwd = _orbit_norms(op, sample, n_max, space, lam if lam.imag else abs(lam))
-    scale = max(1.0, abs(lam))
-    scaled = [f / scale**n for n, f in enumerate(fwd)]
-    scaled_tail = math.fsum(scaled[m:])
-    forward_ok = scaled_tail <= 1e-10 * max(scaled[: m + 1])
+    # forward orbit of the kernel sample: T^n s = lam^n W^n s, so T^m s = 0
+    # is judged on W^n s, with no roundoff amplified by |lam|^n; the witness
+    # scales each norm by a running product of |lam|, inf once it overflows
+    fwd = _orbit_norms(op, sample, n_max, space)
+    scaled_tail = math.fsum(fwd[m:])
+    powers = itertools.accumulate([abs(lam)] * n_max, float.__mul__, initial=1.0)
 
     # one checked backward orbit z_k = (S/lam)^k sample, k <= n_max
     back, residuals, _ = _checked_backward(op, sample, n_max, space, lam)
     ratios = [back[k + 1] / back[k] for k in range(n_max) if back[k] > 0]
     max_ratio = max(ratios) if ratios else 0.0
-    ratios_ok = max_ratio <= ratio * (1.0 + tol)
-    periodic_residual = max(residuals[1:])
 
     witness.update(
         {
             "inverse_residual": residuals[0],
             "annihilation_index": m,
-            "forward_norms": tuple(fwd),
+            "forward_norms": tuple(f * q if f else f for f, q in zip(fwd, powers)),
             "forward_scaled_tail": scaled_tail,
             "backward_norms": tuple(back),
             "max_empirical_ratio": max_ratio,
             "measured_ratio": back[-1] / back[-2] if back[-2] > 0 else 0.0,
             "periodic_period": m,
             "periodic_terms": n_max // m,
-            "periodic_residual": periodic_residual,
+            "periodic_residual": max(residuals[1:]),
         }
     )
     return _settle(
@@ -289,9 +291,11 @@ def fhc_chaos_certificate(
         witness,
         [
             ("inverse-identity", residuals[0] <= 1e-10),
-            ("forward-annihilation", forward_ok),
-            ("backward-ratio", ratios_ok),
+            ("forward-annihilation", scaled_tail <= 1e-10 * max(fwd[: m + 1])),
+            ("backward-ratio", max_ratio <= ratio * (1.0 + tol)),
             ("periodic-point", all(r <= 1e-10 for r in residuals[1:])),
+            # past a norm under the residuals' floor no step is checked
+            ("backward-underflow", min(back) >= 1e-300),
         ],
         "frequent hypercyclicity and chaos hold: backward sums converge "
         "geometrically at the certified ratio and a dense set has "

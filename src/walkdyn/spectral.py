@@ -72,6 +72,8 @@ def point_spectrum_probe(
     near the circle stay Undetermined.
     """
     _check_prob(p)
+    if not band >= 0:
+        raise ValueError(f"band must be nonnegative, got {band}")
     lam = complex(lam)
     disc = lam * lam - 4.0 * p * (1.0 - p)
     s = cmath.sqrt(disc)
@@ -276,6 +278,8 @@ def symmetric_dual_interval_check(
     interval of them leaves no room for supercyclicity there.
     """
     p = 0.5
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if lambdas is None:
         lambdas = tuple(-0.95 + 1.9 * k / 38 for k in range(39))
     certified: list[bool] = []

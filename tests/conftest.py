@@ -38,6 +38,14 @@ def random_finseq(
     return FinSeq.from_values(values, offset=offset, lattice=lattice)
 
 
+def apply_chain(op, x: FinSeq, n: int):
+    """The reference orbit x, Ax, ..., A^n x: one ``apply`` per step."""
+    yield x
+    for _ in range(n):
+        x = op.apply(x)
+        yield x
+
+
 def dense_matrix(op, size: int):
     """Dense top-left block of the operator, an independent comparison point."""
     if op.lattice is Lattice.HALF_LINE:

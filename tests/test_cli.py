@@ -170,6 +170,22 @@ class TestCertify:
         assert code == 3
         assert json.loads(out)["result"]["holds"] == "undetermined"
 
+    @pytest.mark.parametrize("lam", ["inf", "nan", "1+infj"])
+    def test_fhc_non_finite_lambda_exit_2(self, capsys, lam):
+        code, out, err = run(capsys, "certify", "fhc", "--pseq", "const:0.75", "--lambda", lam)
+        assert code == 2
+        assert out == ""
+        assert "lam must be finite" in err
+
+    @pytest.mark.parametrize("argv", [["--lambda", "1e20"], ["--lambda", "1e12", "--n-max", "40"]])
+    def test_fhc_huge_lambda_reports_the_underflow(self, capsys, argv):
+        # before, |lam|^n overflowed in the forward rescaling: a traceback
+        code, out, _ = run(capsys, "certify", "fhc", "--pseq", "const:0.75", *argv)
+        assert code == 3
+        res = json.loads(out)["result"]
+        assert res["holds"] == "undetermined"
+        assert "backward-underflow" in res["reason"]
+
     def test_supercyclicity(self, capsys):
         code, doc = run_json(
             capsys, "certify", "supercyclicity", "--pseq", "const:0.75"
@@ -385,6 +401,28 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "give exactly one of --p and --pseq" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p", "0.75", "--lam", "1.5", "--space", "c0"],
+            ["--mode", "radius", "--p", "0.75", "--space", "c0"],
+        ],
+    )
+    def test_spectrum_negative_band_exit_2(self, capsys, argv):
+        # before, --band -1 answered member: yes at lam = 1.5 on c0, and
+        # radius mode reported 1.375 against 0.49999905
+        code, out, err = run(capsys, "spectrum", *argv, "--band", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--band must be nonnegative" in err
+
+    def test_spectrum_symmetric_n_max_zero_exit_2(self, capsys):
+        # before, --n-max 0 ended in an IndexError traceback
+        code, out, err = run(capsys, "spectrum", "--mode", "symmetric", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_max must be at least 1" in err
 
     def test_spectrum_modes_take_their_own_flags(self, capsys):
         code, doc = run_json(

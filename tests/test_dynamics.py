@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -19,7 +20,7 @@ from walkdyn.inverse_kernel import _backward, right_inverse, step_norm_bound
 from walkdyn.operators import BandedOp, Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
-from conftest import random_finseq
+from conftest import apply_chain, random_finseq
 
 
 def walk(pseq, lattice=Lattice.HALF_LINE):
@@ -158,6 +159,27 @@ class TestFhcCertificate:
         cert = fhc_chaos_certificate(walk(Constant(0.55)), 24.0, SpaceSpec.c0())
         assert cert.verdict is Verdict.UNDETERMINED
         assert cert.reason == "numerical verification failed: forward-annihilation"
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+    def test_non_finite_lam_rejected(self, walk_075, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0())
+
+    @pytest.mark.parametrize(
+        "lam, n_max, step",
+        [(1e20, 20, 16), (1e12, 40, 26), (-1e300, 20, 2), (complex(1e300, 1e300), 20, 1)],
+    )
+    def test_huge_lam_reports_where_the_backward_orbit_underflows(self, walk_075, lam, n_max, step):
+        # |lam|^n overflows the forward witness to inf, and the backward
+        # orbit falls below the residuals' 1e-300 floor at the given step,
+        # before n_max: the steps past it check nothing, and the reason says so
+        cert = fhc_chaos_certificate(walk_075, lam, SpaceSpec.c0(), n_max=n_max)
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.reason.startswith("numerical verification failed: ")
+        assert cert.reason.endswith("backward-underflow")
+        assert cert.witness["forward_norms"][-1] == math.inf
+        back = cert.witness["backward_norms"]
+        assert back[step] < 1e-300 <= min(back[:step])
 
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
@@ -304,23 +326,36 @@ def test_fhc_backward_orbit_matches_the_public_orbit(monkeypatch, factor, form, 
 @pytest.mark.parametrize("form", _ORBIT_WALKS)
 @pytest.mark.parametrize("factor", [1.3, -1.4, 0.8 + 1.1j], ids=["pos", "neg", "complex"])
 def test_fhc_forward_orbit_matches_the_public_chain(monkeypatch, factor, form, space):
-    # a real lam runs the forward orbit on |lam|: the norms, and so every
-    # witness, are those of the public lam * op.apply(y) chain
+    # the forward check reads W^n s: every witness is the one the public
+    # op.apply(y) chain gives
     op = walk(_ORBIT_WALKS[form])
     lam = factor * step_norm_bound(op)
     cert = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
     assert cert.verdict is Verdict.YES, cert.reason
 
-    def public_chain(op, y, n, _lam):
-        yield y.offset, y.values
-        for _ in range(n):
-            y = lam * op.apply(y)
+    def public_chain(op, y, n):
+        for y in apply_chain(op, y, n):
             yield y.offset, y.values
 
     monkeypatch.setattr(BandedOp, "_orbit", public_chain)
     ref = fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space])
     assert cert.witness["forward_norms"] == ref.witness["forward_norms"]
     assert repr(cert) == repr(ref)
+
+
+@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+@pytest.mark.parametrize("form", _ORBIT_WALKS)
+def test_fhc_forward_witnesses_do_not_depend_on_the_phase_of_lam(form, space):
+    # T^n s = lam^n W^n s: the check reads W^n s, and the witness scales its
+    # norms by |lam|^n, so lam, -lam and a complex lam of the same modulus
+    # give the same bits
+    op = walk(_ORBIT_WALKS[form])
+    turned = cmath.rect(1.3 * step_norm_bound(op), 0.9)
+    lams = (abs(turned), -abs(turned), turned)
+    certs = [fhc_chaos_certificate(op, lam, _ORBIT_SPACES[space]) for lam in lams]
+    assert all(cert.verdict is Verdict.YES for cert in certs)
+    for key in ("forward_norms", "forward_scaled_tail"):
+        assert len({repr(cert.witness[key]) for cert in certs}) == 1
 
 
 def _checked_reference(op, v, n, space, lam):

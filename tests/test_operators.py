@@ -25,7 +25,7 @@ from walkdyn.operators import (
 )
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
-from conftest import dense_matrix, random_finseq, random_pseq
+from conftest import apply_chain, dense_matrix, random_finseq, random_pseq
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 
@@ -257,20 +257,8 @@ def test_half_line_powers_reach_exact_band(p, n, i):
 _EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 3e-323, -3e-323, 1.0, -1.0)
 
 
-def _chain(op, x, n, lam=None):
-    """The reference orbit x, Tx, ..., T^n x: one ``apply`` per step,
-    followed by ``lam *`` when lam is given."""
-    y = x
-    yield y
-    for _ in range(n):
-        y = op.apply(y)
-        if lam is not None:
-            y = lam * y
-        yield y
-
-
-def _chain_windows(op, x, n, lam=None):
-    for y in _chain(op, x, n, lam):
+def _chain_windows(op, x, n):
+    for y in apply_chain(op, x, n):
         yield y.offset, y.values
 
 
@@ -370,21 +358,17 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
     fixed = _fixed_forward_cases()
     for case in range(300):
         op, x, n = fixed[case] if case < len(fixed) else _forward_case(rng)
-        orbit = list(_chain(op, x, n))
+        orbit = list(apply_chain(op, x, n))
         got = op.power_apply(n, x)
         assert (got.offset, got.values.tobytes()) == (orbit[-1].offset, orbit[-1].values.tobytes())
-        # the orbit of lam * W, every step, as the certificates run it
-        lam = rng.choice(
-            (complex(-2.0, 0.0), complex(0.5, -0.0), complex(-0.6, 1.3), complex(1.7, 0.0))
-        )
+        # every step, as the reports and the certificates read it; their
+        # loops are kept short
+        steps, space = min(n, 60), spaces[case % 3]
         got = [
             (lo, FinSeq(op.lattice, lo, values).values.tobytes())
-            for lo, values in op._orbit(x, min(n, 60), lam)
+            for lo, values in op._orbit(x, steps)
         ]
-        want = [(y.offset, y.values.tobytes()) for y in _chain(op, x, min(n, 60), lam)]
-        assert got == want
-        # the reports read every step; their loops are kept short
-        steps, space = min(n, 60), spaces[case % 3]
+        assert got == [(y.offset, y.values.tobytes()) for y in orbit[: steps + 1]]
         targets = [
             random_finseq(rng, op.lattice, max_index=6, complex_entries=rng.random() < 0.5)
             for _ in range(rng.randint(1, 2))
@@ -401,7 +385,7 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
         line = make_walk(Lattice.LINE, Constant(round(rng.uniform(0.05, 0.95), 6)))
         xl = FinSeq(Lattice.LINE, x.offset, x.values)
         report = line_walk_lower_bound(line, xl, steps, space)
-        norms = tuple(norm(y, space) for y in _chain(line, xl, steps))
+        norms = tuple(norm(y, space) for y in apply_chain(line, xl, steps))
         ref = {"step_norms": norms, "start_norm": norms[0], "measured": norms[-1]}
         assert repr(report) == repr(replace(report, **ref))
         if case % 30 == 0:
@@ -419,22 +403,6 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
                     supercyclicity_criterion_certificate(walk, space),
                 ]
             assert repr(got) == repr(want)
-
-
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_forward_loop_leaves_the_float_plane_when_lam_overflows():
-    # lam > 0 keeps float64 until a product overflows; the next apply then
-    # reads 0 * inf as nan in the complex chain, and so does the loop
-    op = make_walk(Lattice.HALF_LINE, Constant(0.75))
-    x = FinSeq(Lattice.HALF_LINE, 0, [1.0, -2.0, 0.5])
-    for lam in (1e200, complex(1e200, 0.0)):
-        got = [
-            (lo, FinSeq(op.lattice, lo, values).values.tobytes())
-            for lo, values in op._orbit(x, 4, lam)
-        ]
-        want = [(y.offset, y.values.tobytes()) for y in _chain(op, x, 4, lam)]
-        assert got == want
 
 
 _HALF = make_walk(Lattice.HALF_LINE, Constant(0.7))
@@ -483,7 +451,7 @@ _PROBE_EDGES = {
 def test_orbit_probe_edge_targets_match_the_reference(case, space, projective):
     op, x, targets = _PROBE_EDGES[case]
     report = orbit_density_probe(op, x, targets, space, 12, 1.0, projective)
-    ref = _reference_probe(list(_chain(op, x, 12)), targets, space, 1.0, projective)
+    ref = _reference_probe(list(apply_chain(op, x, 12)), targets, space, 1.0, projective)
     assert repr(report) == repr(replace(report, **ref))
 
 

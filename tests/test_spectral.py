@@ -119,6 +119,16 @@ def test_certified_disk_radius_needs_an_angle(n_angles):
         certified_disk_radius(0.75, SpaceSpec.c0(), n_angles=n_angles)
 
 
+@pytest.mark.parametrize("band", [-1.0, -1e-12, math.nan])
+def test_negative_band_rejected(band):
+    # a band of -1 decided max_modulus 1.816 as a member of c0 at lam = 1.5,
+    # and certified the radius 1.375 where the default band gives 0.49999905
+    with pytest.raises(ValueError, match="band must be nonnegative"):
+        point_spectrum_probe(0.75, 1.5, SpaceSpec.c0(), band=band)
+    with pytest.raises(ValueError, match="band must be nonnegative"):
+        certified_disk_radius(0.75, SpaceSpec.c0(), band=band)
+
+
 def test_kernel_vector_is_eigenvector():
     rng = random.Random(12)
     for _ in range(15):
@@ -179,6 +189,13 @@ def test_symmetric_interval_check_default_grid():
     assert len(rep.lambdas) == 39
     assert all(rep.certified)
     assert "supercyclic" in rep.conclusion
+
+
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_symmetric_interval_check_needs_a_coordinate(n_max):
+    # n_max = 0 read q[1] of a one-entry candidate and raised IndexError
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        symmetric_dual_interval_check(n_max=n_max)
 
 
 def test_symmetric_interval_check_small_grid():
