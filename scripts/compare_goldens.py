@@ -39,27 +39,30 @@ def roundoff(doc) -> dict:
     w = result.get("witness", {}) if kind else {}
     if "annihilation_index" not in w:
         return {}
-    m, fwd = w["annihilation_index"], w["forward_norms"]
+    # float() reads the strings "inf", "-inf" and "nan" the CLI writes for non-finite floats
+    m, fwd = w["annihilation_index"], [float(f) for f in w["forward_norms"]]
     if kind == "fhc-chaos":
         re, im = result["params"]["lam"]
         scale = max(1.0, math.hypot(re, im))
-        scaled = [f / scale**n for n, f in enumerate(fwd)]
+        scaled = fwd[:]
+        for n in range(1, len(scaled)):  # f / scale**n, one division at a time: never raises
+            scaled[n:] = [f / scale for f in scaled[n:]]
         tail_gate = 1e-10 * max(scaled[: m + 1])
         return {
-            "inverse_residual": (w["inverse_residual"], 1e-10),
-            "forward_scaled_tail": (w["forward_scaled_tail"], tail_gate),
-            "periodic_residual": (w["periodic_residual"], 1e-10),
+            "inverse_residual": (float(w["inverse_residual"]), 1e-10),
+            "forward_scaled_tail": (float(w["forward_scaled_tail"]), tail_gate),
+            "periodic_residual": (float(w["periodic_residual"]), 1e-10),
             "forward_norms": (math.fsum(scaled[m:]), tail_gate),
         }
     if kind == "supercyclicity":
-        back = w["backward_norms"]
+        back = [float(b) for b in w["backward_norms"]]
         return {
-            "step_residual": (w["step_residual"], 1e-12),
+            "step_residual": (float(w["step_residual"]), 1e-12),
             "inverse_residual": (
-                w["inverse_residual"],
-                1e-11 * max(1.0, back[0]) * max(1.0, w["backward_dynamic_range"]),
+                float(w["inverse_residual"]),
+                1e-11 * max(1.0, back[0]) * max(1.0, float(w["backward_dynamic_range"])),
             ),
-            "max_product": (w["max_product"], 1e-10 * max(1.0, max(back))),
+            "max_product": (float(w["max_product"]), 1e-10 * max(1.0, max(back))),
             "forward_norms": (math.fsum(fwd[m:]), 1e-12 * max(1.0, fwd[0])),
         }
     return {}

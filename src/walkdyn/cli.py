@@ -14,6 +14,7 @@ A --tol must lie strictly between 0 and 1.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import enum
@@ -116,6 +117,8 @@ def parse_vector(text: str, lattice: Lattice) -> FinSeq:
         raise ValueError(f"bad vector literal: {text!r}") from None
     if not values:
         raise ValueError(f"empty vector literal: {text!r}")
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"vector entries must be finite: {text!r}")
     return FinSeq.from_values(values, offset=offset, lattice=lattice)
 
 

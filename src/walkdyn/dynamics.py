@@ -218,7 +218,8 @@ def fhc_chaos_certificate(
         return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, {}, blocked)
 
     bound = step_norm_bound(op)
-    ratio = bound / abs(lam)
+    modulus = math.hypot(lam.real, lam.imag)  # inf past the float range, where abs raises
+    ratio = bound / modulus
     witness: dict = {"step_bound": bound, "certified_ratio": ratio}
 
     # the float ratio rounds, so |lam| is compared exactly as well: with
@@ -264,7 +265,7 @@ def fhc_chaos_certificate(
     # scales each norm by a running product of |lam|, inf once it overflows
     fwd = _orbit_norms(op, sample, n_max, space)
     scaled_tail = math.fsum(fwd[m:])
-    powers = itertools.accumulate([abs(lam)] * n_max, float.__mul__, initial=1.0)
+    powers = itertools.accumulate([modulus] * n_max, float.__mul__, initial=1.0)
 
     # one checked backward orbit z_k = (S/lam)^k sample, k <= n_max
     back, residuals, _ = _checked_backward(op, sample, n_max, space, lam)
@@ -436,6 +437,8 @@ def constant_tail_obstruction(
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero for the obstruction to bite")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if perturbation.lattice is not op.lattice:
         raise ValueError("the perturbation must live on the operator's lattice")
     if n_max < 0:

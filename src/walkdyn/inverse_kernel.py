@@ -19,25 +19,24 @@ operations of Python ``complex`` arithmetic in the same order, so the
 result is bit-identical to the plain loop over indices, which the tests
 keep as the reference.  CPython divides a complex by a float through
 p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p).  Past the support v
-vanishes and each parity chain is a running product of the r_k, so long
-tails come from ``np.multiply.accumulate`` (:func:`_product_tail`).
+vanishes, and the same loop continues with 0 + r_{n-1} u_{n-2} up to the
+cap.
 
 Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
 S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
 run, into arrays that double on demand, and folds the trim and the 1/lam
-scaling into each step.  A start whose imaginary parts are all +0 runs on
-the float plane: (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 +
-r_{n-1} u_{n-2} past v, are the real parts of the complex entries, whose
-imaginary parts stay +0; a step that overflows there is redone in
+scaling into each step.  A start runs on the float plane by the rule of
+the forward loop (``seqspace._float_plane``: every entry finite, every
+imaginary part +0).  There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and
+0.0 + r_{n-1} u_{n-2} past v, are the real parts of the complex entries,
+whose imaginary parts stay +0; a step that overflows there is redone in
 ``complex``, where 0.0 * inf makes nan parts.  A real scaling stays on the
 plane: x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c =
 1/lam, and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and
-the complex path makes zeros of either sign; under a real lam a start with
-imaginary zeros of either sign takes the plane as well.  The paths then
-differ at most in the signs of zeros: nonzero entries keep their bits, and
-every norm, trim and stop test reads through ``hypot``, ``abs`` or ``== 0``;
-so the contract is exact bits for lam > 0, and moduli only for lam < 0.
-Other starts, and complex lam, run on ``complex``.
+the paths differ at most in the signs of zeros: nonzero entries keep their
+bits, and every norm, trim and stop test reads through ``hypot``, ``abs``
+or ``== 0``; so the contract is exact bits for lam > 0, and moduli only
+for lam < 0.  Other starts, and complex lam, run on ``complex``.
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 the kernel weights decay.  ker W is spanned by the closed-form kernel
@@ -57,10 +56,9 @@ import numpy as np
 
 from .classify import _log_odds, kernel_decay_log_factors
 from .operators import BandedOp, PSeq
-from .seqspace import FinSeq, Lattice, _abs, _cmul
+from .seqspace import FinSeq, Lattice, _abs, _cmul, _float_plane
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
-_SCALAR_TAIL = 32  # tail entries taken one by one before the array set-up pays off
 
 
 class TailNotDecayingError(RuntimeError):
@@ -152,47 +150,13 @@ def _chain_horizon(
     return last + span
 
 
-def _product_tail(
-    pseq: PSeq, s: int, last: list, cap: int, threshold: float
-) -> tuple[np.ndarray | None, bool]:
-    """The tail u_s+2, ... after u_s, u_s+1 (``last``) on arrays, same bits.
-
-    CPython's 0j + r * x is (r*re + 0.0, r*im + 0.0) for finite parts, so
-    each part of each parity chain is a running product of the r_k, and
-    moduli come from ``np.hypot``, as ``abs`` takes them.  Returns (u_s+2 ..
-    u_n, True) for the first n that passes the stop test, else (u_s+2 ..
-    u_cap, False), or (None, False) when a chain, which then stays
-    non-finite, overflows: there 0.0 * inf makes nan parts, so the entries
-    must be taken one by one.
-    """
-    # rows (re, im) of u_s .. u_cap; past s + 1 they hold r_s+1 .. r_cap-1
-    # (and a row of ones if the count is odd) before the products
-    size = cap + 1 - s
-    rows = np.empty((size + size % 2, 2))
-    rows[:2] = np.array(last, np.complex128).view(np.float64).reshape(-1, 2)
-    rows[2:size] = jump_ratio(pseq.prob_array(np.arange(s + 1, cap)))[:, None]
-    rows[size:] = 1.0
-    chains = rows.reshape(-1, 2, 2)
-    np.multiply.accumulate(chains, axis=0, out=chains)
-    rows[2:] += 0.0
-    mags = np.hypot(rows[1:size, 0], rows[1:size, 1])  # |u_s+1| .. |u_cap|
-    small = mags <= threshold
-    done = small[1:] & small[:-1]  # the stop test at n = s + 2 .. cap
-    k = int(done.argmax())
-    values = rows.view(np.complex128).ravel()
-    if done[k]:
-        return values[2 : k + 3], True
-    if np.isfinite(mags[-2:]).all():
-        return values[2:size], False
-    return None, False
-
-
 def _backward(
     op: BandedOp, v: FinSeq, k: int, lam: complex | None = None, tol=1e-13, max_support=None
 ):
     """Yield (offset, values) for v, Sv/lam, ..., S^k v/lam^k (S^j v without lam):
-    the windows ``right_inverse`` then ``* (1/lam)`` leave, on the float plane
-    their real parts (module docstring).  Raises as ``right_inverse`` does."""
+    the windows ``right_inverse`` then ``* (1/lam)`` leave; their real parts
+    when v is on the float plane, by ``BandedOp._orbit``'s rule (module
+    docstring).  Raises as ``right_inverse`` does."""
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
         raise ValueError("the vector must live on the half-line")
@@ -200,19 +164,18 @@ def _backward(
     c = None if lam is None else complex(1.0 / lam)
     p, rl = np.empty(0), []  # p_n and r_n, read once per run, doubled on demand
 
-    def extend(u: list, lo: int, stop: int, threshold: float, r: list) -> bool:
-        """Continue u (from index lo) past v up to index stop - 1 by 0 + r_{n-1} u_{n-2};
-        True, and stop, at the first n with |u_n|, |u_{n-1}| within the threshold."""
-        for n in range(lo + len(u), stop):
-            u.append(u[0] + r[n - 1] * u[-2])  # u[0] = u_lo, a zero of the plane's type
-            if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
-                return True
-        return False
+    def read(n: int) -> None:
+        """Make p and rl reach index n - 1."""
+        nonlocal p, rl
+        if len(rl) < n:
+            p = pseq.prob_array(np.arange(max(2 * len(rl), n)))
+            rl = jump_ratio(p).tolist()
 
     @np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
     def step(lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """S x from index lo on, for x on lo..hi (nonzero at both ends), on
         the plane of x; None when the float plane overflows."""
+        read(hi + 2)  # the tail reads r_hi+1 at least
         flat = x.dtype == np.float64
         a = np.empty(len(x), x.dtype)  # CPython divides a complex by a float through p + 0j
         a.real = (x.real + x.imag * 0.0) / p[lo : hi + 1]
@@ -239,39 +202,30 @@ def _backward(
                     max(abs(x0), abs(x1)),
                 )
             cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
-        # most tails stop within a few entries of the support: those entries
-        # are taken one by one, and the rest, if any, as running products
-        stopped = extend(u, lo, min(cap, hi + _SCALAR_TAIL) + 1, threshold, rl)
-        if not stopped and lo + len(u) <= cap:
-            tail, stopped = _product_tail(pseq, lo + len(u) - 2, u[-2:], cap, threshold)
-            if tail is None:
-                r = jump_ratio(pseq.prob_array(np.arange(cap))).tolist()
-                stopped = extend(u, lo, cap + 1, threshold, r)
-            else:
-                u = np.concatenate((u, tail.real if flat else tail))
-        if flat and not math.isfinite(u[-1] + u[-2]):
-            return None
-        if not stopped and max_support is None:
-            last = max(abs(complex(u[-1])), abs(complex(u[-2])))
-            raise TailNotDecayingError(
-                "preimage tail has not decayed below tolerance: the jump "
-                f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
-                last,
-            )
+        read(cap)
+        for r in rl[hi + 1 : cap]:  # past v, u_n = 0 + r_{n-1} u_{n-2} up to n = cap
+            u.append(u[0] + r * u[-2])
+            if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
+                break
+        else:
+            if flat and not math.isfinite(u[-1] + u[-2]):
+                return None
+            if max_support is None:
+                last = max(abs(u[-1]), abs(u[-2]))
+                raise TailNotDecayingError(
+                    "preimage tail has not decayed below tolerance: the jump "
+                    f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
+                    last,
+                )
         return np.array(u, x.dtype)
 
     yield v.offset, v.values
     lo, hi = v.support() or (0, -1)
     x = v.window(lo, hi + 1)
-    # the float plane: every imaginary part +0, or zero under a real lam,
-    # whose scaling drops the signs of zeros anyway (module docstring)
-    if not x.imag.any() and (c is not None and not c.imag or not np.signbit(x.imag).any()):
+    if _float_plane(x):
         x = x.real
     for _ in range(k):
         if lo <= hi:
-            if len(rl) < hi + _SCALAR_TAIL:
-                p = pseq.prob_array(np.arange(max(2 * len(rl), hi + _SCALAR_TAIL)))
-                rl = jump_ratio(p).tolist()
             u = step(lo, hi, x)
             if u is None:  # redo the step in complex (step calls no step: no reference cycle)
                 u = step(lo, hi, x.astype(np.complex128))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqspace import FinSeq, Lattice, _cmul
+from .seqspace import FinSeq, Lattice, _cmul, _float_plane
 
 
 def _check_prob(p: float) -> float:
@@ -258,16 +258,16 @@ class BandedOp:
         """Yield (lo, values) for x, Ax, ..., A^n x: views, overwritten by
         the next step, of the windows that ``apply`` stores, with their bits.
         The band is read once; two buffers alternate, +0 off the support as
-        ``apply`` pads it: float64 if x is finite with a +0 imaginary part
-        (``apply`` keeps it +0), else complex128 with ``_cmul``, whose zero
-        terms tie signs."""
+        ``apply`` pads it: float64 on the float plane (``_float_plane``, the
+        rule of the backward loop too; ``apply`` keeps the imaginary parts
+        +0), else complex128 with ``_cmul``, whose zero terms tie signs."""
         if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
         yield x.offset, x.values
         half = self.lattice is Lattice.HALF_LINE
         lo, hi = x.support() or (0, -1)
         win = x.window(lo, hi + 1)
-        flat = np.isfinite(win.real).all() and not (win.imag.any() or np.signbit(win.imag).any())
+        flat = _float_plane(win)
         base = -1 if half else lo - n - 1  # buffer position 0 holds this index
         up, down = self._band(np.arange(base, hi + n + 2))
         cur, nxt = np.zeros((2, len(up)), np.float64 if flat else np.complex128)

@@ -44,6 +44,13 @@ def _cmul(a, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _float_plane(values: np.ndarray) -> bool:
+    """Whether complex values run on their real parts alone, the float
+    plane of both orbit loops: every entry finite, every imaginary part +0."""
+    imag = values.imag
+    return bool(np.isfinite(values).all()) and not (imag.any() or np.signbit(imag).any())
+
+
 def _abs(values: np.ndarray) -> np.ndarray:
     if values.dtype == np.float64:
         return np.abs(values)  # hypot(x, 0) = |x|, bit for bit

@@ -177,7 +177,14 @@ class TestCertify:
         assert out == ""
         assert "lam must be finite" in err
 
-    @pytest.mark.parametrize("argv", [["--lambda", "1e20"], ["--lambda", "1e12", "--n-max", "40"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--lambda", "1e20"],
+            ["--lambda", "1e12", "--n-max", "40"],
+            ["--lambda", "1.5e308+1.5e308j"],  # |lam| overflows: abs(lam) raised
+        ],
+    )
     def test_fhc_huge_lambda_reports_the_underflow(self, capsys, argv):
         # before, |lam|^n overflowed in the forward rescaling: a traceback
         code, out, _ = run(capsys, "certify", "fhc", "--pseq", "const:0.75", *argv)
@@ -320,6 +327,26 @@ class TestErrors:
             capsys, "inverse", "--pseq", "const:0.75", "--v", "e-1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # before, inf warned and printed nan coordinates, nan ran into a
+            # tail error, and an infinite alpha answered
+            ["inverse", "--pseq", "const:0.75", "--v", "inf"],
+            ["inverse", "--pseq", "const:0.75", "--v", "1,nan"],
+            ["orbit", "--pseq", "const:0.75", "--x", "1+infj", "--targets", "e0"],
+            ["orbit", "--pseq", "const:0.75", "--x", "e0", "--targets", "e1|-inf"],
+            ["probe", "line-bound", "--pseq", "const:0.7", "--x", "nan", "--n", "3"],
+            ["probe", "obstruction", "--pseq", "const:0.7", "--alpha", "inf", "--perturb", "e0"],
+            ["probe", "obstruction", "--pseq", "const:0.7", "--alpha", "1", "--perturb", "inf"],
+        ],
+    )
+    def test_non_finite_vector_or_alpha_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
 
     def test_unknown_flag_exit_2(self, capsys):
         # certify and classify are json-only; --format is not among their flags
@@ -482,3 +509,6 @@ class TestParsers:
             parse_vector("e-1", Lattice.HALF_LINE)
         with pytest.raises(ValueError):
             parse_grid("0:1")
+        for text in ("inf", "1,nan", "1+infj@2", "-inf"):
+            with pytest.raises(ValueError, match="must be finite"):
+                parse_vector(text, Lattice.LINE)

@@ -167,7 +167,13 @@ class TestFhcCertificate:
 
     @pytest.mark.parametrize(
         "lam, n_max, step",
-        [(1e20, 20, 16), (1e12, 40, 26), (-1e300, 20, 2), (complex(1e300, 1e300), 20, 1)],
+        [
+            (1e20, 20, 16),
+            (1e12, 40, 26),
+            (-1e300, 20, 2),
+            (complex(1e300, 1e300), 20, 1),
+            (complex(1.5e308, 1.5e308), 20, 1),  # |lam| overflows: abs(lam) raised
+        ],
     )
     def test_huge_lam_reports_where_the_backward_orbit_underflows(self, walk_075, lam, n_max, step):
         # |lam|^n overflows the forward witness to inf, and the backward
@@ -425,6 +431,11 @@ class TestObstruction:
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
             constant_tail_obstruction(walk(Constant(0.7)), 0.0, FinSeq.zero())
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(1.0, -math.inf)])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            constant_tail_obstruction(walk(Constant(0.7)), alpha, FinSeq.unit(0))
 
     def test_lattice_mismatch_rejected(self):
         with pytest.raises(ValueError):

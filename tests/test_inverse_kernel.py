@@ -260,6 +260,27 @@ def test_backward_loop_leaves_no_reference_cycle():
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("lam", [None, 2.0, -3.0])
+@pytest.mark.parametrize(
+    "values, flat",
+    [
+        ([1.0, 0.0, -0.5], True),  # +0 imaginary parts
+        ([1.0, complex(0.0, -0.0), -0.5], False),  # a -0 imaginary part
+        ([1.0, math.inf], False),  # a non-finite entry
+        ([1.0, 0.5j], False),  # complex entries
+    ],
+)
+def test_both_orbit_loops_take_the_float_plane_by_one_rule(values, flat, lam):
+    # before, under a real lam a start with -0 imaginary parts took the
+    # float plane backward, but not forward
+    op = walk(Constant(0.75))
+    v = FinSeq.from_values(values, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 on complex128
+        _, (_, forward) = op._orbit(v, 1)
+        _, (_, backward) = _backward(op, v, 1, lam)
+    assert forward.dtype == backward.dtype == (np.float64 if flat else np.complex128)
+
+
 def test_max_support_cap_honored(walk_075):
     u = right_inverse(walk_075, FinSeq.unit(0), max_support=40)
     sup = u.support()

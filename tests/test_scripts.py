@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from walkdyn.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
@@ -101,24 +103,40 @@ def _key(doc):
     del doc["result"]["witness"]["measured_ratio"]
 
 
+def _residual_moved(doc):
+    doc["result"]["witness"]["inverse_residual"] *= 3
+
+
+# a report at a huge lam: |lam|**n passes the float range and forward_norms
+# holds "inf", where the rescaling raised OverflowError
+HUGE_LAM = ["certify", "fhc", "--pseq", "const:0.75", "--lam", "1e20"]
+
+_COMPARE_CASES = [
+    (_within_gates, 0, None),
+    (_past_tolerance, 1, None),
+    (_verdict, 1, None),
+    (_witness_over_gate, 1, None),
+    (_norm_before_annihilation, 1, None),
+    (_length, 1, None),
+    (_key, 1, None),
+    (_residual_moved, 0, HUGE_LAM),
+]
+
+
 @pytest.mark.parametrize(
-    "edit, code",
-    [
-        (_within_gates, 0),
-        (_past_tolerance, 1),
-        (_verdict, 1),
-        (_witness_over_gate, 1),
-        (_norm_before_annihilation, 1),
-        (_length, 1),
-        (_key, 1),
-    ],
+    "edit, code, base", _COMPARE_CASES, ids=[f"{e.__name__}-{c}" for e, c, _ in _COMPARE_CASES]
 )
-def test_compare_goldens(tmp_path, edit, code):
+def test_compare_goldens(tmp_path, capsys, edit, code, base):
+    """``base`` is the argv of the report compared, None for golden certify_fhc_yes."""
     old, new = tmp_path / "old", tmp_path / "new"
     for side in (old, new):
         side.mkdir()
         (side / "kernel_const.json").write_text((GOLDEN / "kernel_const.json").read_text())
-    text = (GOLDEN / "certify_fhc_yes.json").read_text()
+    if base is None:
+        text = (GOLDEN / "certify_fhc_yes.json").read_text()
+    else:
+        main(base)
+        text = capsys.readouterr().out
     (old / "certify_fhc_yes.json").write_text(text)
     doc = json.loads(text)
     edit(doc)
@@ -127,5 +145,5 @@ def test_compare_goldens(tmp_path, edit, code):
         [sys.executable, str(ROOT / "scripts" / "compare_goldens.py"), str(old), str(new)],
         capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == code, proc.stdout
+    assert proc.returncode == code, proc.stdout + proc.stderr
     assert "kernel_const.json: identical" in proc.stdout
