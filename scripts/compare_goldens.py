@@ -24,12 +24,22 @@ directories share no file.
 """
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
 REL_TOL = 1e-12
+
+
+def _rescale(f: float, scale: float, n: int) -> float:
+    """f / scale**n; when the power leaves the float range, n divisions by scale."""
+    try:
+        return f / scale**n
+    except OverflowError:
+        return functools.reduce(operator.truediv, [scale] * n, f)
 
 
 def roundoff(doc) -> dict:
@@ -44,9 +54,7 @@ def roundoff(doc) -> dict:
     if kind == "fhc-chaos":
         re, im = result["params"]["lam"]
         scale = max(1.0, math.hypot(re, im))
-        scaled = fwd[:]
-        for n in range(1, len(scaled)):  # f / scale**n, one division at a time: never raises
-            scaled[n:] = [f / scale for f in scaled[n:]]
+        scaled = [_rescale(f, scale, n) for n, f in enumerate(fwd)]
         tail_gate = 1e-10 * max(scaled[: m + 1])
         return {
             "inverse_residual": (float(w["inverse_residual"]), 1e-10),

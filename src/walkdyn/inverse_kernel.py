@@ -24,16 +24,17 @@ cap.
 
 Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
 S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
-run, into arrays that double on demand, and folds the trim and the 1/lam
-scaling into each step.  A start runs on the float plane by the rule of
-the forward loop (``seqspace._float_plane``: every entry finite, every
-imaginary part +0).  There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and
-0.0 + r_{n-1} u_{n-2} past v, are the real parts of the complex entries,
-whose imaginary parts stay +0; a step that overflows there is redone in
-``complex``, where 0.0 * inf makes nan parts.  A real scaling stays on the
-plane: x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c =
-1/lam, and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and
-the paths differ at most in the signs of zeros: nonzero entries keep their
+run, into arrays that double on demand, so a tail reads them only about
+as far as it goes.  It folds the trim and the 1/lam scaling into each
+step.  A start runs on the float plane by the rule of the forward loop
+(``seqspace._float_plane``: every entry finite, every imaginary part +0).
+There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 + r_{n-1} u_{n-2}
+past v, are the real parts of the complex entries, whose imaginary parts
+stay +0; a step that overflows there is redone in ``complex``, where
+0.0 * inf makes nan parts.  A real scaling stays on the plane:
+x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c = 1/lam,
+and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and the
+paths differ at most in the signs of zeros: nonzero entries keep their
 bits, and every norm, trim and stop test reads through ``hypot``, ``abs``
 or ``== 0``; so the contract is exact bits for lam > 0, and moduli only
 for lam < 0.  Other starts, and complex lam, run on ``complex``.
@@ -202,9 +203,10 @@ def _backward(
                     max(abs(x0), abs(x1)),
                 )
             cap = hi + 128 if math.isinf(horizon) else max(horizon, hi) + 2
-        read(cap)
-        for r in rl[hi + 1 : cap]:  # past v, u_n = 0 + r_{n-1} u_{n-2} up to n = cap
-            u.append(u[0] + r * u[-2])
+        for n in range(hi + 1, cap):  # past v, u_{n+1} = 0 + r_n u_{n-1} up to u_cap
+            if n == len(rl):  # read r by doubling, only as far as the tail goes
+                read(n + 1)
+            u.append(u[0] + rl[n] * u[-2])
             if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
                 break
         else:

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,19 @@ def test_max_support_cap_honored(walk_075):
     u = right_inverse(walk_075, FinSeq.unit(0), max_support=40)
     sup = u.support()
     assert sup is not None and sup[1] <= 40
+
+
+def test_a_far_max_support_reads_only_as_far_as_the_tail_goes(walk_075):
+    # the tail stops at index 57; p and r far past it are never read
+    tracemalloc.start()
+    try:
+        u = right_inverse(walk_075, FinSeq.unit(0), max_support=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    want = right_inverse(walk_075, FinSeq.unit(0))
+    assert (u.offset, u.values.tobytes()) == (want.offset, want.values.tobytes())
 
 
 def test_max_support_below_the_target_cuts_two_past_it(walk_075):
