@@ -12,11 +12,13 @@ number within 1e-12 relative.
 Round-off witnesses of the certificates are exempt from the tolerance:
 ``inverse_residual``, ``step_residual``, ``forward_scaled_tail``,
 ``periodic_residual``, ``max_product``, and the ``forward_norms`` past
-``annihilation_index``.  Each may move, but only while it stays under
-its certificate gate in both files (the tail of ``forward_norms`` through
-the sum that the gate reads).  The gates are the current ones, so an old
-file is judged by them too: for fhc each step's relative residual is at
-most 1e-10, and the rescaled forward tail at most 1e-10 times the
+``annihilation_index``.  Each may move, but only while it and its
+certificate gate are finite and it stays under the gate in both files.
+The tail of ``forward_norms`` is judged through the sum that the gate
+reads, or, where that rescaled sum leaves the float range, through the
+report's own ``forward_scaled_tail``.  The gates are the current ones, so
+an old file is judged by them too: for fhc each step's relative residual
+is at most 1e-10, and the rescaled forward tail at most 1e-10 times the
 rescaled head.
 
 Prints one line per pair and exits 1 if any pair fails, 2 if the
@@ -56,11 +58,15 @@ def roundoff(doc) -> dict:
         scale = max(1.0, math.hypot(re, im))
         scaled = [_rescale(f, scale, n) for n, f in enumerate(fwd)]
         tail_gate = 1e-10 * max(scaled[: m + 1])
+        tail = math.fsum(scaled[m:])
         return {
             "inverse_residual": (float(w["inverse_residual"]), 1e-10),
             "forward_scaled_tail": (float(w["forward_scaled_tail"]), tail_gate),
             "periodic_residual": (float(w["periodic_residual"]), 1e-10),
-            "forward_norms": (math.fsum(scaled[m:]), tail_gate),
+            "forward_norms": (
+                tail if math.isfinite(tail) else float(w["forward_scaled_tail"]),
+                tail_gate,
+            ),
         }
     if kind == "supercyclicity":
         back = [float(b) for b in w["backward_norms"]]
@@ -78,7 +84,7 @@ def roundoff(doc) -> dict:
 
 def _exempt(path: tuple, m: int | None, gates_old: dict, gates_new: dict) -> str | None:
     """The witness name when ``path`` is a round-off witness under its gate
-    in both files, else None."""
+    in both files, the value and the gate finite, else None."""
     if len(path) < 3 or path[:2] != ("result", "witness"):
         return None
     name = path[2]
@@ -89,7 +95,10 @@ def _exempt(path: tuple, m: int | None, gates_old: dict, gates_new: dict) -> str
         return None
     if name not in gates_old or name not in gates_new:
         return None
-    under = all(v <= g for v, g in (gates_old[name], gates_new[name]))
+    under = all(
+        math.isfinite(v) and math.isfinite(g) and v <= g
+        for v, g in (gates_old[name], gates_new[name])
+    )
     return name if under else None
 
 

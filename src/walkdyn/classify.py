@@ -11,8 +11,9 @@ Every supported probability sequence is a finite prefix followed by a
 repeating cycle.  The prefix changes only finitely many factors of either
 series, so the per-cycle ratio decides both exactly (the birth-death chain
 criterion of Karlin & McGregor, "Random walks", Illinois J. Math. 3, 1959).
-A finite-horizon heuristic that inspects term ratios and partial sums is
-kept as a labelled audit route; it may honestly return Undetermined.
+A finite-horizon heuristic on the first n terms of each series (running
+products over one array of p) inspects term ratios and partial sums; it
+is kept as a labelled audit route and may honestly return Undetermined.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .operators import PSeq, Constant, Periodic
+import numpy as np
+
+from .operators import PSeq, Constant, Periodic, _running_products
 from .seqspace import Lattice
 
 # the finite-horizon series rule of judge_series
@@ -102,29 +105,17 @@ def judge_series(terms: Iterable[float], horizon: int) -> SeriesDecision:
     return SeriesDecision(outcome, decided, tuple(sums))
 
 
-def transience_series_terms(pseq: PSeq) -> Iterator[float]:
-    """Terms prod_{k=1..n} (1-p_k)/p_k for n = 1, 2, ..."""
-    t = 1.0
-    n = 1
-    while True:
-        p = pseq.at(n)
-        t *= (1.0 - p) / p
-        yield t
-        n += 1
+def transience_series_terms(pseq: PSeq, n: int) -> list[float]:
+    """The first n terms prod_{k=1..m} (1-p_k)/p_k, m = 1..n."""
+    p = pseq.prob_array(np.arange(1, n + 1))
+    return _running_products((1.0 - p) / p, 1)[1:].tolist()
 
 
-def invariant_mass_series_terms(pseq: PSeq) -> Iterator[float]:
-    """Terms p_0...p_{n-1} / ((1-p_1)...(1-p_n)) for n = 1, 2, ...
-
-    Term n is the mass the invariant measure puts at site n relative to
-    site 0.
-    """
-    t = 1.0
-    n = 1
-    while True:
-        t *= pseq.at(n - 1) / (1.0 - pseq.at(n))
-        yield t
-        n += 1
+def invariant_mass_series_terms(pseq: PSeq, n: int) -> list[float]:
+    """The first n terms p_0...p_{m-1} / ((1-p_1)...(1-p_m)), m = 1..n: the
+    masses the invariant measure puts at sites 1..n relative to site 0."""
+    p = pseq.prob_array(np.arange(n + 1))
+    return _running_products(p[:-1] / (1.0 - p[1:]), 1)[1:].tolist()
 
 
 def _log_odds(p: float) -> float:
@@ -166,8 +157,8 @@ class ClassVerdict:
 
 
 def _evidence(pseq: PSeq, n: int) -> tuple[SeriesDecision, SeriesDecision]:
-    s1 = judge_series(transience_series_terms(pseq), n)
-    s2 = judge_series(invariant_mass_series_terms(pseq), n)
+    s1 = judge_series(transience_series_terms(pseq, n), n)
+    s2 = judge_series(invariant_mass_series_terms(pseq, n), n)
     return s1, s2
 
 
@@ -190,6 +181,8 @@ def classify(
     """
     if method not in ("auto", "series"):
         raise ValueError("method must be 'auto' or 'series'")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if method == "series":
         if lattice is Lattice.LINE:
             raise ValueError("the series route classifies the half-line walk only")

@@ -443,6 +443,7 @@ def constant_tail_obstruction(
         raise ValueError("the perturbation must live on the operator's lattice")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    op._check_index(i_probe)
     probe_values, orbit_sups, probe_ratios, dev_sups = [], [], [], []
     for lo, phi in op._orbit(perturbation, n_max):  # phi = W^n perturbation
         k = i_probe - lo

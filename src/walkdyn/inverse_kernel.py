@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .classify import _log_odds, kernel_decay_log_factors
-from .operators import BandedOp, PSeq
+from .operators import BandedOp, PSeq, _running_products
 from .seqspace import FinSeq, Lattice, _abs, _cmul, _float_plane
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
@@ -323,12 +323,7 @@ def kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    r = jump_ratio(pseq.prob_array(np.arange(n_max)))
-    u = np.ones(n_max + 1)
-    with np.errstate(over="ignore", under="ignore"):  # each chain is a running product
-        np.multiply.accumulate(r[0::2], out=u[1::2])
-        np.multiply.accumulate(r[1::2], out=u[2::2])
-    return u.tolist()
+    return _running_products(jump_ratio(pseq.prob_array(np.arange(n_max))), 2).tolist()
 
 
 def kernel_basis(

@@ -71,6 +71,16 @@ class _PrefixCycle:
         return tuple(dict.fromkeys(self.prefix + self.cycle))
 
 
+def _running_products(ratios: np.ndarray, chains: int) -> np.ndarray:
+    """u_0 = 1, u_{n+1} = ratios[n] u_{n+1-chains} (u_{<0} read as u_0): one
+    running product per chain with the bits of the scalar loop, inf and 0 too."""
+    u = np.ones(len(ratios) + 1)
+    with np.errstate(over="ignore", under="ignore"):
+        for c in range(chains):
+            np.multiply.accumulate(ratios[c::chains], out=u[c + 1 :: chains])
+    return u
+
+
 @dataclass(frozen=True)
 class Constant(_PrefixCycle):
     """Position-independent jump probability."""

@@ -204,8 +204,8 @@ class SpaceSpec:
 
     def __post_init__(self):
         if self.kind is SpaceKind.LQ:
-            if self.q is None or not (self.q >= 1.0):
-                raise ValueError("l^q requires an exponent q >= 1")
+            if self.q is None or not (1.0 <= self.q < math.inf):
+                raise ValueError("l^q requires a finite exponent q >= 1")
         elif self.q is not None:
             raise ValueError("only l^q carries an exponent")
 

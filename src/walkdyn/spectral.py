@@ -23,8 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .classify import Verdict, kernel_decay_log_factors
-from .operators import PSeq, _check_prob
+from .operators import PSeq, _check_prob, _running_products
 from .seqspace import SpaceKind, SpaceSpec
 
 _DEFECT_TOL = 1e-12  # |discriminant| at or below which the roots count as repeated
@@ -171,22 +173,21 @@ def left_kernel_vector(pseq: PSeq, n_max: int) -> list[float]:
     """Left (dual) zero-eigenvector coordinates: u A = 0, u_0 = 1.
 
     The defining relations are (1-p_0) u_0 + (1-p_1) u_1 = 0 and
-    p_n u_n + (1-p_{n+2}) u_{n+2} = 0, so the parity chains scale by
-    -p_n/(1-p_{n+2}).  Growth is capped at 1e280 per coordinate; the list
-    is cut short if it would overflow.
+    p_n u_n + (1-p_{n+2}) u_{n+2} = 0, so the parity chains are running
+    products of -p_n/(1-p_{n+2}).  The list ends before the first
+    coordinate above 1e280 in modulus.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    u = [1.0]
-    if n_max >= 1:
-        u.append(-(1.0 - pseq.at(0)) / (1.0 - pseq.at(1)))
-    for n in range(2, n_max + 1):
-        p = pseq.at(n - 2)
-        val = -(p / (1.0 - pseq.at(n))) * u[n - 2]
-        if abs(val) > 1e280:
-            break
-        u.append(val)
-    return u
+    k = min(n_max, 256)
+    while True:  # p is read in windows that double up to n_max, so the cut ends the read
+        p = pseq.prob_array(np.arange(k + 1))
+        q = 1.0 - p
+        u = _running_products(-(np.concatenate((q[:1], p))[:k] / q[1:]), 2)
+        big = np.flatnonzero(np.abs(u) > 1e280)
+        if big.size or k == n_max:
+            return u[: big[0] if big.size else None].tolist()
+        k = min(n_max, 2 * k)
 
 
 @dataclass(frozen=True)

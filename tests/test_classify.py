@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from walkdyn.classify import (
 from walkdyn.inverse_kernel import kernel_vector
 from walkdyn.operators import Constant, ListWithTail, Periodic
 from walkdyn.seqspace import Lattice
+from walkdyn.spectral import left_kernel_vector
 
 from conftest import random_pseq
 
@@ -60,6 +62,13 @@ def test_series_method_agrees_on_constants():
         assert v.verdict is expected
 
 
+@pytest.mark.parametrize("method", ["auto", "series"])
+@pytest.mark.parametrize("horizon", [-1, 0])
+def test_horizon_below_1_rejected(method, horizon):
+    with pytest.raises(ValueError, match="horizon must be at least 1"):
+        classify(Constant(0.6), horizon=horizon, method=method)
+
+
 def test_series_method_rejects_line():
     with pytest.raises(ValueError):
         classify(Constant(0.7), lattice=Lattice.LINE, method="series")
@@ -95,7 +104,7 @@ def test_partial_sums_match_direct_products():
     for n in range(1, 9):
         prod *= (1 - pseq.at(n)) / pseq.at(n)
         t += prod
-    sums = judge_series(transience_series_terms(pseq), 8).partial_sums
+    sums = judge_series(transience_series_terms(pseq, 8), 8).partial_sums
     assert len(sums) == 8
     assert sums[-1] == pytest.approx(t, rel=1e-12)
     m = 0.0
@@ -103,8 +112,70 @@ def test_partial_sums_match_direct_products():
     for n in range(1, 9):
         prod *= pseq.at(n - 1) / (1 - pseq.at(n))
         m += prod
-    sums = judge_series(invariant_mass_series_terms(pseq), 8).partial_sums
+    sums = judge_series(invariant_mass_series_terms(pseq, 8), 8).partial_sums
     assert sums[-1] == pytest.approx(m, rel=1e-12)
+
+
+def _loop_transience_terms(pseq):
+    t = 1.0
+    n = 1
+    while True:
+        p = pseq.at(n)
+        t *= (1.0 - p) / p
+        yield t
+        n += 1
+
+
+def _loop_invariant_mass_terms(pseq):
+    t = 1.0
+    n = 1
+    while True:
+        t *= pseq.at(n - 1) / (1.0 - pseq.at(n))
+        yield t
+        n += 1
+
+
+def _loop_left_kernel_vector(pseq, n_max):
+    u = [1.0]
+    if n_max >= 1:
+        u.append(-(1.0 - pseq.at(0)) / (1.0 - pseq.at(1)))
+    for n in range(2, n_max + 1):
+        p = pseq.at(n - 2)
+        val = -(p / (1.0 - pseq.at(n))) * u[n - 2]
+        if abs(val) > 1e280:
+            break
+        u.append(val)
+    return u
+
+
+def test_running_products_bits_match_the_scalar_loops():
+    """Both series and the left kernel vector keep the bits of the scalar
+    loops they replace, through overflow to inf, underflow to 0 and the
+    1e280 cut."""
+
+    def hexes(xs):
+        return [x.hex() for x in xs]
+
+    rng = random.Random(15)
+    extremes, cut = set(), False
+    for lo, hi in ((0.001, 0.2), (0.8, 0.999), (0.05, 0.95)):
+        for _ in range(12):
+            pseq = random_pseq(rng, lo, hi)
+            for n in (0, 1, 2, 3000):
+                got = transience_series_terms(pseq, n)
+                assert hexes(got) == hexes(islice(_loop_transience_terms(pseq), n))
+                mass = invariant_mass_series_terms(pseq, n)
+                assert hexes(mass) == hexes(islice(_loop_invariant_mass_terms(pseq), n))
+                dual = left_kernel_vector(pseq, n)
+                assert hexes(dual) == hexes(_loop_left_kernel_vector(pseq, n))
+                extremes.update(x for x in got + mass if x in (0.0, math.inf))
+                cut = cut or len(dual) <= n
+    assert extremes == {0.0, math.inf} and cut  # the products reached both and the cut fired
+    # a cut inside the first read window of p, and one past three doublings
+    for p, n_max, length in ((0.999, 300, 188), (0.7, 3000, 1522)):
+        dual = left_kernel_vector(Constant(p), n_max)
+        assert len(dual) == length
+        assert hexes(dual) == hexes(_loop_left_kernel_vector(Constant(p), n_max))
 
 
 def test_kernel_weight_recursion():

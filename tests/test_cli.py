@@ -315,12 +315,41 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
-    def test_bad_space_exit_2(self, capsys):
-        code, _, err = run(
-            capsys, "certify", "fhc", "--pseq", "const:0.75",
-            "--lambda", "3", "--space", "l0",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "fhc", "--pseq", "const:0.75", "--lambda", "3", "--space", "l0"],
+            # an infinite exponent: l^q needs a finite q, and str() of it would raise
+            ["certify", "supercyclicity", "--pseq", "const:0.7", "--space", "l1e400"],
+            ["orbit", "--pseq", "const:0.7", "--x", "e0", "--space", "linfinity", "--n-max", "3"],
+            ["probe", "line-bound", "--pseq", "const:0.7", "--x", "e0", "--n", "3", "--space", "l1e400"],
+        ],
+        ids=["l0", "certify-l1e400", "orbit-linfinity", "line-bound-l1e400"],
+    )
+    def test_bad_space_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
+        assert "bad space spec" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a probe at a state the half-line walk does not have, and
+            # series evidence over no terms
+            (["probe", "obstruction", "--pseq", "const:0.7", "--alpha", "1", "--perturb", "e0",
+              "--i", "-3"], "half-line indices are nonnegative"),
+            (["classify", "--pseq", "const:0.6", "--horizon", "-1"], "horizon must be at least 1"),
+            (["classify", "--pseq", "const:0.6", "--horizon", "0", "--method", "series"],
+             "horizon must be at least 1"),
+        ],
+        ids=["probe-index", "horizon-auto", "horizon-series"],
+    )
+    def test_out_of_range_index_or_horizon_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_bad_vector_exit_2(self, capsys):
         code, _, err = run(

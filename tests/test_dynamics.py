@@ -443,6 +443,13 @@ class TestObstruction:
                 walk(Constant(0.7)), 1.0, FinSeq.unit(0, Lattice.LINE)
             )
 
+    def test_negative_probe_index_only_on_the_line(self):
+        with pytest.raises(ValueError, match="half-line indices are nonnegative"):
+            constant_tail_obstruction(walk(Constant(0.7)), 1.0, FinSeq.unit(0), i_probe=-3)
+        line = walk(Constant(0.7), Lattice.LINE)
+        rep = constant_tail_obstruction(line, 1.0, FinSeq.unit(0, Lattice.LINE), i_probe=-3)
+        assert rep.probe_index == -3
+
 
 class TestLineBound:
     def test_bound_holds_on_random_vectors(self):

@@ -107,9 +107,20 @@ def _residual_moved(doc):
     doc["result"]["witness"]["inverse_residual"] *= 3
 
 
+def _tail_norm_moved(doc):
+    doc["result"]["witness"]["forward_norms"][10] *= 5  # past annihilation_index 6
+
+
+def _scaled_tail_moved(doc):
+    doc["result"]["witness"]["forward_scaled_tail"] = 1.0
+
+
 # a report at a huge lam: |lam|**n passes the float range and forward_norms
 # holds "inf", where the rescaling raised OverflowError
 HUGE_LAM = ["certify", "fhc", "--pseq", "const:0.75", "--lam", "1e20"]
+# a report whose forward_norms head holds "inf": the tail gate is inf, and
+# no witness is exempt under a gate that is not finite
+HUGER_LAM = ["certify", "fhc", "--pseq", "const:0.75", "--lam", "1e62"]
 
 _COMPARE_CASES = [
     (_within_gates, 0, None),
@@ -120,6 +131,9 @@ _COMPARE_CASES = [
     (_length, 1, None),
     (_key, 1, None),
     (_residual_moved, 0, HUGE_LAM),
+    # the rescaled tail sum is inf there, so the report's forward_scaled_tail judges it
+    (_tail_norm_moved, 0, HUGE_LAM),
+    (_scaled_tail_moved, 1, HUGER_LAM),
 ]
 
 

@@ -127,7 +127,7 @@ def test_space_parse(text, kind, q):
     assert SpaceSpec.parse(str(sp)) == sp
 
 
-@pytest.mark.parametrize("text", ["", "l0.5", "lq", "ell2", "c1"])
+@pytest.mark.parametrize("text", ["", "l0.5", "lq", "ell2", "c1", "l1e400", "linfinity"])
 def test_space_parse_rejects(text):
     with pytest.raises(ValueError):
         SpaceSpec.parse(text)
@@ -136,5 +136,7 @@ def test_space_parse_rejects(text):
 def test_lq_exponent_validation():
     with pytest.raises(ValueError):
         SpaceSpec(SpaceKind.LQ, 0.5)
+    with pytest.raises(ValueError):  # str() of it raised OverflowError
+        SpaceSpec(SpaceKind.LQ, math.inf)
     with pytest.raises(ValueError):
         SpaceSpec(SpaceKind.C0, 2.0)

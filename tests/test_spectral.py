@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,17 @@ def test_left_kernel_vector_solves_dual_rows():
         scale = max(1.0, max(abs(t) for t in u[:20]))
         for j in range(18):
             assert abs(y.at(j)) <= 1e-9 * scale
+
+
+def test_left_kernel_vector_reads_p_only_up_to_the_cut():
+    tracemalloc.start()
+    try:
+        u = left_kernel_vector(Constant(0.999), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u) == 188  # the chains pass 1e280 at index 188
+    assert peak < 2**20  # a read of p_0..p_{10^6} would take tens of MB
 
 
 def test_dual_report_summable_case():
