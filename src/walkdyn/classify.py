@@ -19,6 +19,7 @@ is kept as a labelled audit route and may honestly return Undetermined.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,9 +61,13 @@ class SeriesOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class SeriesDecision:
+    """A series verdict with its first 8 partial sums, their count and the last."""
+
     outcome: SeriesOutcome
     decided_at: int | None
-    partial_sums: tuple[float, ...]
+    head: tuple[float, ...]
+    terms: int
+    final: float | None
 
 
 def judge_series(terms: Iterable[float], horizon: int) -> SeriesDecision:
@@ -77,18 +82,18 @@ def judge_series(terms: Iterable[float], horizon: int) -> SeriesDecision:
     this is a heuristic, not a proof.
     """
     ratios: deque[float] = deque(maxlen=_WINDOW)
-    sums: list[float] = []
+    head: list[float] = []
     total = 0.0
+    k = 0
     prev = None
     decided = None
     outcome = SeriesOutcome.UNDETERMINED
-    for k, t in enumerate(terms, start=1):
-        if k > horizon:
-            break
+    for k, t in enumerate(itertools.islice(terms, horizon), start=1):
         total += t
         if not math.isfinite(total):
             total = math.inf
-        sums.append(total)
+        if k <= 8:
+            head.append(total)
         if prev is not None and prev > 0 and math.isfinite(t):
             ratios.append(t / prev)
         prev = t
@@ -102,7 +107,7 @@ def judge_series(terms: Iterable[float], horizon: int) -> SeriesDecision:
                 full and all(r >= 1.0 + _RATIO_MARGIN for r in ratios)
             ):
                 outcome, decided = SeriesOutcome.DIVERGES, k
-    return SeriesDecision(outcome, decided, tuple(sums))
+    return SeriesDecision(outcome, decided, tuple(head), k, total if k else None)
 
 
 def transience_series_terms(pseq: PSeq, n: int) -> list[float]:
@@ -123,26 +128,50 @@ def _log_odds(p: float) -> float:
     return math.log1p(-p) - math.log(p)
 
 
+def _stated(x: float):
+    """The stated value of x, exactly: the shortest decimal that rounds to
+    it, which is what ``pseq_text`` writes and a user types."""
+    from fractions import Fraction  # on demand, off the CLI's import path
+
+    return Fraction(repr(x))
+
+
+def _chain_cycles(pseq: PSeq) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The cycle values the even and the odd kernel chain read per cycle:
+    all of them when the cycle length is odd, one parity class when it is
+    even (the even-coordinate chain reads odd indices and vice versa)."""
+    cycle = pseq.cycle
+    if len(cycle) % 2 == 1:
+        return cycle, cycle
+    # cycle[k] sits at the indices congruent to start + k
+    return cycle[1 - pseq.start % 2 :: 2], cycle[pseq.start % 2 :: 2]
+
+
+def _chain_factors(pseq: PSeq) -> tuple:
+    """Per-cycle growth of the even and odd kernel-weight chains, exactly:
+    the product of (1-p)/p over the stated values each chain reads.
+
+    Every question decided at the threshold 1 reads these: the recurrence
+    class, ker W in the space, and 0 as a dual eigenvalue.
+    """
+    return tuple(
+        math.prod((1 - q) / q for q in map(_stated, values))
+        for values in _chain_cycles(pseq)
+    )
+
+
 def kernel_decay_log_factors(pseq: PSeq) -> tuple[float, float]:
     """Per-cycle log growth of the even and odd kernel-weight chains.
 
     The weights w_n = |u_n| of the kernel vector (u_0 = 1, see
     :func:`walkdyn.inverse_kernel.kernel_vector`) satisfy
-    w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}.  Past the prefix a
-    chain reads the cycle values periodically: all of them when the cycle
-    length is odd, one parity class when it is even (the even-coordinate
-    chain reads odd indices and vice versa).  The product of (1-p)/p over
-    the values one chain cycle reads telescopes the chain exactly, so the
-    sign of its log decides decay.  Negative means the chain decays
-    geometrically per cycle; zero means it stays bounded away from zero.
+    w_{n+2}/w_n = (1-p_{n+1})/p_{n+1}.  Past the prefix a chain reads the
+    cycle values of :func:`_chain_cycles` periodically, so the product of
+    (1-p)/p over them telescopes the chain exactly.  These float logs size
+    horizons and fill reports; the sign at the threshold is decided by
+    :func:`_chain_factors`.
     """
-    cycle = pseq.cycle
-    if len(cycle) % 2 == 1:
-        v = math.fsum(_log_odds(p) for p in cycle)
-        return v, v
-    # cycle[k] sits at the indices congruent to start + k
-    even = math.fsum(_log_odds(p) for k, p in enumerate(cycle) if (pseq.start + k) % 2)
-    odd = math.fsum(_log_odds(p) for k, p in enumerate(cycle) if not (pseq.start + k) % 2)
+    even, odd = (math.fsum(map(_log_odds, values)) for values in _chain_cycles(pseq))
     return even, odd
 
 
@@ -171,13 +200,13 @@ def classify(
     """Classify the walk as transient, null recurrent or positive recurrent.
 
     Every supported form is decided exactly on the half-line from its
-    cycle: constant p, and the constant tail of a list, compare that value
-    with 1/2; a periodic sequence uses the sign of the per-cycle log ratio
-    sum log((1-p)/p), read as zero within 1e-12 per value.  On the
-    line lattice only the constant case is supported (null recurrent at
-    p = 1/2, transient otherwise).  ``method="series"`` skips the exact
-    route and runs :func:`judge_series` on both series regardless,
-    which is how the exact route is audited.
+    cycle: the per-cycle product of (1-p)/p over the stated values
+    (:func:`_chain_factors`) is 1 for a null recurrent walk and below 1 for
+    a transient one.  On the line lattice only the constant case is
+    supported (null recurrent at p = 1/2, transient otherwise).
+    ``method="series"`` skips the exact route and runs
+    :func:`judge_series` on both series regardless, which is how the exact
+    route is audited.
     """
     if method not in ("auto", "series"):
         raise ValueError("method must be 'auto' or 'series'")
@@ -190,32 +219,21 @@ def classify(
     if lattice is Lattice.LINE and not isinstance(pseq, Constant):
         raise ValueError("line-walk classification is implemented for constant p only")
     s1, s2 = _evidence(pseq, min(horizon, 200))
-    if lattice is Lattice.LINE:
-        verdict = (
-            Classification.NULL_RECURRENT
-            if pseq.p == 0.5
-            else Classification.TRANSIENT
-        )
-        return ClassVerdict(verdict, "exact-line-constant", horizon, s1, s2, {"p": pseq.p})
-
     cycle = pseq.cycle
-    if isinstance(pseq, Periodic):
-        # Over one full cycle the transience-series terms pick up the fixed
-        # factor prod (1-p)/p, so the sign of its log decides both series.
+    even, odd = _chain_factors(pseq)
+    factor = even if len(cycle) % 2 else even * odd  # prod (1-p)/p over one cycle
+    if lattice is Lattice.LINE:
+        method, detail = "exact-line-constant", {"p": pseq.p}
+    elif isinstance(pseq, Periodic):
         log_ratio = math.fsum(_log_odds(p) for p in cycle)
-        null, transient = abs(log_ratio) <= 1e-12 * len(cycle), log_ratio < 0
         method, detail = "exact-periodic", {"period": len(cycle), "period_log_ratio": log_ratio}
+    elif pseq.prefix:
+        method, detail = "exact-list", {"tail": cycle[0], "prefix_length": len(pseq.prefix)}
     else:
-        # constant p, or a list whose tail is constant: compare it with 1/2
-        p = cycle[0]
-        null, transient = p == 0.5, p > 0.5
-        if pseq.prefix:
-            method, detail = "exact-list", {"tail": p, "prefix_length": len(pseq.prefix)}
-        else:
-            method, detail = "exact-constant", {"p": p}
-    if null:
+        method, detail = "exact-constant", {"p": cycle[0]}
+    if factor == 1:
         verdict = Classification.NULL_RECURRENT
-    elif transient:
+    elif factor < 1 or lattice is Lattice.LINE:
         verdict = Classification.TRANSIENT
     else:
         verdict = Classification.POSITIVE_RECURRENT

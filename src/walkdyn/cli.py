@@ -300,22 +300,14 @@ def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
                   method=args.method)
     v = classify(pseq, horizon=args.horizon, lattice=lattice, method=args.method)
 
-    def series_json(s):
-        sums = s.partial_sums
-        return {
-            **_pick(s, "outcome decided_at"),
-            "terms": len(sums),
-            "partial_sums_head": sums[:8],
-            "partial_sum_final": sums[-1] if sums else None,
-        }
-
+    series = "outcome decided_at terms partial_sums_head=head partial_sum_final=final"
     result = {
         # "positive-recurrent" -> "PositiveRecurrent"
         "verdict": v.verdict.value.title().replace("-", ""),
         **_pick(v, "method horizon"),
         "evidence": {
-            "transience_series": series_json(v.transience_series),
-            "invariant_mass_series": series_json(v.invariant_mass_series),
+            "transience_series": _pick(v.transience_series, series),
+            "invariant_mass_series": _pick(v.invariant_mass_series, series),
         },
         "detail": v.detail,
     }

@@ -19,7 +19,8 @@ step.  Forward, T^n s = lam^n W^n s: that loop iterates W alone, and lam
 only scales the reported norms.  Backward, (S/lam)^k s shrinks at the
 certified ratio while S^k s grows like bound^k and would overflow: that
 loop keeps its 1/lam scaling.  Decisions at a threshold (the certified
-ratio, the column sums of a disproof) are exact on the floats' values.
+ratio, the column sums of a disproof) are exact on the stated values
+(:func:`walkdyn.classify._stated`).
 
 Negative results come in two flavors and the distinction is kept explicit:
 "no by criterion" only records that this route is blocked, while a genuine
@@ -37,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import Verdict, kernel_decay_log_factors
+from .classify import Verdict, _chain_factors, _stated, kernel_decay_log_factors
 from .inverse_kernel import _backward, kernel_basis, kernel_window_for_tol, step_norm_bound
 from .operators import BandedOp, Constant, pseq_text
 from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
@@ -144,22 +145,20 @@ def _column_bound(op: BandedOp):
     """The operator's column-sum norm sup_j sum_i |A_{i,j}|, as a Fraction.
 
     Column j sums p_{j-1} (row j-1) and 1 - p_{j+1} (row j+1); on the
-    half-line column 0 sums 1 - p_0 and 1 - p_1.  Each float is a dyadic
-    rational, so the sums are exact.  Away from the prefix a column's sum
-    repeats with the cycle, so the columns from the boundary (or one cycle
-    before the prefix, on the line) to one cycle past the prefix attain the
-    supremum.  On the half-line a prefix that ends before index 0 is never
+    half-line column 0 sums 1 - p_0 and 1 - p_1.  The sums are exact on the
+    stated values (:func:`walkdyn.classify._stated`).  Away from the prefix
+    a column's sum repeats with the cycle, so the columns from the boundary
+    (or one cycle before the prefix, on the line) to one cycle past the
+    prefix attain the supremum.  On the half-line a prefix that ends before index 0 is never
     read, so the range then runs from the boundary columns through one cycle.
     """
-    from fractions import Fraction  # on demand, off the CLI's import path
-
     pseq = op.pseq
     reach = len(pseq.cycle) + 1
     end = pseq.start + len(pseq.prefix)
     lo, hi = pseq.start - reach, end + reach
     if op.lattice is Lattice.HALF_LINE:
         lo, hi = 0, max(end, 0) + reach
-    p = [Fraction(pseq.at(n)) for n in range(lo - 1, hi + 2)]  # p_{lo-1} .. p_{hi+1}
+    p = [_stated(pseq.at(n)) for n in range(lo - 1, hi + 2)]  # p_{lo-1} .. p_{hi+1}
     sums = [p[k - 1] + (1 - p[k + 1]) for k in range(1, hi - lo + 2)]  # columns lo .. hi
     if op.lattice is Lattice.HALF_LINE:
         sums[0] = (1 - p[1]) + (1 - p[2])
@@ -182,20 +181,21 @@ def fhc_chaos_certificate(
     T^m x = x, whose terms past z_{Jm} add at most ||z_{Jm}|| ratio^m /
     (1 - ratio^m) (``backward_norms``, ``certified_ratio``); no sum is formed.
 
-    YES requires ratio < 1, decided exactly as well, and checks on one
-    backward orbit z_0 .. z_{n_max} and the forward orbit of s: lam W z_k =
-    z_{k-1} to 1e-10 relative at k = 1 (inverse-identity) and at k = 2 ..
-    n_max (periodic-point, the n_max // m periods of ``periodic_terms``),
-    every norm above the residuals' 1e-300 floor (backward-underflow); the
-    tail of ||W^n s||, n >= m, below 1e-10 of the head (``forward_norms``
-    holds ||T^n s|| = ||W^n s|| |lam|^n, inf past the float range); backward
-    norms contracting at least at the certified ratio.  A NO from ratio >= 1
-    only reports that this criterion is blocked; when in addition |lam| <= 1
-    and the walk is a contraction (on c0 always, else when every column
-    sums to at most 1, exactly), every orbit is bounded and the NO is
-    flagged as a genuine disproof.  When the kernel window for the sample
-    would pass its cap, the verdict is Undetermined and the reason names
-    the cap.
+    YES requires ratio < 1, decided exactly on the stated values of lam and
+    the p_k as |lam|^2 (2 min p - 1)^2 > 1 (the float ratio only words the
+    reason), and checks on one backward orbit z_0 .. z_{n_max} and the
+    forward orbit of s: lam W z_k = z_{k-1} to 1e-10 relative at k = 1
+    (inverse-identity) and at k = 2 .. n_max (periodic-point, the n_max // m
+    periods of ``periodic_terms``), every norm above the residuals' 1e-300
+    floor (backward-underflow); the tail of ||W^n s||, n >= m, below 1e-10
+    of the head (``forward_norms`` holds ||T^n s|| = ||W^n s|| |lam|^n, inf
+    past the float range); backward norms contracting at least at the
+    certified ratio.  A NO from ratio >= 1 only reports that this criterion
+    is blocked; when in addition |lam| <= 1 and the walk is a contraction
+    (on c0 always, else when every column sums to at most 1, exactly), every
+    orbit is bounded and the NO is flagged as a genuine disproof.  When the
+    kernel window for the sample would pass its cap, the verdict is
+    Undetermined and the reason names the cap.
     """
     lam = complex(lam)
     params = {
@@ -222,14 +222,12 @@ def fhc_chaos_certificate(
     ratio = bound / modulus
     witness: dict = {"step_bound": bound, "certified_ratio": ratio}
 
-    # the float ratio rounds, so |lam| is compared exactly as well: with
-    # every p_k above one half, sup |r_k| = (1 - min p)/min p and the step
-    # bound is 1/(2 min p - 1)
-    from fractions import Fraction  # on demand, off the CLI's import path
-
-    lam2 = Fraction(lam.real) ** 2 + Fraction(lam.imag) ** 2
-    gap = 2 * Fraction(min(op.pseq.probabilities())) - 1
-    if ratio >= 1.0 or not (gap > 0 and lam2 * gap**2 > 1):
+    # the float ratio rounds, so the test is exact on the stated values:
+    # with every p_k above one half, sup |r_k| = (1 - min p)/min p and the
+    # step bound is 1/(2 min p - 1); the float ratio only words the reason
+    lam2 = _stated(lam.real) ** 2 + _stated(lam.imag) ** 2
+    gap = 2 * _stated(min(op.pseq.probabilities())) - 1
+    if not (gap > 0 and lam2 * gap**2 > 1):
         if lam2 <= 1 and (space.kind is SpaceKind.C0 or _column_bound(op) <= 1):
             verdict, reason = Verdict.NO, (
                 "no by criterion (certified ratio >= 1), and in fact a "
@@ -329,13 +327,13 @@ def supercyclicity_criterion_certificate(
         )
 
     pseq = op.pseq
-    even, odd = _chain_factors = kernel_decay_log_factors(pseq)
-    if even >= -1e-12 or odd >= -1e-12:
+    log_factors = kernel_decay_log_factors(pseq)
+    if max(_chain_factors(pseq)) >= 1:
         return Certificate(
             CertKind.SUPERCYCLICITY,
             Verdict.UNDETERMINED,
             params,
-            {"kernel_chain_log_factors": _chain_factors},
+            {"kernel_chain_log_factors": log_factors},
             "the kernel is trivial in the space (zero-eigenvector weights do "
             "not decay); the criterion does not engage; for symmetric walks "
             "the dual point-spectrum reports carry the actual obstructions",
@@ -350,7 +348,7 @@ def supercyclicity_criterion_certificate(
             CertKind.SUPERCYCLICITY,
             Verdict.UNDETERMINED,
             params,
-            {"kernel_chain_log_factors": _chain_factors},
+            {"kernel_chain_log_factors": log_factors},
             str(exc),
         )
     sample, target = kernel_basis(op, m, window, tol=deep_tol, count=2)
@@ -385,7 +383,7 @@ def supercyclicity_criterion_certificate(
         "step_residual": step_residual,
         "backward_dynamic_range": dynamic_range,
         "max_product": max(products),
-        "kernel_chain_log_factors": _chain_factors,
+        "kernel_chain_log_factors": log_factors,
         "window": window,
     }
     return _settle(

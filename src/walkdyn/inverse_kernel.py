@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .classify import _log_odds, kernel_decay_log_factors
+from .classify import _chain_factors, _log_odds, kernel_decay_log_factors
 from .operators import BandedOp, PSeq, _running_products
 from .seqspace import FinSeq, Lattice, _abs, _cmul, _float_plane
 
@@ -123,8 +123,9 @@ def _chain_horizon(
     by its per-cycle factor from :func:`kernel_decay_log_factors`, so its
     last index above the threshold follows in closed form.  One more cycle
     is added to absorb the rounding difference between the logs and the
-    products.  Returns inf when the threshold is not positive or a chain
-    that is not exactly zero does not decay.
+    products.  Returns inf when the threshold is not positive or the log
+    factor of a chain that is not exactly zero is not negative; a factor
+    just below 1 gives a horizon as far off as it is, for the caller's cap.
     """
     if threshold <= 0:
         return math.inf
@@ -144,7 +145,7 @@ def _chain_horizon(
                 last = n
         elif lg > -math.inf:
             f = factors[n % 2]
-            if f >= -1e-12:
+            if f >= 0:
                 return math.inf
             if lg > log_thr:
                 last = max(last, n + span * math.floor((lg - log_thr) / -f))
@@ -343,8 +344,7 @@ def kernel_basis(
     like the kernel weights (for constant p, sqrt((1-p)/p) per index).
     """
     _require_half_line(op)
-    even, odd = kernel_decay_log_factors(op.pseq)
-    if even >= -1e-12 or odd >= -1e-12:
+    if max(_chain_factors(op.pseq)) >= 1:
         raise ValueError(
             "the kernel is trivial in the space (weights do not decay; for "
             "constant p that means p <= 1/2), so no basis exists"

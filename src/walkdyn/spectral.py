@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import Verdict, kernel_decay_log_factors
+from .classify import Verdict, _chain_factors, kernel_decay_log_factors
 from .operators import PSeq, _check_prob, _running_products
 from .seqspace import SpaceKind, SpaceSpec
 
@@ -206,7 +206,8 @@ def dual_point_spectrum_report(
 
     Pairings: the dual of c0 (and of c) is l1, the dual of l^q (q > 1) is
     l^{q/(q-1)}, and the dual of l1 is l^infinity.  Membership of the left
-    kernel vector is decided exactly from the parity-chain growth factors.
+    kernel vector is decided exactly from the parity-chain growth factors
+    on the stated values (:func:`walkdyn.classify._chain_factors`).
     The dual chain ratio at n has magnitude p_n/(1-p_{n+2}), so per cycle
     the even dual chain reads the values the odd kernel chain reads, with
     the log negated, and vice versa.
@@ -219,21 +220,16 @@ def dual_point_spectrum_report(
     kernel_even, kernel_odd = kernel_decay_log_factors(pseq)
     # 0.0 - x rather than -x keeps an exact zero unsigned in the report
     even, odd = 0.0 - kernel_odd, 0.0 - kernel_even
-    tol = 1e-12
+    # a dual chain grows by the reciprocal of a kernel chain's factor
+    low = min(_chain_factors(pseq))
     if space.kind in (SpaceKind.C0, SpaceKind.C) or (
         space.kind is SpaceKind.LQ and space.q > 1.0
     ):
         # summability in l^s with s = 1 or s = q/(q-1): both chains must decay
-        member = (
-            Verdict.YES if even < -tol and odd < -tol else Verdict.NO
-        )
-        test = "summability"
+        member, test = Verdict.YES if low > 1 else Verdict.NO, "summability"
     else:
         # l1 predual: boundedness in l^infinity
-        member = (
-            Verdict.YES if even <= tol and odd <= tol else Verdict.NO
-        )
-        test = "boundedness"
+        member, test = Verdict.YES if low >= 1 else Verdict.NO, "boundedness"
     coords = tuple(left_kernel_vector(pseq, n_max))
     conclusion = None
     if member is Verdict.YES:

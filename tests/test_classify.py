@@ -1,23 +1,27 @@
 import math
 import random
 from itertools import islice
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from walkdyn import dynamics
 
 from walkdyn.classify import (
     Classification,
     SeriesOutcome,
+    Verdict,
     classify,
     invariant_mass_series_terms,
     judge_series,
     kernel_decay_log_factors,
     transience_series_terms,
 )
-from walkdyn.inverse_kernel import kernel_vector
-from walkdyn.operators import Constant, ListWithTail, Periodic
-from walkdyn.seqspace import Lattice
-from walkdyn.spectral import left_kernel_vector
+from walkdyn.inverse_kernel import kernel_basis, kernel_vector
+from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
+from walkdyn.seqspace import Lattice, SpaceSpec
+from walkdyn.spectral import dual_point_spectrum_report, left_kernel_vector
 
 from conftest import random_pseq
 
@@ -47,6 +51,26 @@ def test_periodic_exact():
     assert classify(Periodic((0.7, 0.3))).verdict is Classification.NULL_RECURRENT
     assert classify(Periodic((0.7, 0.6))).verdict is Classification.TRANSIENT
     assert classify(Periodic((0.3, 0.4))).verdict is Classification.POSITIVE_RECURRENT
+
+
+@pytest.mark.parametrize(
+    "pseq, expected",
+    [
+        # the same walk in two forms, one class: (1-p)/p is 1 - 4e-13
+        (Periodic((0.5000000000001,)), Classification.TRANSIENT),
+        (Constant(0.5000000000001), Classification.TRANSIENT),
+        (Periodic((0.4999999999999,)), Classification.POSITIVE_RECURRENT),
+        # the exact cycle product is 1 - 4.2e-13
+        (Periodic((0.6, 0.4000000000001)), Classification.TRANSIENT),
+        # 1 exactly on the stated values; on the floats' dyadic values it
+        # is 1 + 2.6e-16
+        (Periodic((0.7, 0.3)), Classification.NULL_RECURRENT),
+    ],
+    ids=["periodic-above-half", "const-above-half", "periodic-below-half",
+         "pair-below-one", "pair-at-one"],
+)
+def test_knife_edge_decided_on_the_stated_values(pseq, expected):
+    assert classify(pseq).verdict is expected
 
 
 def test_list_with_tail_tail_decides():
@@ -104,16 +128,16 @@ def test_partial_sums_match_direct_products():
     for n in range(1, 9):
         prod *= (1 - pseq.at(n)) / pseq.at(n)
         t += prod
-    sums = judge_series(transience_series_terms(pseq, 8), 8).partial_sums
-    assert len(sums) == 8
-    assert sums[-1] == pytest.approx(t, rel=1e-12)
+    series = judge_series(transience_series_terms(pseq, 8), 8)
+    assert series.terms == 8
+    assert series.final == pytest.approx(t, rel=1e-12)
     m = 0.0
     prod = 1.0
     for n in range(1, 9):
         prod *= pseq.at(n - 1) / (1 - pseq.at(n))
         m += prod
-    sums = judge_series(invariant_mass_series_terms(pseq, 8), 8).partial_sums
-    assert sums[-1] == pytest.approx(m, rel=1e-12)
+    series = judge_series(invariant_mass_series_terms(pseq, 8), 8)
+    assert series.final == pytest.approx(m, rel=1e-12)
 
 
 def _loop_transience_terms(pseq):
@@ -242,3 +266,38 @@ def test_verdict_monotone_in_horizon(p):
 )
 def test_list_with_tail_exact(pseq, expected):
     assert classify(pseq).verdict is expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 9999), min_size=1, max_size=5),
+    st.lists(st.integers(1, 9999), max_size=3),
+)
+def test_exact_rule_agrees_with_the_float_rule_off_the_band(digits, mirrored):
+    # decimal cycles, some values mirrored about 1/2 so that products land
+    # near 1: wherever every float log lies farther than 1e-12 L from 0,
+    # the 1e-12 rules this package used before give the exact answers
+    pseq = Periodic(tuple(d / 10000 for d in digits + [10000 - d for d in mirrored]))
+    band = 1e-12 * len(pseq.cycle)
+    log_ratio = math.fsum(math.log1p(-p) - math.log(p) for p in pseq.cycle)
+    even, odd = kernel_decay_log_factors(pseq)
+    assume(min(abs(log_ratio), abs(even), abs(odd)) > band)
+
+    expected = Classification.TRANSIENT if log_ratio < 0 else Classification.POSITIVE_RECURRENT
+    assert classify(pseq).verdict is expected
+    # a dual chain's log factor is minus a kernel chain's
+    for space, member in ((SpaceSpec.c0(), even > 1e-12 and odd > 1e-12),
+                          (SpaceSpec.lq(1), even >= -1e-12 and odd >= -1e-12)):
+        rep = dual_point_spectrum_report(pseq, space, n_max=4)
+        assert (rep.zero_is_dual_eigenvalue is Verdict.YES) is member
+    trivial = even >= -1e-12 or odd >= -1e-12
+    op = make_walk(Lattice.HALF_LINE, pseq)
+    try:
+        kernel_basis(op, 1, 1)
+        raised = False
+    except ValueError as exc:
+        raised = "kernel is trivial" in str(exc)
+    assert raised is trivial
+    with mock.patch.object(dynamics, "kernel_window_for_tol", side_effect=ValueError("skipped")):
+        cert = dynamics.supercyclicity_criterion_certificate(op, SpaceSpec.c0())
+    assert ("kernel is trivial" in cert.reason) is trivial

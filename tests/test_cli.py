@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -541,3 +545,16 @@ class TestParsers:
         for text in ("inf", "1,nan", "1+infj@2", "-inf"):
             with pytest.raises(ValueError, match="must be finite"):
                 parse_vector(text, Lattice.LINE)
+
+
+def test_cli_import_leaves_exact_arithmetic_out():
+    # the exact rule imports fractions on demand: a CLI run that never
+    # decides at a threshold does not pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, walkdyn.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

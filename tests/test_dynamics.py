@@ -117,23 +117,41 @@ class TestFhcCertificate:
         assert cert.witness["periodic_terms"] == n_max // 6
 
     def test_ratio_one_ulp_below_one_decided_exactly(self):
-        # the float ratio reads 0.9999999999999999, but sup |r_k| sits at
-        # min p, so the exact test is |lam| (2 min p - 1) > 1, and it fails
-        op = walk(Periodic((0.8841995512517797, 0.8443879956274093)))
-        cert = fhc_chaos_certificate(op, 1.4518508378583153, SpaceSpec.c0())
-        assert cert.witness["certified_ratio"] < 1.0
+        # the float ratio reads 0.9999999999999999, but on the stated values
+        # |lam| (2p - 1) = 99.99999999999993 * 0.01 <= 1: the route is blocked
+        # (on the floats' dyadic values it would pass)
+        cert = fhc_chaos_certificate(walk(Constant(0.505)), 99.99999999999993, SpaceSpec.c0())
+        assert cert.witness["certified_ratio"] == 0.9999999999999999
         assert cert.verdict is Verdict.NO
         assert "not a disproof" in cert.reason
 
     def test_ratio_rounding_below_one_names_the_exact_test(self):
         # the witness reads a float ratio below 1, so the reason must not
         # claim ratio >= 1: it names the exact test that blocked the route
-        op = walk(Periodic((0.8841995512517797, 0.8443879956274093)))
-        cert = fhc_chaos_certificate(op, 1.4518508378583153, SpaceSpec.c0())
-        assert cert.witness["certified_ratio"] == 0.9999999999999999
+        cert = fhc_chaos_certificate(walk(Constant(0.555)), 9.090909090909085, SpaceSpec.c0())
+        assert cert.witness["certified_ratio"] == 0.9999999999999998
+        assert cert.verdict is Verdict.NO
         assert "certified ratio >= 1" not in cert.reason
         assert "|lam|^2 (2 min p - 1)^2 <= 1 exactly" in cert.reason
         assert "not a disproof" in cert.reason
+
+    @pytest.mark.parametrize(
+        "pseq, lam, ratio",
+        [
+            # |lam|^2 (2 min p - 1)^2 - 1 is +7.3e-17 on the stated values
+            # and -2.4e-17 on the floats' dyadic values
+            (Periodic((0.8841995512517797, 0.8443879956274093)), 1.4518508378583153,
+             0.9999999999999999),
+            # the float ratio rounds up to 1, the exact margin is positive
+            (Constant(0.616), 4.310344827586207, 1.0),
+        ],
+        ids=["dyadic-blocked", "float-ratio-one"],
+    )
+    def test_ratio_decided_on_the_stated_values(self, pseq, lam, ratio):
+        cert = fhc_chaos_certificate(walk(pseq), lam, SpaceSpec.c0())
+        assert cert.witness["certified_ratio"] == ratio
+        assert cert.verdict is Verdict.YES
+        assert cert.witness["max_empirical_ratio"] < 0.99
 
     @pytest.mark.parametrize(
         "pseq, lam",
@@ -256,6 +274,16 @@ class TestSupercyclicityCertificate:
         cert = supercyclicity_criterion_certificate(walk(Constant(0.5006)), SpaceSpec.c0())
         assert cert.verdict is Verdict.UNDETERMINED
         assert "cap" in cert.reason
+
+    def test_knife_edge_kernel_names_the_window_cap(self):
+        # (1-p)/p = 1 - 4e-13: ker W is nontrivial, but its weights reach
+        # 1e-30 only far past the window cap
+        cert = supercyclicity_criterion_certificate(
+            walk(Constant(0.5000000000001)), SpaceSpec.c0()
+        )
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert "kernel is trivial" not in cert.reason
+        assert "cap=12000" in cert.reason
 
     def test_yes_near_boundary(self):
         # backward norms blow up like 10^n here; the verdict must come

@@ -342,6 +342,16 @@ def test_kernel_basis_rejects_non_decaying():
         kernel_basis(walk(Constant(0.5)), 1, 50)
 
 
+def test_knife_edge_decided_on_the_stated_values():
+    # (1-p)/p = 1 - 4e-13: the chains decay, too slowly for the tail cap,
+    # and ker W is nontrivial
+    op = walk(Constant(0.5000000000001))
+    with pytest.raises(TailNotDecayingError, match="decays too slowly"):
+        right_inverse(op, FinSeq.unit(0))
+    (v,) = kernel_basis(op, 1, 8)
+    assert v.at(0) == 1
+
+
 def _reference_columns(op, lo, y):
     """(first column, columns) of the column action on the complex rows
     stacked in y, a scatter along the band onto zeros."""

@@ -171,8 +171,9 @@ def test_column_bound_is_largest_dense_column_sum():
 
         def exact(a, i, j):
             # entry() rounds 1 - p for p < 1/2: take each nonzero entry
-            # exactly, p_i on the move up and 1 - p_i otherwise
-            p = Fraction(pseq.at(i))
+            # exactly on the stated value, p_i on the move up and 1 - p_i
+            # otherwise
+            p = Fraction(repr(pseq.at(i)))
             return 0 if a == 0 else p if j == i + 1 else 1 - p
 
         # the last column (and the first, on the line) misses a row of its own

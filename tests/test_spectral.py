@@ -189,6 +189,23 @@ def test_dual_report_l1_boundary():
     assert rep.zero_is_dual_eigenvalue is Verdict.NO
 
 
+@pytest.mark.parametrize(
+    "pseq, space, member",
+    [
+        # the dual chains grow by p/(1-p) = 1 + 4e-13 every two indices
+        (Constant(0.5000000000001), SpaceSpec.lq(1), Verdict.NO),
+        # ... and here they shrink by as much: summable
+        (Periodic((0.4999999999999,)), SpaceSpec.c0(), Verdict.YES),
+    ],
+    ids=["l1-growing", "c0-decaying"],
+)
+def test_dual_report_decided_on_the_stated_values(pseq, space, member):
+    rep = dual_point_spectrum_report(pseq, space, n_max=12)
+    assert rep.zero_is_dual_eigenvalue is member
+    grows = abs(rep.coords[-1]) > abs(rep.coords[0])
+    assert grows is (member is Verdict.NO)
+
+
 def test_dual_report_rejects_linf():
     with pytest.raises(ValueError):
         dual_point_spectrum_report(Constant(0.25), SpaceSpec.linf())
