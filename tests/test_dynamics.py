@@ -395,7 +395,7 @@ def test_fhc_forward_witnesses_do_not_depend_on_the_phase_of_lam(form, space):
 def _checked_reference(op, v, n, space, lam):
     """Norms and residuals of the backward loop's windows, from FinSeqs and
     the public apply: norm(lam W z_k - z_{k-1}) / norm(z_{k-1})."""
-    zs = [FinSeq(op.lattice, lo, values) for lo, values in _backward(op, v, n, lam)]
+    zs = [FinSeq(op.lattice, lo, values) for lo, values in dynamics._backward(op, v, n, lam)]
     norms = [norm(z, space) for z in zs]
     residuals = []
     for k in range(1, n + 1):
@@ -404,7 +404,19 @@ def _checked_reference(op, v, n, space, lam):
     return norms, residuals, zs[-1]
 
 
-@pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
+def _outcome(check, *args):
+    """The repr of a check's result, or the error it raises: a norm whose
+    exact sum passes the float range raises in fsum (l1)."""
+    try:
+        return repr(check(*args))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
+
+
+_CHECKED_SPACES = {**_ORBIT_SPACES, "l1.5": SpaceSpec.lq(1.5), "l3": SpaceSpec.lq(3)}
+
+
+@pytest.mark.parametrize("space", _CHECKED_SPACES, ids=str)
 @pytest.mark.parametrize("form", _ORBIT_WALKS)
 @pytest.mark.parametrize(
     "factor",
@@ -412,20 +424,44 @@ def _checked_reference(op, v, n, space, lam):
     ids=["none", "pos", "neg", "minus-zero-imag", "complex"],
 )
 def test_checked_backward_matches_finseq_residuals(factor, form, space):
-    # the float plane forms lam W z_k - z_{k-1} without FinSeqs; its norms
-    # and residuals are those of the FinSeq arithmetic, bit for bit
+    # the array pass forms lam W z_k - z_{k-1} for every row at once, without
+    # FinSeqs; its norms and residuals are those of the FinSeq arithmetic, bit
+    # for bit, from a zero start, one at index 0, and starts near 1e306 whose
+    # norms overflow to inf without lam
     op = walk(_ORBIT_WALKS[form])
     lam = None if factor is None else factor * step_norm_bound(op)
     rng = random.Random(f"{factor}{form}{space}")
     starts = [random_finseq(rng, max_index=5) for _ in range(3)]
     starts.append(random_finseq(rng, max_index=5, complex_entries=True))
+    starts += [FinSeq.zero(), FinSeq.from_values([1.5, 0.0, -0.7])]
+    starts += [FinSeq.from_values([1e306]), FinSeq.from_values([0.0, 1e306, 1e306j], offset=2)]
     for v in starts:
         planes = {values.dtype for _, values in _backward(op, v, 3, lam)}
         real = not v.values.imag.any() and (factor is None or not complex(factor).imag)
-        assert (np.dtype(np.float64) in planes) is real
-        got = dynamics._checked_backward(op, v, 10, _ORBIT_SPACES[space], lam)
-        want = _checked_reference(op, v, 10, _ORBIT_SPACES[space], lam)
-        assert repr(got) == repr(want)
+        assert (np.dtype(np.float64) in planes) is (real or v.is_zero)
+        args = op, v, 10, _CHECKED_SPACES[space], lam
+        assert _outcome(dynamics._checked_backward, *args) == _outcome(_checked_reference, *args)
+
+
+@pytest.mark.parametrize("space", _CHECKED_SPACES, ids=str)
+@pytest.mark.parametrize("factor", [None, 1.3, -1.4], ids=["none", "pos", "neg"])
+def test_checked_backward_on_a_run_that_leaves_the_float_plane(monkeypatch, factor, space):
+    # no run of the loop was found that leaves the float plane partway and
+    # completes (one that overflows raises), so a wrapped loop hands over
+    # complex128 windows from step 3 on; the array pass then runs on
+    # complex128 and keeps every modulus of the FinSeq arithmetic
+    op = walk(_ORBIT_WALKS["periodic"])
+    lam = None if factor is None else factor * step_norm_bound(op)
+
+    def leaving(*args):
+        for k, (lo, values) in enumerate(_backward(*args)):
+            yield lo, values if k < 3 else values.astype(np.complex128)
+
+    monkeypatch.setattr(dynamics, "_backward", leaving)
+    v = FinSeq.from_values([0.4, -1.2, 0.0, 2.5], offset=1)
+    assert [z.dtype.char for _, z in leaving(op, v, 4, lam)] == list("DddDD")
+    args = op, v, 10, _CHECKED_SPACES[space], lam
+    assert repr(dynamics._checked_backward(*args)) == repr(_checked_reference(*args))
 
 
 @pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)

@@ -40,6 +40,23 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
+def _digest(workload, seed, jobs):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "result_digest.py"), "--workload", workload,
+         "--seed", str(seed), "--jobs", str(jobs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_result_digest_is_a_function_of_the_jobs():
+    first = _digest("certify", 1, 20)
+    assert len(first) == 64 and int(first, 16) >= 0
+    assert _digest("certify", 1, 20) == first
+    assert _digest("certify", 2, 20) != first
+
+
 def _fake_report(directory, workload, seed, trace, jobs_per_s):
     names = ("setup_s", "jobs_per_s", "job_ms_p50", "job_ms_p90", "peak_rss_mb")
     metrics = {name: {"value": 1.0, "unit": "u"} for name in names}

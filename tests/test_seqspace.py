@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from walkdyn.seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm
+from walkdyn.seqspace import _lq_powers, _norm_of_moduli, _row_norms
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -107,6 +109,80 @@ def test_norm_homogeneity(x, c):
 def test_norm_triangle(x, y):
     for space in (SpaceSpec.c0(), SpaceSpec.lq(1), SpaceSpec.lq(2)):
         assert norm(x + y, space) <= norm(x, space) + norm(y, space) + 1e-9
+
+
+# moduli from 0 and the subnormals up to 1e308, with inf and nan
+moduli = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e308),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-320, max_value=1e308),
+    st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+)
+LISTED_Q = [1.0000001, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3, 100.0]
+exponents = st.one_of(
+    st.sampled_from(LISTED_Q),
+    st.floats(min_value=1.0, max_value=200.0, exclude_min=True),
+)
+
+
+def _powers_reference(mags: np.ndarray, scale: float, q: float) -> list[float]:
+    return [r**q for r in (mags / scale).tolist()]
+
+
+def _lq_reference(mags: np.ndarray, q: float) -> float:
+    """The l^q norm with Python's per-entry ``r**q``."""
+    scale = float(mags.max(initial=0.0))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * math.fsum(_powers_reference(mags, scale, q)) ** (1 / q)
+
+
+@settings(max_examples=300)
+@given(st.lists(moduli, max_size=16), exponents)
+def test_lq_powers_are_pythons_pow(mags, q):
+    # the powers themselves, since a last-bit change in one can round away in the norm
+    mags = np.array(mags, np.float64)
+    scale = float(mags.max(initial=0.0))
+    if 0.0 < scale < math.inf:
+        want = _powers_reference(mags, scale, q)
+        assert repr(_lq_powers(mags, scale, q).tolist()) == repr(want)
+        assert repr(_lq_powers(mags[None], np.array([[scale]]), q)[0].tolist()) == repr(want)
+    assert repr(_norm_of_moduli(mags, SpaceSpec.lq(q))) == repr(_lq_reference(mags, q))
+
+
+@pytest.mark.parametrize("q", LISTED_Q)
+def test_lq_powers_are_pythons_pow_on_many_draws(q):
+    # np.square and np.power differ from r**2 on about 1 uniform draw in 1,200
+    rng = np.random.default_rng(17)
+    mags = np.concatenate((rng.random(20_000), 10.0 ** rng.uniform(-320, 0, 20_000)))
+    assert _lq_powers(mags, 1.0, q).tolist() == _powers_reference(mags, 1.0, q)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(moduli, max_size=12), max_size=6), exponents)
+def test_row_norms_are_the_norms_of_each_row(rows, q):
+    # rows zero-padded on both sides, with all-zero rows and rows holding inf or nan
+    rows += [[], [0.0, 0.0], [1.0, math.inf], [math.nan, 2.0], [3.0, 0.0, math.inf, math.nan]]
+    width = max(map(len, rows)) + 4
+    grid = np.zeros((len(rows), width))
+    for k, row in enumerate(rows):
+        grid[k, k % 3 : k % 3 + len(row)] = row
+    mags = [np.array(row, np.float64) for row in rows]
+    assert repr(_row_norms(grid, SpaceSpec.lq(q))) == repr([_lq_reference(m, q) for m in mags])
+    for space in (SpaceSpec.c0(), SpaceSpec.lq(1)):
+        assert _outcome(_row_norms, grid, space) == _outcome(
+            lambda: [_norm_of_moduli(m, space) for m in mags]
+        )
+
+
+def _outcome(f, *args):
+    """The repr of f(*args), or the error it raises: an l1 norm whose exact
+    sum passes the float range raises in fsum."""
+    try:
+        return repr(f(*args))
+    except OverflowError as exc:
+        return f"OverflowError: {exc}"
 
 
 @pytest.mark.parametrize(
