@@ -6,11 +6,12 @@
 Draws the first K jobs of the seeded stream in ``bench/jobs.py`` and runs
 each in process against ``src/walkdyn``: certify and orbit jobs through
 ``jobs.run_job``, cli jobs through ``walkdyn.cli.main`` with standard
-output captured.  Prints the SHA-256 of the ``repr`` of every result (a
-job that raises contributes its exception's type and message), one repr
-a line, in stream order.  Two checkouts that print the same digest
-computed the same bits for those jobs, which is the gate of a change that
-claims to keep them.
+output and standard error captured.  Prints the SHA-256 of the ``repr``
+of every result (a cli job's exit code, output and error text; a job that
+raises contributes its exception's type and message), one repr a line,
+in stream order.  Two checkouts that print the same digest computed the
+same bits for those jobs, which is the gate of a change that claims to
+keep them.
 """
 
 import argparse
@@ -32,13 +33,15 @@ from walkdyn import cli  # noqa: E402
 def result_text(job) -> str:
     """The repr of one job's result, or of the exception it raised."""
     if job["kind"] == "cli":
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             try:
                 code = cli.main(list(job["argv"]))
             except SystemExit as exc:  # argparse rejects bad argv this way
                 code = exc.code
-        return repr((code, out.getvalue()))
+            except Exception as exc:
+                code = f"raised {type(exc).__name__}: {exc}"
+        return repr((code, out.getvalue(), err.getvalue()))
     try:
         return repr(J.run_job(walkdyn, job))
     except Exception as exc:

@@ -15,7 +15,7 @@ certificate's witness; a failed recomputation downgrades the verdict to
 Undetermined rather than passing silently.  Both certificates read one
 checked backward orbit (:func:`_checked_backward`): one run of the
 backward loop, with the identity lam W z_k = z_{k-1} measured on every
-step in one array pass.  Forward, T^n s = lam^n W^n s: that loop iterates W alone, and lam
+step.  Forward, T^n s = lam^n W^n s: that loop iterates W alone, and lam
 only scales the reported norms.  Backward, (S/lam)^k s shrinks at the
 certified ratio while S^k s grows like bound^k and would overflow: that
 loop keeps its 1/lam scaling.  Decisions at a threshold (the certified
@@ -41,8 +41,7 @@ import numpy as np
 from .classify import Verdict, _chain_factors, _stated, kernel_decay_log_factors
 from .inverse_kernel import _backward, kernel_basis, kernel_window_for_tol, step_norm_bound
 from .operators import BandedOp, Constant, pseq_text
-from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _float_plane
-from .seqspace import _norm_of_moduli, _row_norms, norm
+from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
 
 
 class CertKind(enum.Enum):
@@ -108,39 +107,38 @@ def _diff_moduli(lo: int, y: np.ndarray, y_mags: np.ndarray, t_lo: int, t, t_mag
 
 
 def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=None):
-    """One run of the backward loop, checked in one array pass.
+    """One run of the backward loop, checked on every step.
 
     Returns the norms of z_0 .. z_n, z_k = (S/lam)^k v (S^k v without lam),
     the residual ||lam W z_k - z_{k-1}|| / ||z_{k-1}|| of each step
-    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  The windows of the
-    run sit in one zero-padded array on a common index grid, float64 when
-    all are on the float plane, else complex128, and lam W z_k is formed
-    for all rows at once with the operations of ``lam * op.apply(z_k)``:
-    every modulus is the one of ``apply``, and zeros change no norm.
+    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  lam W z_k is formed
+    on the plane of each window ``_backward`` yields, with the operations
+    of ``lam * op.apply(z_k)``: its bits on complex128, its real parts on
+    float64 up to the signs of zeros; every modulus, and so every norm, is
+    the same.
     """
-    los, windows = map(list, zip(*_backward(op, v, n, lam)))
-    flat = _float_plane(windows[0]) and all(z.dtype == np.float64 for z in windows[1:])
-    windows[0] = windows[0].real if flat else windows[0]
-    # column j holds index base + j; z_k, k >= 1, starts at lo >= 1 (u_0 = 0), so
-    # apply's rows lo - 1 .. hi + 1 are on the grid, and row -1 meets only zeros
-    lens = np.array([len(z) for z in windows])[:, None]
-    base = min(los) - 2
-    start = np.array(los)[:, None] - base
-    cols = np.arange(int((start + lens).max()) + 2)
-    grid = np.zeros((n + 1, len(cols)), np.float64 if flat else np.complex128)
-    grid[(cols >= start) & (cols < start + lens)] = np.concatenate(windows)
-    norms = _row_norms(_abs(grid), space)
-    up, down = op._band(cols[1:-1] + base)
-    if flat:  # where 1/lam is real
-        w = down * grid[1:, :-2]
-        w += up * grid[1:, 2:]
-        w *= 1.0 if lam is None else lam.real
-    else:
-        w = _cmul(down, grid[1:, :-2]) + _cmul(up, grid[1:, 2:])
-        w = w if lam is None else _cmul(lam, w)
-    w -= grid[:-1, 1:-1]
-    residuals = [r / max(z, 1e-300) for r, z in zip(_row_norms(_abs(w), space), norms)]
-    return norms, residuals, FinSeq(op.lattice, los[-1], windows[-1])
+    norms, residuals, prev = [], [], None
+    up = down = np.empty(0)  # the band, read once per run and doubled on demand
+    for lo, z in _backward(op, v, n, lam):
+        if prev:
+            # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0; read an
+            # empty one at 1): apply's rows are lo - 1 .. hi + 1, row 0 on a zero
+            lo = max(lo, 1)
+            hi = lo + len(z) - 1
+            if len(up) < hi + 2:
+                up, down = op._band(np.arange(2 * hi + 4))
+            zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
+            d, u = down[lo - 1 : hi + 2], up[lo - 1 : hi + 2]
+            if z.dtype == np.float64:  # the float plane, where 1/lam is real
+                w = (d * zs[:-2] + u * zs[2:]) * (1.0 if lam is None else lam.real)
+            else:
+                w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
+                w = w if lam is None else _cmul(lam, w)
+            diff = _diff_moduli(lo - 1, w, _abs(w), *prev)
+            residuals.append(_norm_of_moduli(diff, space) / max(norms[-1], 1e-300))
+        prev = lo, z, _abs(z)
+        norms.append(_norm_of_moduli(prev[2], space))
+    return norms, residuals, FinSeq(op.lattice, lo, z)
 
 
 def _column_bound(op: BandedOp):
@@ -573,7 +571,13 @@ def orbit_density_probe(
     for step, (lo, y) in enumerate(op._orbit(x, n_max)):
         mags = _abs(y)
         norms.append(_norm_of_moduli(mags, space))
-        den = math.fsum(np.float_power(mags, 2.0).tolist()) if projective else 0.0
+        den = 0.0
+        if projective:
+            try:  # |y_i|**2 past the float range raises, as Python's ** does
+                with np.errstate(over="raise"):
+                    den = math.fsum(np.float_power(mags, 2.0).tolist())
+            except FloatingPointError:
+                raise OverflowError(34, "Numerical result out of range") from None
         for t_idx, t in enumerate(targets):
             if not projective:
                 d = _diff_moduli(lo, y, mags, t.offset, t.values, t_mags[t_idx])

@@ -10,11 +10,12 @@ since numpy's complex multiply, division and ``abs`` can differ in the
 last bit.  Norms cover c0, c, l^q (q >= 1) and l^infinity; the sup norm
 is shared by c0, c and l^infinity because a finitely supported
 representative realizes it the same way in each; norms are written once
-on moduli, for ``FinSeq``, the forward loop and the rows of the backward
-check alike.  Powers of moduli come from ``np.float_power``: libm ``pow``
-per entry, the bits of Python's ``**``, where ``np.square`` and
-``np.power`` take SIMD paths (at q = 2 each differs from ``r**2`` on 736
-of 900,000 uniform doubles in [0, 1), with glibc 2.36 and numpy 2.4).
+on moduli, for ``FinSeq`` and the forward loop alike.  Powers of moduli
+(the l^q ``r**q``, the projective probe's ``|v|**2``) come from
+``np.float_power``: libm ``pow`` per entry, the bits of Python's ``**``,
+where ``np.square`` and ``np.power`` take SIMD paths (at q = 2 each
+differs from ``r**2`` on 736 of 900,000 uniform doubles in [0, 1), with
+glibc 2.36 and numpy 2.4).
 """
 
 from __future__ import annotations
@@ -264,33 +265,10 @@ def _norm_of_moduli(mags: np.ndarray, space: SpaceSpec) -> float:
         q = space.q
         if q == 1.0:
             return math.fsum(mags.tolist())
+        # rescale by the sup so q-th powers neither underflow nor overflow
         scale = float(mags.max(initial=0.0))
-        if not 0.0 < scale < math.inf:
+        if scale == 0.0 or not math.isfinite(scale):
             return scale
-        return _lq_root(scale, _lq_powers(mags, scale, q), q)
+        total = math.fsum(np.float_power(mags / scale, q).tolist())
+        return scale * total ** (1.0 / q)
     return float(mags.max(initial=0.0))
-
-
-def _row_norms(mags: np.ndarray, space: SpaceSpec) -> list[float]:
-    """The norm of each row of a 2-D array of moduli, as ``_norm_of_moduli`` gives it."""
-    if space.kind is not SpaceKind.LQ:
-        return mags.max(axis=1, initial=0.0).tolist()
-    q = space.q
-    if q == 1.0:
-        return [math.fsum(row.tolist()) for row in mags]
-    scales = mags.max(axis=1, initial=0.0, keepdims=True)
-    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, on rows whose scale is their norm
-        powers = _lq_powers(mags, scales, q)
-    return [_lq_root(s, row, q) for s, row in zip(scales.ravel().tolist(), powers)]
-
-
-def _lq_powers(mags: np.ndarray, scale, q: float) -> np.ndarray:
-    """(mags / scale)**q with the sup as scale, so it neither underflows nor
-    overflows; ``np.float_power`` is libm ``pow`` per entry, Python's ``**``."""
-    y = mags / scale
-    return np.float_power(y, q, out=y)
-
-
-def _lq_root(scale: float, powers: np.ndarray, q: float) -> float:
-    """scale * (sum of powers)**(1/q), or scale when it is 0 or not finite."""
-    return scale * math.fsum(powers.tolist()) ** (1.0 / q) if 0.0 < scale < math.inf else scale

@@ -424,10 +424,10 @@ _CHECKED_SPACES = {**_ORBIT_SPACES, "l1.5": SpaceSpec.lq(1.5), "l3": SpaceSpec.l
     ids=["none", "pos", "neg", "minus-zero-imag", "complex"],
 )
 def test_checked_backward_matches_finseq_residuals(factor, form, space):
-    # the array pass forms lam W z_k - z_{k-1} for every row at once, without
-    # FinSeqs; its norms and residuals are those of the FinSeq arithmetic, bit
-    # for bit, from a zero start, one at index 0, and starts near 1e306 whose
-    # norms overflow to inf without lam
+    # the float plane forms lam W z_k - z_{k-1} without FinSeqs; its norms
+    # and residuals are those of the FinSeq arithmetic, bit for bit, also from
+    # a zero start, one at index 0, and starts near 1e306 whose norms
+    # overflow to inf without lam
     op = walk(_ORBIT_WALKS[form])
     lam = None if factor is None else factor * step_norm_bound(op)
     rng = random.Random(f"{factor}{form}{space}")
@@ -448,8 +448,8 @@ def test_checked_backward_matches_finseq_residuals(factor, form, space):
 def test_checked_backward_on_a_run_that_leaves_the_float_plane(monkeypatch, factor, space):
     # no run of the loop was found that leaves the float plane partway and
     # completes (one that overflows raises), so a wrapped loop hands over
-    # complex128 windows from step 3 on; the array pass then runs on
-    # complex128 and keeps every modulus of the FinSeq arithmetic
+    # complex128 windows from step 3 on; the check then runs on complex128
+    # and keeps every modulus of the FinSeq arithmetic
     op = walk(_ORBIT_WALKS["periodic"])
     lam = None if factor is None else factor * step_norm_bound(op)
 
@@ -462,6 +462,41 @@ def test_checked_backward_on_a_run_that_leaves_the_float_plane(monkeypatch, fact
     assert [z.dtype.char for _, z in leaving(op, v, 4, lam)] == list("DddDD")
     args = op, v, 10, _CHECKED_SPACES[space], lam
     assert repr(dynamics._checked_backward(*args)) == repr(_checked_reference(*args))
+
+
+@pytest.mark.parametrize("space", _CHECKED_SPACES, ids=str)
+@pytest.mark.parametrize(
+    "factor", [None, -1.4, 0.8 + 1.1j, 1e10], ids=["none", "neg", "complex", "vanish"]
+)
+def test_checked_backward_on_long_and_vanishing_runs(factor, space):
+    # 60 steps; lam = 1e10 * bound underflows the windows to empty ones after
+    # 32 steps, where each residual compares an empty z_k with z_{k-1}
+    op = walk(_ORBIT_WALKS["list"])
+    lam = None if factor is None else factor * step_norm_bound(op)
+    v = FinSeq.from_values([1.0, -0.5, 0.25j if factor == 0.8 + 1.1j else 0.25], offset=2)
+    args = op, v, 60, _CHECKED_SPACES[space], lam
+    assert repr(dynamics._checked_backward(*args)) == repr(_checked_reference(*args))
+
+
+@pytest.mark.parametrize("factor", [1.0, 2.0], ids=["steady", "vanish"])
+def test_checked_backward_reads_one_step_at_a_time_on_a_long_run(monkeypatch, factor):
+    # each window of these runs starts one index right of the one before, and
+    # at factor 2 they underflow to empty ones after about 1,070 steps; every
+    # array of moduli the check reads spans two windows at most, so a
+    # 2,000-step run holds no more than a short one
+    op = walk(Constant(0.9))
+    v, lam = FinSeq.from_values([1.0, -0.5], offset=2), factor * step_norm_bound(op)
+    sizes, norm_of_moduli = [], dynamics._norm_of_moduli
+
+    def recording(mags, space):
+        sizes.append(mags.size)
+        return norm_of_moduli(mags, space)
+
+    monkeypatch.setattr(dynamics, "_norm_of_moduli", recording)
+    longest = max(len(z) for _, z in _backward(op, v, 2000, lam))
+    norms, residuals, _ = dynamics._checked_backward(op, v, 2000, SpaceSpec.c0(), lam)
+    assert len(norms) == 2001 and len(residuals) == 2000 and (norms[-1] > 0) is (factor == 1.0)
+    assert len(sizes) == 4001 and max(sizes) <= 2 * longest + 2
 
 
 @pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
@@ -566,6 +601,20 @@ class TestOrbitProbe:
         b = orbit_density_probe(walk_075, x * 7.25, targets, n_max=25, projective=True)
         for (da, _), (db, _) in zip(a.best, b.best):
             assert da == pytest.approx(db, abs=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [[1e200], [1e200, 3e200], [0.0, 2e154]])
+    def test_projective_probe_raises_where_a_squared_modulus_overflows(self, walk_075, x):
+        # |y_i|**2 out of range ends the probe as Python's ** does, with no
+        # warning, instead of a scalar c = 0 that reports ||t|| as the distance
+        x = FinSeq.from_values(x)
+        with pytest.raises(OverflowError) as want:
+            max(x.values.real.tolist()) ** 2
+        with pytest.raises(OverflowError) as got:
+            orbit_density_probe(walk_075, x, [FinSeq.unit(0)], n_max=3, projective=True)
+        assert got.value.args == want.value.args
+        rep = orbit_density_probe(walk_075, x * 1e-100, [FinSeq.unit(0)], n_max=3, projective=True)
+        assert max(d for d, _ in rep.best) < norm(FinSeq.unit(0), SpaceSpec.c0())
 
     def test_threshold_controls_visits(self, walk_075):
         rep = orbit_density_probe(

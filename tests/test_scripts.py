@@ -57,6 +57,26 @@ def test_result_digest_is_a_function_of_the_jobs():
     assert _digest("certify", 2, 20) != first
 
 
+@pytest.mark.parametrize(
+    "argv, shows",
+    [
+        (["certify", "fhc", "--pseq", "const:0.6"], "needs --lambda"),
+        (["orbit", "--pseq", "const:0.7", "--x", "1e200", "--targets", "1", "--projective"],
+         "raised OverflowError"),
+    ],
+)
+def test_result_digest_reads_a_cli_jobs_errors(argv, shows):
+    # a cli job's error text and any exception it raises enter its result
+    code = ("import runpy, sys; text = runpy.run_path(sys.argv[1])['result_text']"
+            "; print(text({'kind': 'cli', 'argv': sys.argv[2:]}))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "scripts" / "result_digest.py"), *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert shows in proc.stdout
+
+
 def _fake_report(directory, workload, seed, trace, jobs_per_s):
     names = ("setup_s", "jobs_per_s", "job_ms_p50", "job_ms_p90", "peak_rss_mb")
     metrics = {name: {"value": 1.0, "unit": "u"} for name in names}

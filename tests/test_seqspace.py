@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkdyn.seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm
-from walkdyn.seqspace import _lq_powers, _norm_of_moduli, _row_norms
+from walkdyn.seqspace import _norm_of_moduli
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -126,63 +126,34 @@ exponents = st.one_of(
 )
 
 
-def _powers_reference(mags: np.ndarray, scale: float, q: float) -> list[float]:
-    return [r**q for r in (mags / scale).tolist()]
-
-
 def _lq_reference(mags: np.ndarray, q: float) -> float:
     """The l^q norm with Python's per-entry ``r**q``."""
     scale = float(mags.max(initial=0.0))
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * math.fsum(_powers_reference(mags, scale, q)) ** (1 / q)
+    return scale * math.fsum([r**q for r in (mags / scale).tolist()]) ** (1 / q)
 
 
 @settings(max_examples=300)
 @given(st.lists(moduli, max_size=16), exponents)
-def test_lq_powers_are_pythons_pow(mags, q):
-    # the powers themselves, since a last-bit change in one can round away in the norm
+def test_lq_norm_takes_pythons_pow(mags, q):
+    # the powers themselves too, since a last-bit change in one can round
+    # away in the norm
     mags = np.array(mags, np.float64)
     scale = float(mags.max(initial=0.0))
     if 0.0 < scale < math.inf:
-        want = _powers_reference(mags, scale, q)
-        assert repr(_lq_powers(mags, scale, q).tolist()) == repr(want)
-        assert repr(_lq_powers(mags[None], np.array([[scale]]), q)[0].tolist()) == repr(want)
+        y = mags / scale
+        assert repr(np.float_power(y, q).tolist()) == repr([r**q for r in y.tolist()])
     assert repr(_norm_of_moduli(mags, SpaceSpec.lq(q))) == repr(_lq_reference(mags, q))
 
 
 @pytest.mark.parametrize("q", LISTED_Q)
-def test_lq_powers_are_pythons_pow_on_many_draws(q):
-    # np.square and np.power differ from r**2 on about 1 uniform draw in 1,200
+def test_float_power_is_pythons_pow_on_many_draws(q):
+    # the rule of the l^q norm and the projective probe; np.square and
+    # np.power differ from r**2 on about 1 uniform draw in 1,200
     rng = np.random.default_rng(17)
     mags = np.concatenate((rng.random(20_000), 10.0 ** rng.uniform(-320, 0, 20_000)))
-    assert _lq_powers(mags, 1.0, q).tolist() == _powers_reference(mags, 1.0, q)
-
-
-@settings(max_examples=200)
-@given(st.lists(st.lists(moduli, max_size=12), max_size=6), exponents)
-def test_row_norms_are_the_norms_of_each_row(rows, q):
-    # rows zero-padded on both sides, with all-zero rows and rows holding inf or nan
-    rows += [[], [0.0, 0.0], [1.0, math.inf], [math.nan, 2.0], [3.0, 0.0, math.inf, math.nan]]
-    width = max(map(len, rows)) + 4
-    grid = np.zeros((len(rows), width))
-    for k, row in enumerate(rows):
-        grid[k, k % 3 : k % 3 + len(row)] = row
-    mags = [np.array(row, np.float64) for row in rows]
-    assert repr(_row_norms(grid, SpaceSpec.lq(q))) == repr([_lq_reference(m, q) for m in mags])
-    for space in (SpaceSpec.c0(), SpaceSpec.lq(1)):
-        assert _outcome(_row_norms, grid, space) == _outcome(
-            lambda: [_norm_of_moduli(m, space) for m in mags]
-        )
-
-
-def _outcome(f, *args):
-    """The repr of f(*args), or the error it raises: an l1 norm whose exact
-    sum passes the float range raises in fsum."""
-    try:
-        return repr(f(*args))
-    except OverflowError as exc:
-        return f"OverflowError: {exc}"
+    assert np.float_power(mags, q).tolist() == [r**q for r in mags.tolist()]
 
 
 @pytest.mark.parametrize(
