@@ -41,7 +41,10 @@ import numpy as np
 from .classify import Verdict, _chain_factors, _stated, kernel_decay_log_factors
 from .inverse_kernel import _backward, kernel_basis, kernel_window_for_tol, step_norm_bound
 from .operators import BandedOp, Constant, pseq_text
-from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, _norm_of_moduli, norm
+from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, norm
+from .seqspace import _row_norms, _row_sums
+
+_BLOCK_CELLS = 8192  # cells of one block of rows, measured in one array pass
 
 
 class CertKind(enum.Enum):
@@ -90,9 +93,47 @@ def _settle(
     return Certificate(kind, Verdict.YES, params, witness)
 
 
+def _blocks(rows, span=lambda r: (0, len(r)), per=1):
+    """Rows in lists of at most _BLOCK_CELLS cells, ``per`` a row times the hull of their
+    spans (at least one row a list); when the loop raises, the rows so far come first."""
+    block, lo, hi = [], math.inf, -math.inf
+    try:
+        for row in rows:
+            a, b = span(row)
+            if block and per * (len(block) + 1) * (max(hi, b) - min(lo, a)) > _BLOCK_CELLS:
+                yield block
+                block, lo, hi = [], a, b
+            block.append(row)
+            lo, hi = min(lo, a), max(hi, b)
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _padded(rows, at=None, pad=0) -> np.ndarray:
+    """The rows in a zero-padded block, row i from column at[i] (0), ``pad`` columns spare."""
+    at = at or [0] * len(rows)
+    width = max(a + len(row) for a, row in zip(at, rows)) + pad
+    block = np.zeros((len(rows), width), np.result_type(*{row.dtype for row in rows}))
+    for i, (a, row) in enumerate(zip(at, rows)):
+        block[i, a : a + len(row)] = row
+    return block
+
+
+def _measured(rows, space: SpaceSpec) -> list[float]:
+    """The norm of each row of moduli, a block at a time; a sup one row at a
+    time, since it has no sum to share and padding would only copy the rows."""
+    if space.kind is not SpaceKind.LQ:
+        return [_row_norms(row[None], space)[0] for row in rows]
+    return [r for block in _blocks(rows) for r in _row_norms(_padded(block), space)]
+
+
 def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec) -> list[float]:
     """Norms of x, Wx, ..., W^n x."""
-    return [_norm_of_moduli(_abs(y), space) for _, y in op._orbit(x, n)]
+    return _measured((_abs(y) for _, y in op._orbit(x, n)), space)
 
 
 def _diff_moduli(lo: int, y: np.ndarray, y_mags: np.ndarray, t_lo: int, t, t_mags) -> np.ndarray:
@@ -117,27 +158,34 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
     float64 up to the signs of zeros; every modulus, and so every norm, is
     the same.
     """
-    norms, residuals, prev = [], [], None
-    up = down = np.empty(0)  # the band, read once per run and doubled on demand
-    for lo, z in _backward(op, v, n, lam):
-        if prev:
-            # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0; read an
-            # empty one at 1): apply's rows are lo - 1 .. hi + 1, row 0 on a zero
-            lo = max(lo, 1)
-            hi = lo + len(z) - 1
-            if len(up) < hi + 2:
-                up, down = op._band(np.arange(2 * hi + 4))
-            zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
-            d, u = down[lo - 1 : hi + 2], up[lo - 1 : hi + 2]
-            if z.dtype == np.float64:  # the float plane, where 1/lam is real
-                w = (d * zs[:-2] + u * zs[2:]) * (1.0 if lam is None else lam.real)
-            else:
-                w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
-                w = w if lam is None else _cmul(lam, w)
-            diff = _diff_moduli(lo - 1, w, _abs(w), *prev)
-            residuals.append(_norm_of_moduli(diff, space) / max(norms[-1], 1e-300))
-        prev = lo, z, _abs(z)
-        norms.append(_norm_of_moduli(prev[2], space))
+    lo = z = None
+
+    def rows():
+        """The moduli of z_0, of lam W z_1 - z_0, of z_1, of lam W z_2 - z_1, ..."""
+        nonlocal lo, z
+        prev, up, down = None, [], []  # the band, read once per run and doubled on demand
+        for lo, z in _backward(op, v, n, lam):
+            if prev:
+                # z_k, k >= 1, is trimmed and starts at lo >= 1 (u_0 = 0; read an
+                # empty one at 1): apply's rows are lo - 1 .. hi + 1, row 0 on a zero
+                lo = max(lo, 1)
+                hi = lo + len(z) - 1
+                if len(up) < hi + 2:
+                    up, down = op._band(np.arange(2 * hi + 4))
+                zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
+                d, u = down[lo - 1 : hi + 2], up[lo - 1 : hi + 2]
+                if z.dtype == np.float64:  # the float plane, where 1/lam is real
+                    w = (d * zs[:-2] + u * zs[2:]) * (1.0 if lam is None else lam.real)
+                else:
+                    w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
+                    w = w if lam is None else _cmul(lam, w)
+                yield _diff_moduli(lo - 1, w, _abs(w), *prev)
+            prev = lo, z, _abs(z)
+            yield prev[2]
+
+    measured = _measured(rows(), space)
+    norms = measured[::2]
+    residuals = [d / max(zn, 1e-300) for d, zn in zip(measured[1::2], norms)]
     return norms, residuals, FinSeq(op.lattice, lo, z)
 
 
@@ -567,36 +615,52 @@ def orbit_density_probe(
     best = [(math.inf, -1)] * len(targets)
     visits: list[list[int]] = [[] for _ in targets]
     norms: list[float] = []
-    t_mags = [_abs(t.values) for t in targets]
-    for step, (lo, y) in enumerate(op._orbit(x, n_max)):
-        mags = _abs(y)
-        norms.append(_norm_of_moduli(mags, space))
-        den = 0.0
+    real = not any(t.values.imag.any() for t in targets)  # |y - t| keeps its bits on t.real
+    pad = max((len(t.values) for t in targets), default=0)
+    steps = ((lo, y.copy()) for lo, y in op._orbit(x, n_max))  # _orbit reuses its buffers
+    for block in _blocks(steps, lambda r: (r[0], r[0] + len(r[1]) + pad), 1 + len(targets)):
+        # the windows by index from lo0, and past their hull, at hi0, the entries
+        # of each target outside it, so a target out of reach does not widen a block
+        lo0, hi0 = min(lo for lo, _ in block), max(lo + len(y) for lo, y in block)
+        at = [lo - lo0 for lo, _ in block]
+        ys = _padded([y for _, y in block], at, pad)
+        ts = np.zeros((len(targets), ys.shape[1]), np.float64 if real else np.complex128)
+        for j, t in enumerate(targets):
+            tv = t.values.real if real else t.values
+            a, b = (min(max(i - t.offset, 0), len(tv)) for i in (lo0, hi0))  # tv[a:b] in the hull
+            ts[j, t.offset + a - lo0 : t.offset + b - lo0] = tv[a:b]
+            ts[j, hi0 - lo0 : hi0 - lo0 + len(tv) - b + a] = np.concatenate((tv[:a], tv[b:]))
+        mags = _abs(ys)
+        norms += _row_norms(mags, space)
         if projective:
-            try:  # |y_i|**2 past the float range raises, as Python's ** does
-                with np.errstate(over="raise"):
-                    den = math.fsum(np.float_power(mags, 2.0).tolist())
-            except FloatingPointError:
-                raise OverflowError(34, "Numerical result out of range") from None
-        for t_idx, t in enumerate(targets):
-            if not projective:
-                d = _diff_moduli(lo, y, mags, t.offset, t.values, t_mags[t_idx])
-                d = _norm_of_moduli(d, space)
-            elif den > 0:
-                # c = sum t_i conj(y_i) / den in index order; only zeros are left out
-                a = max(lo, t.offset)
-                b = max(a, min(lo + len(y), t.offset + len(t.values)))
-                conj = np.conj(y[a - lo : b - lo].astype(np.complex128))
-                c = sum(_cmul(t.values[a - t.offset : b - t.offset], conj).tolist()) / den
-                cy = _cmul(complex(c), y)
-                d = _diff_moduli(lo, cy, _abs(cy), t.offset, t.values, t_mags[t_idx])
-                d = _norm_of_moduli(d, space)
-            else:
-                d = norm(t, space)
-            if d < best[t_idx][0]:
-                best[t_idx] = (d, step)
-            if d <= threshold:
-                visits[t_idx].append(step)
+            with np.errstate(over="ignore"):
+                squares = np.float_power(mags, 2.0)
+            dens = _row_sums(squares).tolist()
+            for i in np.flatnonzero(~np.isfinite(dens)).tolist():  # raise as each step did:
+                if (np.isinf(squares[i]) & np.isfinite(mags[i])).any():  # as ** does
+                    raise OverflowError(34, "Numerical result out of range")
+                math.fsum(squares[i].tolist())  # as fsum does on a sum past the float range
+            c = np.zeros((len(block), len(targets), 1), np.complex128)
+            for (i, (lo, y)), (j, t) in itertools.product(enumerate(block), enumerate(targets)):
+                if dens[i] > 0:
+                    # c = sum t_i conj(y_i) / den in index order; only zeros are left out
+                    a = max(lo, t.offset)
+                    b = max(a, min(lo + len(y), t.offset + len(t.values)))
+                    conj = np.conj(y[a - lo : b - lo].astype(np.complex128))
+                    num = sum(_cmul(t.values[a - t.offset : b - t.offset], conj).tolist())
+                    c[i, j] = num / dens[i]
+            # c y on the window of y alone, where c may be inf
+            inside = _padded([np.ones(len(y), bool) for _, y in block], at, pad)
+            ys = np.where(inside[:, None], _cmul(c, ys[:, None]), 0.0)
+        rows = _abs((ys if projective else ys[:, None]) - ts)
+        dists = iter(_row_norms(rows.reshape(len(block) * len(targets), ts.shape[1]), space))
+        for i, step in enumerate(range(len(norms) - len(block), len(norms))):
+            for t_idx, t in enumerate(targets):
+                d = next(dists) if not projective or dens[i] > 0 else norm(t, space)
+                if d < best[t_idx][0]:
+                    best[t_idx] = (d, step)
+                if d <= threshold:
+                    visits[t_idx].append(step)
     return OrbitProbeReport(
         n_max=n_max,
         space=space,

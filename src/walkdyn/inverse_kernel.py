@@ -51,6 +51,7 @@ the BLAS or SIMD path.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -188,8 +189,10 @@ def _backward(
         for an, rn in zip(a.tolist(), rl[lo : hi + 1]):
             x0, x1 = x1, an + rn * x0
             u.append(x1)
-        if flat and not math.isfinite(x0 + x1):  # a chain stays non-finite
-            return None
+        if not cmath.isfinite(x0 + x1) and (flat or np.isfinite(x).all()):  # a chain overflows
+            if flat:
+                return None  # for a redo in complex
+            raise OverflowError("the preimage passes the float range (about 1.8e308)")
         threshold = tol * float(_abs(x).max())
         if max_support is not None:
             cap = max(max_support, hi + 2)
@@ -260,7 +263,8 @@ def right_inverse(
     max(max_support, hi + 2), hi the last index of the support of v, and
     returns the truncated sequence, decayed or not (at p = 0.75, ones on
     0..10 with ``max_support=5`` give support 1..12).  The result has the
-    bits of the plain loop (see the module docstring).
+    bits of the plain loop (see the module docstring).  A preimage past the
+    float range raises OverflowError.
     """
     *_, (lo, values) = _backward(op, v, 1, tol=tol, max_support=max_support)
     return FinSeq(Lattice.HALF_LINE, lo, values)

@@ -9,8 +9,16 @@ are written out on the real and imaginary parts and moduli use ``hypot``,
 since numpy's complex multiply, division and ``abs`` can differ in the
 last bit.  Norms cover c0, c, l^q (q >= 1) and l^infinity; the sup norm
 is shared by c0, c and l^infinity because a finitely supported
-representative realizes it the same way in each; norms are written once
-on moduli, for ``FinSeq`` and the forward loop alike.  Powers of moduli
+representative realizes it the same way in each; norms are written once,
+on the rows of a block of moduli (``_row_norms``), for ``FinSeq`` and the
+orbit loops alike.  A row's sum is ``math.fsum``'s, bit for bit, by
+error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+2008): terms cut at multiples of an ulp sum exactly in any order, twice,
+and a bound on the rest decides the rounding; fsum rounds correctly, so
+that is its result.  Rows of sup at most 2^-900 or at least 2^1000/n, with
+inf or nan, or undecided (about n^3 2^-54 of them) take fsum in stored
+order, which near the float max decides whether it raises; a sum past the
+float range is inf, in l^1 as in l^q.  Powers of moduli
 (the l^q ``r**q``, the projective probe's ``|v|**2``) come from
 ``np.float_power``: libm ``pow`` per entry, the bits of Python's ``**``,
 where ``np.square`` and ``np.power`` take SIMD paths (at q = 2 each
@@ -254,21 +262,49 @@ def norm(x: FinSeq, space: SpaceSpec) -> float:
     """Norm of a finitely supported sequence in the given space.
 
     c0, c and l^infinity all use the sup norm; l^q uses the usual
-    q-th power sum.
+    q-th power sum, inf once it passes the float range.
     """
-    return _norm_of_moduli(_abs(x.values), space)
+    return _row_norms(_abs(x.values)[None], space)[0]
 
 
-def _norm_of_moduli(mags: np.ndarray, space: SpaceSpec) -> float:
-    """The norm of a sequence whose entries have the moduli mags."""
-    if space.kind is SpaceKind.LQ:
-        q = space.q
-        if q == 1.0:
-            return math.fsum(mags.tolist())
-        # rescale by the sup so q-th powers neither underflow nor overflow
-        scale = float(mags.max(initial=0.0))
-        if scale == 0.0 or not math.isfinite(scale):
-            return scale
-        total = math.fsum(np.float_power(mags / scale, q).tolist())
-        return scale * total ** (1.0 / q)
-    return float(mags.max(initial=0.0))
+def _row_norms(mags: np.ndarray, space: SpaceSpec) -> list[float]:
+    """The norm of each row of a 2-D block of moduli; zero padding is free."""
+    top = mags.max(axis=1, initial=0.0)
+    if space.kind is not SpaceKind.LQ:
+        return top.tolist()
+    if space.q == 1.0:
+        return _row_sums(mags).tolist()
+    # rescale by the sup so q-th powers neither underflow nor overflow
+    with np.errstate(invalid="ignore"):  # inf / inf; rows of sup 0, inf or nan are not read
+        ratios = mags / np.where((top > 0.0) & (top < math.inf), top, math.inf)[:, None]
+    totals = _row_sums(np.float_power(ratios, space.q)).tolist()
+    root = 1.0 / space.q
+    return [s * t**root if 0.0 < s < math.inf else s for s, t in zip(top.tolist(), totals)]
+
+
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D block of nonnegative float64 terms,
+    inf where finite terms sum past the float range (module docstring)."""
+    rows, n = terms.shape
+    top = terms.max(axis=1, initial=0.0)
+    out = np.where(top == 0.0, 0.0, math.nan)  # rows of +0 sum to +0; nan marks the rest
+    fast = np.flatnonzero((top > 2.0**-900) & (top < 2.0**1000 / max(n, 1)))
+    k = (2 * n - 1).bit_length()  # 2**k >= 2n
+    e = np.frexp(top[fast])[1][:, None]  # top = f 2**e, 1/2 <= f < 1
+    t = terms if len(fast) == rows else terms[fast]
+    s1, s2 = np.ldexp(1.0, e + k), np.ldexp(1.0, e + 2 * k - 52)
+    q1 = (s1 + t) - s1  # t to multiples of ulp(s1): every partial sum is exact
+    q2 = (s2 + (t - q1)) - s2  # the exact rest, to multiples of ulp(s2) / 2
+    a, b = q1.sum(axis=1), q2.sum(axis=1)
+    s = a + b
+    err = (a - (s - (s - a))) + (b - (s - a))  # a + b - s, exactly
+    rest = np.ldexp(float(n), e[:, 0] + 2 * k - 105)  # bounds the sum q2 leaves out
+    up, down = np.nextafter(s, np.inf) - s, s - np.nextafter(s, 0.0)
+    sure = (err + rest < up / 2) & (rest - err < down / 2)
+    out[fast[sure]] = s[sure]
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        try:  # in stored order: near the float max, fsum's choice to raise depends on it
+            out[i] = math.fsum(terms[i].tolist())
+        except OverflowError:
+            out[i] = math.inf
+    return out

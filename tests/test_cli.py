@@ -156,6 +156,12 @@ class TestInverseKernel:
         assert code == 2
         assert "error:" in err
 
+    def test_inverse_past_the_float_range_exit_2(self, capsys):
+        # the float plane overflows, and so does its redo in complex
+        code, out, err = run(capsys, "inverse", "--pseq", "const:0.75", "--v", "1.5e308")
+        assert (code, out) == (2, "")
+        assert err == "error: the preimage passes the float range (about 1.8e308)\n"
+
 
 class TestCertify:
     def test_fhc_yes(self, capsys):
@@ -296,6 +302,13 @@ class TestOracle:
 
 
 class TestOrbit:
+    def test_projective_square_past_the_float_range_exit_2(self, capsys):
+        # |y|**2 overflows past |y| ~ 1.3e154, where the probe raises OverflowError
+        argv = ["orbit", "--pseq", "const:0.7", "--x", "1e200", "--targets", "1", "--projective"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: Numerical result out of range\n"
+
     def test_orbit_probe(self, capsys):
         code, doc = run_json(
             capsys,

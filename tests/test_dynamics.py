@@ -405,8 +405,8 @@ def _checked_reference(op, v, n, space, lam):
 
 
 def _outcome(check, *args):
-    """The repr of a check's result, or the error it raises: a norm whose
-    exact sum passes the float range raises in fsum (l1)."""
+    """The repr of a check's result, or the error it raises: a preimage past
+    the float range raises."""
     try:
         return repr(check(*args))
     except OverflowError as exc:
@@ -479,24 +479,93 @@ def test_checked_backward_on_long_and_vanishing_runs(factor, space):
 
 
 @pytest.mark.parametrize("factor", [1.0, 2.0], ids=["steady", "vanish"])
-def test_checked_backward_reads_one_step_at_a_time_on_a_long_run(monkeypatch, factor):
+def test_checked_backward_measures_bounded_blocks_on_a_long_run(monkeypatch, factor):
     # each window of these runs starts one index right of the one before, and
-    # at factor 2 they underflow to empty ones after about 1,070 steps; every
-    # array of moduli the check reads spans two windows at most, so a
-    # 2,000-step run holds no more than a short one
+    # at factor 2 they underflow to empty ones after about 1,070 steps; the
+    # check measures its 4,001 rows of moduli in blocks of at most the cap, so
+    # a 2,000-step run holds no more than a short one, where one grid for the
+    # whole run would hold thousands of rows
     op = walk(Constant(0.9))
     v, lam = FinSeq.from_values([1.0, -0.5], offset=2), factor * step_norm_bound(op)
-    sizes, norm_of_moduli = [], dynamics._norm_of_moduli
+    blocks, row_norms = [], dynamics._row_norms
 
     def recording(mags, space):
-        sizes.append(mags.size)
-        return norm_of_moduli(mags, space)
+        blocks.append(mags.shape)
+        return row_norms(mags, space)
 
-    monkeypatch.setattr(dynamics, "_norm_of_moduli", recording)
-    longest = max(len(z) for _, z in _backward(op, v, 2000, lam))
-    norms, residuals, _ = dynamics._checked_backward(op, v, 2000, SpaceSpec.c0(), lam)
+    monkeypatch.setattr(dynamics, "_row_norms", recording)
+    norms, residuals, _ = dynamics._checked_backward(op, v, 2000, SpaceSpec.lq(1), lam)
     assert len(norms) == 2001 and len(residuals) == 2000 and (norms[-1] > 0) is (factor == 1.0)
-    assert len(sizes) == 4001 and max(sizes) <= 2 * longest + 2
+    assert sum(rows for rows, _ in blocks) == 4001 and len(blocks) > 1
+    assert max(rows * width for rows, width in blocks) <= dynamics._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("space", _CHECKED_SPACES, ids=str)
+@pytest.mark.parametrize(
+    "factor", [None, -1.4, 0.8 + 1.1j, 1e10], ids=["none", "neg", "complex", "vanish"]
+)
+def test_checked_backward_across_blocks(monkeypatch, factor, space):
+    # 400 steps from a real start: complex128 z_0, then float64 windows (or
+    # complex ones for a complex lam), empty ones from step 33 at 1e10;
+    # measured in more than one block
+    op = walk(_ORBIT_WALKS["periodic"])
+    lam = None if factor is None else factor * step_norm_bound(op)
+    v = FinSeq.from_values([0.4, -1.2, 0.0, 2.5], offset=1)
+    shapes, padded = [], dynamics._padded
+    monkeypatch.setattr(dynamics, "_padded", lambda rows: shapes.append(len(rows)) or padded(rows))
+    args = op, v, 400, _CHECKED_SPACES[space], lam
+    assert repr(dynamics._checked_backward(*args)) == repr(_checked_reference(*args))
+    # a sup is measured one row at a time: padding would only copy the rows
+    assert (sum(shapes), len(shapes) > 1) == ((801, True) if space != "c0" else (0, False))
+
+
+def test_blocks_hand_over_the_rows_gathered_before_the_loop_raises():
+    # so an error measuring an earlier step still comes before the loop's own
+    def rows():
+        yield np.ones(3)
+        yield np.ones(2)
+        raise OverflowError("at step 2")
+
+    blocks = dynamics._blocks(rows())
+    assert [len(row) for row in next(blocks)] == [3, 2]
+    with pytest.raises(OverflowError, match="at step 2"):
+        next(blocks)
+
+
+def test_checked_backward_l1_norms_pass_the_float_range_to_inf():
+    # the windows stay finite for 30 steps from 1e306, while their l1 norms
+    # pass the float range at step 24; fsum raised there, now the norm is inf
+    op, v = walk(Constant(0.9)), FinSeq.from_values([1e306])
+    norms, residuals, _ = dynamics._checked_backward(op, v, 30, SpaceSpec.lq(1))
+    assert math.isfinite(norms[23]) and norms[24:] == [math.inf] * 7
+    assert len(residuals) == 30
+    with pytest.raises(OverflowError, match="float range"):
+        dynamics._checked_backward(op, v, 40, SpaceSpec.lq(1))
+
+
+@pytest.mark.parametrize("space", _CHECKED_SPACES, ids=str)
+@pytest.mark.parametrize(
+    "op, x",
+    [
+        (walk(_ORBIT_WALKS["list"]), FinSeq.from_values([0.5, 0.0, -2.0, 1.25], offset=3)),
+        (
+            walk(Constant(0.3), Lattice.LINE),
+            FinSeq.from_values([1.0, 0.0, 0.5j], offset=-2, lattice=Lattice.LINE),
+        ),
+        # halves of the smallest subnormal round to zero: empty windows from step 2
+        (walk(Constant(0.5)), FinSeq.from_values([5e-324] * 600, offset=2)),
+    ],
+    ids=["half", "line-complex", "dies-out"],
+)
+def test_orbit_norms_across_blocks(monkeypatch, op, x, space):
+    # 500 steps, measured in more than one block: a real start (complex128,
+    # then float64 windows), a complex one, and one whose windows go empty;
+    # the norms are those of the FinSeq chain
+    calls, padded = [], dynamics._padded
+    monkeypatch.setattr(dynamics, "_padded", lambda rows: calls.append(rows) or padded(rows))
+    got = dynamics._orbit_norms(op, x, 500, _CHECKED_SPACES[space])
+    want = [norm(y, _CHECKED_SPACES[space]) for y in apply_chain(op, x, 500)]
+    assert repr(got) == repr(want) and (len(calls) > 1) is (space != "c0")
 
 
 @pytest.mark.parametrize("space", _ORBIT_SPACES, ids=str)
@@ -601,6 +670,13 @@ class TestOrbitProbe:
         b = orbit_density_probe(walk_075, x * 7.25, targets, n_max=25, projective=True)
         for (da, _), (db, _) in zip(a.best, b.best):
             assert da == pytest.approx(db, abs=1e-10)
+
+    def test_projective_probe_raises_where_the_squares_sum_past_the_float_range(self, walk_075):
+        # each |y_i|**2 is finite, their sum is not: fsum's error, as the loop
+        # raised it step by step, and not Python's ** error
+        x = FinSeq.from_values([1e154, 0.0, 1e154])
+        with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+            orbit_density_probe(walk_075, x, [FinSeq.unit(0)], n_max=40, projective=True)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x", [[1e200], [1e200, 3e200], [0.0, 2e154]])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkdyn import dynamics
 from walkdyn.dynamics import (
     _column_bound,
     constant_tail_obstruction,
@@ -454,6 +455,48 @@ def test_orbit_probe_edge_targets_match_the_reference(case, space, projective):
     report = orbit_density_probe(op, x, targets, space, 12, 1.0, projective)
     ref = _reference_probe(list(apply_chain(op, x, 12)), targets, space, 1.0, projective)
     assert repr(report) == repr(replace(report, **ref))
+
+
+_PROBE_LONG = {
+    # a real start, complex128 and then float64 windows, with targets near,
+    # straddling, and far out of the orbit's reach
+    "half": (
+        _HALF,
+        FinSeq(_H, 3, [1.0, -0.5, 0.0, 2.0]),
+        [FinSeq(_H, 0, [0.25, 0.0, -1.0]), FinSeq(_H, 150, [1.0, 0.5j]), FinSeq(_H, 5000, [2.0])],
+    ),
+    # a complex start on the line, a target far below it
+    "line": (
+        _LINE,
+        FinSeq(_L, -1, [1.0 - 0.5j, 0.25]),
+        [FinSeq(_L, -5000, [0.5, 1.0]), FinSeq(_L, -3, [1.0, 0.0, -0.25])],
+    ),
+    # halves of the smallest subnormal round to zero: empty windows from step 2
+    "dies-out": (
+        make_walk(_H, Constant(0.5)),
+        FinSeq(_H, 2, [5e-324] * 600),
+        [FinSeq.unit(4), FinSeq(_H, 3000, [1.0, -1.0])],
+    ),
+}
+
+
+@pytest.mark.parametrize("projective", [False, True], ids=["plain", "projective"])
+@pytest.mark.parametrize("space", [SpaceSpec.c0(), SpaceSpec.lq(1), SpaceSpec.lq(2.5)], ids=str)
+@pytest.mark.parametrize("case", _PROBE_LONG)
+def test_orbit_probe_across_blocks_matches_the_reference(monkeypatch, case, space, projective):
+    # 300 steps, measured in more than one block; a far target widens no block
+    op, x, targets = _PROBE_LONG[case]
+    shapes, padded = [], dynamics._padded
+
+    def spy(*args):
+        shapes.append(padded(*args).shape)
+        return padded(*args)
+
+    monkeypatch.setattr(dynamics, "_padded", spy)
+    report = orbit_density_probe(op, x, targets, space, 300, 1.0, projective)
+    ref = _reference_probe(list(apply_chain(op, x, 300)), targets, space, 1.0, projective)
+    assert repr(report) == repr(replace(report, **ref))
+    assert len(shapes) > 1 and max(width for _, width in shapes) < 1000
 
 
 def test_orbit_probe_rejects_targets_on_another_lattice():

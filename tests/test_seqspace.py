@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkdyn.seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, norm
-from walkdyn.seqspace import _norm_of_moduli
+from walkdyn.seqspace import _row_norms, _row_sums
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -144,7 +144,113 @@ def test_lq_norm_takes_pythons_pow(mags, q):
     if 0.0 < scale < math.inf:
         y = mags / scale
         assert repr(np.float_power(y, q).tolist()) == repr([r**q for r in y.tolist()])
-    assert repr(_norm_of_moduli(mags, SpaceSpec.lq(q))) == repr(_lq_reference(mags, q))
+    assert repr(_row_norms(mags[None], SpaceSpec.lq(q))[0]) == repr(_lq_reference(mags, q))
+
+
+def _fsum_or_inf(row) -> float:
+    """math.fsum, with inf where finite terms sum past the float range."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
+
+
+def _norm_reference(mags: np.ndarray, space: SpaceSpec) -> float:
+    """The per-window rule: the sup, fsum, or the rescaled l^q sum with Python's pow."""
+    if space.kind is not SpaceKind.LQ:
+        return float(mags.max(initial=0.0))
+    if space.q == 1.0:
+        return _fsum_or_inf(mags.tolist())
+    return _lq_reference(mags, space.q)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# terms of one row: uniform, any exponent from the subnormals up, ties (integer
+# multiples of one power of two near 2**53), near the float max, and inf or nan
+_ROW_TERMS = [
+    st.floats(min_value=0.0, max_value=1.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308]),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.sampled_from([math.inf, math.nan, 1.0]),
+]
+
+
+@st.composite
+def _blocks(draw):
+    width = draw(st.integers(0, 40))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, len(_ROW_TERMS)))
+        if kind == len(_ROW_TERMS):  # ties: m * 2**e for m near 2**53 and small
+            e = draw(st.integers(-1074, 960))
+            m = st.one_of(st.integers(2**52, 2**54), st.integers(0, 16))
+            terms = st.builds(math.ldexp, m.map(float), st.just(e))
+        else:
+            terms = _ROW_TERMS[kind]
+        rows.append(draw(st.lists(terms, min_size=width, max_size=width)))
+    return np.array(rows, np.float64).reshape(len(rows), width)
+
+
+@settings(max_examples=1000)
+@given(_blocks())
+def test_row_sums_are_fsum_bit_for_bit(block):
+    assert _hex(_row_sums(block)) == _hex(_fsum_or_inf(row.tolist()) for row in block)
+
+
+def test_row_sums_of_empty_and_one_row_blocks():
+    assert _row_sums(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert _row_sums(np.zeros((0, 4))).tolist() == []
+    row = [0.1, 0.2, 0.3, 1e-20, 7.0]
+    assert _hex(_row_sums(np.array([row]))) == _hex([math.fsum(row)])
+
+
+def test_row_sums_leave_only_the_fallback_rows_to_fsum(monkeypatch):
+    fsum, seen = math.fsum, []
+
+    def spy(row):
+        seen.append(row)
+        return fsum(row)
+
+    rows = {
+        "tiny": [1e-300, 3e-301, 0.0],  # sup at most 2**-900
+        "huge": [1e308, 1e308, 0.0],  # sup at least 2**1000 / 3, past the float max
+        "inf": [math.inf, 1.0, 0.0],
+        "nan": [1.0, math.nan, 2.0],
+        "tie": [1.0, 2.0**-53, 0.0],  # 1 + 2**-53 sits halfway: no bracket decides it
+        "plain": [0.1, 0.2, 0.3],
+        "zero": [0.0, 0.0, 0.0],
+    }
+    monkeypatch.setattr(math, "fsum", spy)
+    got = _row_sums(np.array(list(rows.values())))
+    monkeypatch.undo()
+    assert repr(seen) == repr([rows[k] for k in ("tiny", "huge", "inf", "nan", "tie")])
+    assert _hex(got) == _hex(_fsum_or_inf(row) for row in rows.values())
+    assert got.tolist()[1:3] == [math.inf, math.inf] and got[4] == 1.0
+
+
+def test_l1_norm_passes_the_float_range_to_inf():
+    # as l^1.5, l^2 and l^3 do; fsum raised "intermediate overflow"
+    assert norm(FinSeq.from_values([1e308, 1e308]), SpaceSpec.lq(1)) == math.inf
+    x = FinSeq.from_values([1.5e308, 1.5e308])
+    assert [norm(x, SpaceSpec.lq(q)) for q in (1, 1.5, 2, 3)] == [math.inf] * 4
+
+
+_BLOCK_SPACES = [SpaceSpec.c0(), *(SpaceSpec.lq(q) for q in (1, 1.5, 2, 3))]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(moduli, max_size=12), min_size=1, max_size=6))
+def test_row_norms_of_padded_rows_are_the_per_window_norms(rows):
+    block = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        block[i, : len(row)] = row
+    for space in _BLOCK_SPACES:
+        want = [_norm_reference(np.array(row, np.float64), space) for row in rows]
+        assert repr(_row_norms(block, space)) == repr(want)
 
 
 @pytest.mark.parametrize("q", LISTED_Q)
