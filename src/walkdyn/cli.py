@@ -5,11 +5,12 @@ the schema version, the tool version, the effective configuration (with
 the exact argv, so any report can be re-run), and the result.  Coordinate
 lists and verdict grids can be requested as CSV instead.
 
-Exit status: 0 on success, 2 on invalid input or a result past the float
-range (one ``error:`` line on standard error), 3 when the computation
-finished but the headline outcome is undetermined (or a preimage tail
-refused to decay).  Complex numbers appear in JSON as [real, imag] pairs.
-A --tol must lie strictly between 0 and 1.
+Exit status: 0 on success, 2 on invalid input, a result past the float
+range or an array too large to allocate (one ``error:`` line on standard
+error), 3 when the computation finished but the headline outcome is
+undetermined (or a preimage tail refused to decay).  Complex numbers
+appear in JSON as [real, imag] pairs.  A --tol must lie strictly between
+0 and 1.
 """
 
 from __future__ import annotations
@@ -567,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         )
         return 3
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError, MemoryError) as exc:
         text = exc.args[-1] if isinstance(exc, OverflowError) and exc.args else exc  # (34, text)
         print(f"error: {text}", file=sys.stderr)
         return 2

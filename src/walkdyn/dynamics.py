@@ -95,20 +95,17 @@ def _settle(
 
 def _blocks(rows, span=lambda r: (0, len(r)), per=1):
     """Rows in lists of at most _BLOCK_CELLS cells, ``per`` a row times the hull of their
-    spans (at least one row a list); when the loop raises, the rows so far come first."""
+    spans (at least one row a list).  One float-range rule: a loop whose values pass the
+    float range raises OverflowError at that step, and a norm past it is inf, so no
+    measurement raises and an error from the loop ends the blocks at once."""
     block, lo, hi = [], math.inf, -math.inf
-    try:
-        for row in rows:
-            a, b = span(row)
-            if block and per * (len(block) + 1) * (max(hi, b) - min(lo, a)) > _BLOCK_CELLS:
-                yield block
-                block, lo, hi = [], a, b
-            block.append(row)
-            lo, hi = min(lo, a), max(hi, b)
-    except Exception:
-        if block:
+    for row in rows:
+        a, b = span(row)
+        if block and per * (len(block) + 1) * (max(hi, b) - min(lo, a)) > _BLOCK_CELLS:
             yield block
-        raise
+            block, lo, hi = [], a, b
+        block.append(row)
+        lo, hi = min(lo, a), max(hi, b)
     if block:
         yield block
 
@@ -282,7 +279,7 @@ def fhc_chaos_certificate(
                 "disproof: |lam| <= 1 while the walk is a contraction, so "
                 "every orbit is norm-bounded and none is dense"
             )
-        elif math.isfinite(ratio):
+        elif gap > 0:
             test = "certified ratio >= 1" if ratio >= 1.0 else (
                 "the certified ratio rounds below 1, but |lam|^2 (2 min p - 1)^2 <= 1 exactly"
             )
@@ -636,10 +633,8 @@ def orbit_density_probe(
             with np.errstate(over="ignore"):
                 squares = np.float_power(mags, 2.0)
             dens = _row_sums(squares).tolist()
-            for i in np.flatnonzero(~np.isfinite(dens)).tolist():  # raise as each step did:
-                if (np.isinf(squares[i]) & np.isfinite(mags[i])).any():  # as ** does
-                    raise OverflowError(34, "Numerical result out of range")
-                math.fsum(squares[i].tolist())  # as fsum does on a sum past the float range
+            if any(math.isinf(d) and np.isfinite(mags[i]).all() for i, d in enumerate(dens)):
+                raise OverflowError("the orbit's squared norm passes the float range (about 1.8e308)")
             c = np.zeros((len(block), len(targets), 1), np.complex128)
             for (i, (lo, y)), (j, t) in itertools.product(enumerate(block), enumerate(targets)):
                 if dens[i] > 0:

@@ -30,8 +30,11 @@ step.  A start runs on the float plane by the rule of the forward loop
 (``seqspace._float_plane``: every entry finite, every imaginary part +0).
 There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 + r_{n-1} u_{n-2}
 past v, are the real parts of the complex entries, whose imaginary parts
-stay +0; a step that overflows there is redone in ``complex``, where
-0.0 * inf makes nan parts.  A real scaling stays on the plane:
+stay +0.  One rule holds on both planes: a step whose entries pass the
+float range from finite entries raises OverflowError at that step, in the
+support and in a ``max_support`` tail alike; a tail that runs to its cap
+without ``max_support`` raises TailNotDecayingError, inf or not.  A real
+scaling stays on the plane:
 x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c = 1/lam,
 and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and the
 paths differ at most in the signs of zeros: nonzero entries keep their
@@ -177,7 +180,7 @@ def _backward(
     @np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
     def step(lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """S x from index lo on, for x on lo..hi (nonzero at both ends), on
-        the plane of x; None when the float plane overflows."""
+        the plane of x."""
         read(hi + 2)  # the tail reads r_hi+1 at least
         flat = x.dtype == np.float64
         a = np.empty(len(x), x.dtype)  # CPython divides a complex by a float through p + 0j
@@ -190,8 +193,6 @@ def _backward(
             x0, x1 = x1, an + rn * x0
             u.append(x1)
         if not cmath.isfinite(x0 + x1) and (flat or np.isfinite(x).all()):  # a chain overflows
-            if flat:
-                return None  # for a redo in complex
             raise OverflowError("the preimage passes the float range (about 1.8e308)")
         threshold = tol * float(_abs(x).max())
         if max_support is not None:
@@ -214,8 +215,6 @@ def _backward(
             if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
                 break
         else:
-            if flat and not math.isfinite(u[-1] + u[-2]):
-                return None
             if max_support is None:
                 last = max(abs(u[-1]), abs(u[-2]))
                 raise TailNotDecayingError(
@@ -223,6 +222,8 @@ def _backward(
                     f"probabilities do not eventually exceed one half (|tail| ~ {last:.3e})",
                     last,
                 )
+            if not all(map(cmath.isfinite, u[-2:])) and (flat or np.isfinite(x).all()):
+                raise OverflowError("the preimage passes the float range (about 1.8e308)")
         return np.array(u, x.dtype)
 
     yield v.offset, v.values
@@ -233,8 +234,6 @@ def _backward(
     for _ in range(k):
         if lo <= hi:
             u = step(lo, hi, x)
-            if u is None:  # redo the step in complex (step calls no step: no reference cycle)
-                u = step(lo, hi, x.astype(np.complex128))
             nz = np.flatnonzero(u)
             first, last = (int(nz[0]), int(nz[-1])) if len(nz) else (0, -1)
             lo, hi, x = lo + first, lo + last, u[first : last + 1]

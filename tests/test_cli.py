@@ -162,6 +162,21 @@ class TestInverseKernel:
         assert (code, out) == (2, "")
         assert err == "error: the preimage passes the float range (about 1.8e308)\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_truncated_tail_past_the_float_range_exit_2(self, capsys):
+        # the tail passes the float range before index 700; it printed nan
+        # coordinates and a nan residual, with exit 0
+        argv = ["inverse", "--pseq", "const:0.1", "--v", "e0", "--max-support", "700"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the preimage passes the float range (about 1.8e308)\n"
+
+    def test_kernel_too_large_to_allocate_exit_2(self, capsys):
+        # numpy refuses the power-by-window array; it ended in a traceback
+        code, out, err = run(capsys, "kernel", "--pseq", "const:0.75", "--power", "100000000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
 
 class TestCertify:
     def test_fhc_yes(self, capsys):
@@ -202,6 +217,16 @@ class TestCertify:
         res = json.loads(out)["result"]
         assert res["holds"] == "undetermined"
         assert "backward-underflow" in res["reason"]
+
+    def test_fhc_tiny_lambda_is_blocked_by_the_ratio(self, capsys):
+        # bound / |lam| overflows to inf; the reason once read that as no
+        # per-step bound, with exit 3, though the step bound is about 5
+        argv = ["--pseq", "list:0.9;tail=0.6", "--lambda", "1e-320", "--space", "l1"]
+        code, doc = run_json(capsys, "certify", "fhc", *argv)
+        assert code == 0
+        res = doc["result"]
+        assert (res["holds"], res["witness"]["step_bound"]) == ("no", pytest.approx(5.0))
+        assert res["reason"].startswith("no by criterion: certified ratio >= 1")
 
     def test_supercyclicity(self, capsys):
         code, doc = run_json(
@@ -307,7 +332,7 @@ class TestOrbit:
         argv = ["orbit", "--pseq", "const:0.7", "--x", "1e200", "--targets", "1", "--projective"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: Numerical result out of range\n"
+        assert err == "error: the orbit's squared norm passes the float range (about 1.8e308)\n"
 
     def test_orbit_probe(self, capsys):
         code, doc = run_json(

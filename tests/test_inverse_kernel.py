@@ -1,3 +1,4 @@
+import cmath
 import gc
 import hashlib
 import math
@@ -156,6 +157,8 @@ def _reference_right_inverse(op, v, tol, max_support):
             return FinSeq(Lattice.HALF_LINE, 0, u).trim()
     if max_support is None:
         raise TailNotDecayingError("tail has not decayed", max(abs(u[-1]), abs(u[-2])))
+    if not all(map(cmath.isfinite, u)):  # the truncated tail of a finite target
+        raise OverflowError("the preimage passes the float range")
     return FinSeq(Lattice.HALF_LINE, 0, u).trim()
 
 
@@ -184,6 +187,17 @@ def _random_inverse_case(rng):
     v = FinSeq.from_values(values + [rng.choice((1.0, -0.5j))], rng.randint(0, 40))
     max_support = rng.choice((None, None, rng.randint(0, 200)))
     return walk(pseq), v, rng.choice((1e-8, 1e-13, 1e-30)), max_support
+
+
+def test_a_tail_past_the_float_range_reports_it():
+    # before, the float plane's overflow was redone in complex, where the tail
+    # turned to nan: a TailNotDecayingError at |tail| ~ 0, or nan entries
+    op, v = walk(Constant(0.4)), FinSeq.from_values([1e300])
+    with pytest.raises(TailNotDecayingError) as exc:
+        right_inverse(op, v)
+    assert exc.value.last_magnitude == math.inf and "|tail| ~ inf" in str(exc.value)
+    with pytest.raises(OverflowError, match="the preimage passes the float range"):
+        right_inverse(op, v, max_support=200)
 
 
 def test_right_inverse_bits_match_the_plain_loop():
@@ -256,7 +270,8 @@ def test_backward_loop_leaves_no_reference_cycle():
     gc.collect()
     right_inverse(walk(Constant(0.75)), FinSeq.unit(0))
     right_inverse(walk(Constant(0.75)), FinSeq.from_values([1 + 2j, -0.5j]))
-    right_inverse(walk(Constant(1e-4)), FinSeq.unit(0), max_support=200)  # redone in complex
+    with pytest.raises(OverflowError, match="the preimage passes the float range"):
+        right_inverse(walk(Constant(1e-4)), FinSeq.unit(0), max_support=200)
     list(_backward(walk(Periodic((0.7, 0.85))), FinSeq.unit(0), 5, -3.0))
     assert gc.collect() == 0
 

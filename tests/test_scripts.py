@@ -61,14 +61,15 @@ def test_result_digest_is_a_function_of_the_jobs():
     "argv, shows",
     [
         (["certify", "fhc", "--pseq", "const:0.6"], "needs --lambda"),
-        # numpy refuses the kernel's power-by-window array before allocating it
-        (["kernel", "--pseq", "const:0.75", "--power", "100000000"], "MemoryError"),
+        # an exception the CLI does not catch, from a handler replaced in process
+        (["kernel", "--pseq", "const:0.75"], "raised ZeroDivisionError"),
     ],
 )
 def test_result_digest_reads_a_cli_jobs_errors(argv, shows):
     # a cli job's error text and any exception it raises enter its result
-    code = ("import runpy, sys; text = runpy.run_path(sys.argv[1])['result_text']"
-            "; print(text({'kind': 'cli', 'argv': sys.argv[2:]}))")
+    code = ("import runpy, sys; script = runpy.run_path(sys.argv[1])"
+            "; script['cli']._HANDLERS['kernel'] = lambda *_: 1 / 0"
+            "; print(script['result_text']({'kind': 'cli', 'argv': sys.argv[2:]}))")
     proc = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "scripts" / "result_digest.py"), *argv],
         capture_output=True, text=True, timeout=120,
