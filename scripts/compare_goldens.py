@@ -21,6 +21,9 @@ an old file is judged by them too: for fhc each step's relative residual
 is at most 1e-10, and the rescaled forward tail at most 1e-10 times the
 rescaled head.
 
+``commands.json``, the list of recorded commands, passes when every old
+command is still there unchanged; commands may be added.
+
 Prints one line per pair and exits 1 if any pair fails, 2 if the
 directories share no file.
 """
@@ -145,6 +148,17 @@ def compare(old_doc, new_doc) -> tuple[list[str], float, set]:
     return failures, worst, moved
 
 
+def compare_commands(old_doc, new_doc) -> tuple[list[str], list[str]]:
+    """(failures, added names) of two golden command lists: an old command
+    that changed or went is a failure."""
+    new = {entry["name"]: entry for entry in new_doc}
+    failures = [
+        f"{e['name']}: {e!r} -> {new.get(e['name'])!r}" for e in old_doc if new.get(e["name"]) != e
+    ]
+    old_names = {entry["name"] for entry in old_doc}
+    return failures, [name for name in new if name not in old_names]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("old", type=Path)
@@ -162,12 +176,18 @@ def main() -> int:
             print(f"{name}: identical")
             continue
         old_doc, new_doc = json.loads(old_text), json.loads(new_text)
-        failures, worst, moved = compare(old_doc, new_doc)
+        if name == "commands.json":
+            failures, added = compare_commands(old_doc, new_doc)
+        else:
+            failures, worst, moved = compare(old_doc, new_doc)
         if failures:
             failed += 1
             print(f"{name}: FAIL")
             for line in failures:
                 print(f"  {line}")
+            continue
+        if name == "commands.json":
+            print(f"{name}: ok, added {', '.join(added) or 'none'}")
             continue
         print(f"{name}: ok, largest relative difference {worst:.1e}")
         gates_old, gates_new = roundoff(old_doc), roundoff(new_doc)

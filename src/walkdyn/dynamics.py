@@ -61,18 +61,23 @@ class Certificate:
     reason: str | None = None
 
 
-def _check_dynamics_space(space: SpaceSpec) -> str | None:
-    """None when the criterion machinery applies, else the blocking reason."""
+def _entry_checks(
+    kind: CertKind, op: BandedOp, space: SpaceSpec, n_max: int, least: int, params: dict
+) -> Certificate | None:
+    """Raise off the half-line, for n_max below ``least`` and on l^infinity;
+    the Undetermined certificate on c, where the criterion does not engage."""
+    if op.lattice is not Lattice.HALF_LINE:
+        raise ValueError("the certificate machinery is built for the half-line walk")
+    if n_max < least:
+        raise ValueError(f"n_max below {least} leaves no room past the annihilation index")
     if space.kind is SpaceKind.LINF:
-        raise ValueError(
-            "l^infinity is not separable; transitivity-based dynamics is void there"
-        )
+        raise ValueError("l^infinity is not separable; transitivity-based dynamics is void there")
     if space.kind is SpaceKind.C:
-        return (
-            "the span of the kernel vectors closes up to c0, which is not "
-            "dense in c (constant sequences are missed); the criterion "
-            "does not engage"
+        reason = (
+            "the span of the kernel vectors closes up to c0, which is not dense in c "
+            "(constant sequences are missed); the criterion does not engage"
         )
+        return Certificate(kind, Verdict.UNDETERMINED, params, {}, reason)
     return None
 
 
@@ -250,17 +255,12 @@ def fhc_chaos_certificate(
         "n_max": int(n_max),
         "tol": float(tol),
     }
-    if op.lattice is not Lattice.HALF_LINE:
-        raise ValueError("the certificate machinery is built for the half-line walk")
     if lam == 0:
         raise ValueError("lam must be nonzero")
     if not np.isfinite(lam):
         raise ValueError("lam must be finite")
-    if n_max < 8:
-        raise ValueError("n_max below 8 leaves no room past the annihilation index")
-    blocked = _check_dynamics_space(space)
-    if blocked is not None:
-        return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, {}, blocked)
+    if (blocked := _entry_checks(CertKind.FHC_CHAOS, op, space, n_max, 8, params)) is not None:
+        return blocked
 
     bound = step_norm_bound(op)
     modulus = math.hypot(lam.real, lam.imag)  # inf past the float range, where abs raises
@@ -361,15 +361,8 @@ def supercyclicity_criterion_certificate(
     window would pass its cap.
     """
     params = {"pseq": pseq_text(op.pseq), "space": str(space), "n_max": int(n_max)}
-    if op.lattice is not Lattice.HALF_LINE:
-        raise ValueError("the certificate machinery is built for the half-line walk")
-    if n_max < 6:
-        raise ValueError("n_max below 6 leaves no room past the annihilation index")
-    blocked = _check_dynamics_space(space)
-    if blocked is not None:
-        return Certificate(
-            CertKind.SUPERCYCLICITY, Verdict.UNDETERMINED, params, {}, blocked
-        )
+    if (blocked := _entry_checks(CertKind.SUPERCYCLICITY, op, space, n_max, 6, params)) is not None:
+        return blocked
 
     pseq = op.pseq
     log_factors = kernel_decay_log_factors(pseq)

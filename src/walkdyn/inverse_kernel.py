@@ -45,11 +45,12 @@ for lam < 0.  Other starts, and complex lam, run on ``complex``.
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 the kernel weights decay.  ker W is spanned by the closed-form kernel
 vector u_0 (:func:`kernel_vector`), and W S = I, so ker W^n is spanned by
-S^k u_0, k < n.  Each basis vector is the combination of these pinned to
+S^k u_0, k < n: one run of the backward loop, on the float plane, since
+every p is real.  Each basis vector is the combination of these pinned to
 a coordinate vector on the first n coordinates; the leading minor is
-lower triangular and solved in Python ``complex``, and the combination is
-summed through ``_cmul`` in a fixed order, so its bits do not depend on
-the BLAS or SIMD path.
+lower triangular and solved over Python floats, and the combination is
+summed a row at a time in a fixed order, so its bits do not depend on the
+BLAS or SIMD path.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ def _backward(
         for an, rn in zip(a.tolist(), rl[lo : hi + 1]):
             x0, x1 = x1, an + rn * x0
             u.append(x1)
-        if not cmath.isfinite(x0 + x1) and (flat or np.isfinite(x).all()):  # a chain overflows
+        # a chain overflowed: past an overflow it stays inf or nan, so its last entry tells
+        if not all(map(cmath.isfinite, u[-2:])) and (flat or np.isfinite(x).all()):
             raise OverflowError("the preimage passes the float range (about 1.8e308)")
         threshold = tol * float(_abs(x).max())
         if max_support is not None:
@@ -305,9 +307,8 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
             "growth factor >= 1), so no finite window reaches the tolerance"
         )
     if horizon <= cap:
-        u = kernel_vector(pseq, horizon)
-        last = max((n for n, un in enumerate(u) if abs(un) >= tol), default=-1)
-        window = last + 2 * len(pseq.cycle) + 2
+        big = np.flatnonzero(np.abs(kernel_vector(pseq, horizon)) >= tol)
+        window = (int(big[-1]) if len(big) else -1) + 2 * len(pseq.cycle) + 2
         if window <= cap:
             return window
     raise ValueError(
@@ -342,9 +343,11 @@ def kernel_basis(
     [0, window + n) and cut there, so the window should reach past where
     they fall below ``tol`` (``kernel_window_for_tol(pseq, tol) + n`` does).
     Within it each entry is exact up to rounding: entry j of a preimage
-    reads only entries below j, so each S^k u_0 is taken from an input cut
-    at the window.  Trailing entries below ``tol`` are dropped; they shrink
-    like the kernel weights (for constant p, sqrt((1-p)/p) per index).
+    reads only entries below j, so the rows S^k u_0 come from one backward
+    run and are cut at the window afterwards, with the bits of rows cut
+    before each step.  Trailing entries below ``tol`` are dropped; they
+    shrink like the kernel weights (for constant p, sqrt((1-p)/p) per
+    index).  A kernel vector past the float range raises OverflowError.
     """
     _require_half_line(op)
     if max(_chain_factors(op.pseq)) >= 1:
@@ -359,28 +362,29 @@ def kernel_basis(
     if count is not None and not 1 <= count <= n:
         raise ValueError(f"count must lie between 1 and the power {n}, got {count}")
     size = window + n
-    powers = np.zeros((n, size), np.complex128)  # row k: S^k u_0 on [0, size)
-    powers[0] = kernel_vector(op.pseq, size - 1)
-    for k in range(1, n):
-        s = right_inverse(op, FinSeq(Lattice.HALF_LINE, 0, powers[k - 1]), tol, size - 1)
-        powers[k, s.offset : s.offset + len(s.values)] = s.values[: size - s.offset]
+    powers = np.zeros((n, size))  # row k: S^k u_0 on [0, size)
+    u0 = FinSeq(Lattice.HALF_LINE, 0, kernel_vector(op.pseq, size - 1))
+    if not np.isfinite(u0.values).all():
+        raise OverflowError("the kernel vector passes the float range (about 1.8e308)")
+    for row, (lo, x) in zip(powers, _backward(op, u0, n - 1, tol=tol, max_support=size - 1)):
+        row[lo : lo + len(x)] = x[: size - lo].real  # u_0 is stored complex, S^k u_0 real
     minor = powers[:, :n].T.tolist()  # minor[j][k] = (S^k u_0)_j, zero for k > j
     basis = []
     for i in range(count or n):
         # coefficients c_i .. c_{n-1} with minor @ c = e_i, by forward substitution
-        c: list[complex] = []
+        c: list[float] = []
         for j in range(i, n):
-            acc = (1.0 if j == i else 0.0) + 0j
+            acc = 1.0 if j == i else 0.0
             for mk, ck in zip(minor[j][i:j], c):
                 acc -= mk * ck
             c.append(acc / minor[j][j])
-        v = np.zeros(size, np.complex128)
+        v = np.zeros(size)
         for ck, row in zip(c, powers[i:]):
-            v += _cmul(ck, row)
+            v += ck * row
         v[:n] = 0.0
         v[i] = 1.0
         # drop the tail once it is below tolerance for good
-        big = np.flatnonzero(~(_abs(v) < tol))
+        big = np.flatnonzero(~(np.abs(v) < tol))
         last = min(int(big[-1]) + 1, size - 1) if len(big) else 0
         basis.append(FinSeq(Lattice.HALF_LINE, 0, v[: last + 1]))
     return basis

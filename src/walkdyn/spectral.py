@@ -288,9 +288,8 @@ def symmetric_dual_interval_check(
             sups.append(math.nan)
             bounds.append(math.nan)
             continue
-        s = math.sqrt(1.0 - lam * lam)
-        a = complex(lam, s)
-        b = complex(lam, -s)
+        roots = point_spectrum_probe(p, lam, SpaceSpec.linf()).evidence
+        a, b = roots["alpha"], roots["beta"]
         q1 = (lam + p - 1.0) / p
         c = (q1 - b) / (a - b)
         d = 1.0 - c

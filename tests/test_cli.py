@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +163,18 @@ class TestInverseKernel:
         code, out, err = run(capsys, "inverse", "--pseq", "const:0.75", "--v", "1.5e308")
         assert (code, out) == (2, "")
         assert err == "error: the preimage passes the float range (about 1.8e308)\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_inverse_of_entries_near_the_float_max_exit_0(self, capsys):
+        # each entry of the preimage is finite, about 1.31e308, but the last
+        # two sum past the float range: this exited 2 with the preimage error
+        argv = ["inverse", "--pseq", "const:0.99", "--v", "1.3e308,1.3e308"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        values = doc["result"]["coordinates"]["values"]
+        assert values[0] == values[1] == [1.3e308 / 0.99, 0.0]
+        assert all(map(math.isfinite, itertools.chain(*values)))
+        assert math.isfinite(doc["result"]["residual_sup"])
 
     @pytest.mark.filterwarnings("error")
     def test_inverse_truncated_tail_past_the_float_range_exit_2(self, capsys):

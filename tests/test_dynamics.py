@@ -245,6 +245,36 @@ class TestFhcCertificate:
             assert cert.reason == "numerical verification failed: periodic-point"
 
 
+
+@pytest.mark.parametrize(
+    "certify, least",
+    [
+        (lambda op, space, n_max: fhc_chaos_certificate(op, 3.0, space, n_max=n_max), 8),
+        (lambda op, space, n_max: supercyclicity_criterion_certificate(op, space, n_max), 6),
+    ],
+    ids=["fhc", "supercyclicity"],
+)
+def test_both_certificates_share_the_entry_checks(certify, least):
+    op = walk(Constant(0.75))
+    with pytest.raises(ValueError, match="built for the half-line walk"):
+        certify(walk(Constant(0.75), Lattice.LINE), SpaceSpec.c0(), least)
+    with pytest.raises(ValueError, match=f"n_max below {least} leaves no room"):
+        certify(op, SpaceSpec.c0(), least - 1)
+    with pytest.raises(ValueError, match="l\\^infinity is not separable"):
+        certify(op, SpaceSpec.linf(), least)
+    cert = certify(op, SpaceSpec.c(), least)
+    assert (cert.verdict, cert.witness) == (Verdict.UNDETERMINED, {})
+    assert cert.reason.startswith("the span of the kernel vectors closes up to c0")
+    assert certify(op, SpaceSpec.c0(), least).verdict is Verdict.YES
+
+
+@pytest.mark.parametrize("lam, message", [(0.0, "nonzero"), (math.nan, "finite")])
+def test_fhc_rejects_an_invalid_lam_before_the_space(walk_075, lam, message):
+    # on c the certificate answers undetermined, but never for an invalid lam
+    with pytest.raises(ValueError, match=f"lam must be {message}"):
+        fhc_chaos_certificate(walk_075, lam, SpaceSpec.c())
+
+
 class TestSupercyclicityCertificate:
     def test_constant_transient_yes(self, walk_075):
         cert = supercyclicity_criterion_certificate(walk_075, SpaceSpec.c0())

@@ -25,7 +25,7 @@ from walkdyn.inverse_kernel import (
     step_norm_bound,
 )
 from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk
-from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, _cmul, norm
+from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, _abs, _cmul, norm
 
 from conftest import random_finseq, random_pseq
 
@@ -199,6 +199,17 @@ def test_a_tail_past_the_float_range_reports_it():
     with pytest.raises(OverflowError, match="the preimage passes the float range"):
         right_inverse(op, v, max_support=200)
 
+
+
+def test_finite_entries_whose_sum_passes_the_float_range_are_no_overflow():
+    # the last two entries are finite, about 1.31e308 each; the test read
+    # their sum, which is not, and raised "the preimage passes the float range"
+    op, v = walk(Constant(0.99)), FinSeq.from_values([1.3e308, 1.3e308])
+    (_, _), (lo, u) = _backward(op, v, 1)
+    assert lo == 1 and u.dtype == np.float64 and np.isfinite(u).all()
+    assert u[0] == u[1] == 1.3e308 / 0.99
+    want = _outcome(_reference_right_inverse, op, v, 1e-13, None)
+    assert _outcome(right_inverse, op, v, 1e-13, None) == want
 
 def test_right_inverse_bits_match_the_plain_loop():
     rng = random.Random(2024)
@@ -448,6 +459,60 @@ def test_kernel_basis_matches_the_row_solve():
         assert [b.values.tobytes() for b in first] == [b.values.tobytes() for b in basis[:count]]
 
 
+
+def _cut_kernel_basis(op, n, window, tol):
+    """kernel_basis by the per-row cut loop: complex128 rows, row k the
+    right_inverse of row k - 1 cut at the window, the minor solved in Python
+    complex and the combination summed through _cmul.  Also returns whether
+    some preimage reached past the window, so that the cut bound."""
+    size = window + n
+    powers = np.zeros((n, size), np.complex128)
+    powers[0] = kernel_vector(op.pseq, size - 1)
+    cut = False
+    for k in range(1, n):
+        s = right_inverse(op, FinSeq(Lattice.HALF_LINE, 0, powers[k - 1]), tol, size - 1)
+        powers[k, s.offset : s.offset + len(s.values)] = s.values[: size - s.offset]
+        cut |= s.offset + len(s.values) > size
+    minor = powers[:, :n].T.tolist()
+    basis = []
+    for i in range(n):
+        c = []
+        for j in range(i, n):
+            acc = (1.0 if j == i else 0.0) + 0j
+            for mk, ck in zip(minor[j][i:j], c):
+                acc -= mk * ck
+            c.append(acc / minor[j][j])
+        v = np.zeros(size, np.complex128)
+        for ck, row in zip(c, powers[i:]):
+            v += _cmul(ck, row)
+        v[:n] = 0.0
+        v[i] = 1.0
+        big = np.flatnonzero(~(_abs(v) < tol))
+        last = min(int(big[-1]) + 1, size - 1) if len(big) else 0
+        basis.append(FinSeq(Lattice.HALF_LINE, 0, v[: last + 1]))
+    return basis, cut
+
+
+def test_kernel_basis_bits_match_the_per_row_cut_loop():
+    # one backward run gives the rows the cut loop gives: entry j of a
+    # preimage reads only entries below j, so the cut moves no entry inside
+    # the window; windows of 1 to 3 make the cut bind
+    rng = random.Random(4242)
+    cases = [_random_kernel_case(rng) for _ in range(300)]
+    for _ in range(300):
+        op, n, _, _ = _random_kernel_case(rng)
+        cases.append((op, n, rng.randint(1, 3), 10.0 ** -rng.uniform(2, 60)))
+    cut = 0
+    for op, n, window, tol in cases:
+        want, binds = _cut_kernel_basis(op, n, window, tol)
+        got = kernel_basis(op, n, window, tol)
+        assert [(b.offset, b.values.tobytes()) for b in got] == [
+            (b.offset, b.values.tobytes()) for b in want
+        ], (op.pseq, n, window, tol)
+        cut += binds
+    assert cut > 100, cut
+
+
 def _exact_kernel_basis(pseq, n, size):
     """Pinned basis of ker W^n on [0, size) in exact rational arithmetic,
     from the kernel vector and the right-inverse recurrence."""
@@ -488,6 +553,14 @@ def test_kernel_basis_is_exact_to_rounding():
             worst = max(worst, _sup_relative(got, ref))
     assert worst <= 1e-13
 
+
+
+def test_a_kernel_vector_past_the_float_range_raises():
+    # the weights grow by 999 every other index through the prefix and pass
+    # the float range: the basis came out with inf and nan entries
+    op = walk(ListWithTail((0.001,) * 240, 0.9))
+    with pytest.raises(OverflowError, match="the kernel vector passes the float range"):
+        kernel_basis(op, 2, 300)
 
 def test_kernel_basis_rejects_count_outside_the_power(walk_075):
     for count in (0, 3):

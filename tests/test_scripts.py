@@ -199,3 +199,34 @@ def test_compare_goldens(tmp_path, capsys, edit, code, base):
     )
     assert proc.returncode == code, proc.stdout + proc.stderr
     assert "kernel_const.json: identical" in proc.stdout
+
+
+def _added(commands):
+    commands.append({"name": "kernel_new", "argv": ["kernel", "--pseq", "const:0.6"], "exit": 0})
+
+
+def _changed(commands):
+    commands[0]["argv"] = commands[0]["argv"] + ["--format", "csv"]
+
+
+def _removed(commands):
+    del commands[0]
+
+
+@pytest.mark.parametrize("edit, code", [(_added, 0), (_changed, 1), (_removed, 1)])
+def test_compare_goldens_lets_commands_be_added_only(tmp_path, edit, code):
+    # a new golden is no re-recorded one; a changed or missing command is
+    old, new = tmp_path / "old", tmp_path / "new"
+    commands = json.loads((GOLDEN / "commands.json").read_text())
+    for side in (old, new):
+        side.mkdir()
+    (old / "commands.json").write_text(json.dumps(commands))
+    edit(commands)
+    (new / "commands.json").write_text(json.dumps(commands))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_goldens.py"), str(old), str(new)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    if code == 0:
+        assert proc.stdout == "commands.json: ok, added kernel_new\n"
