@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the first results of a benchmark workload, as this checkout computes them.
 
-    python scripts/result_digest.py --workload certify|orbit|cli --seed N --jobs K
+    python scripts/result_digest.py --workload certify|orbit|cli --seed N --jobs K [--per-job]
 
 Draws the first K jobs of the seeded stream in ``bench/jobs.py`` and runs
 each in process against ``src/walkdyn``: certify and orbit jobs through
@@ -11,7 +11,9 @@ of every result (a cli job's exit code, output and error text; a job that
 raises contributes its exception's type and message), one repr a line,
 in stream order.  Two checkouts that print the same digest computed the
 same bits for those jobs, which is the gate of a change that claims to
-keep them.
+keep them.  With ``--per-job`` it prints one line a job instead: its index
+in the stream, the SHA-256 of its result line, and ``jobs.describe(job)``,
+so two checkouts' listings show which jobs moved.
 """
 
 import argparse
@@ -53,13 +55,18 @@ def main() -> int:
     ap.add_argument("--workload", required=True, choices=sorted(J.CYCLES))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--jobs", type=int, required=True)
+    ap.add_argument("--per-job", action="store_true", help="one digest a job, with the job")
     args = ap.parse_args()
     if args.jobs < 1:
         ap.error("--jobs must be at least 1")
     digest = hashlib.sha256()
-    for job in itertools.islice(J.stream(args.workload, args.seed), args.jobs):
-        digest.update(result_text(job).encode() + b"\n")
-    print(digest.hexdigest())
+    for i, job in enumerate(itertools.islice(J.stream(args.workload, args.seed), args.jobs)):
+        line = result_text(job).encode() + b"\n"
+        digest.update(line)
+        if args.per_job:
+            print(i, hashlib.sha256(line).hexdigest(), J.describe(job))
+    if not args.per_job:
+        print(digest.hexdigest())
     return 0
 
 

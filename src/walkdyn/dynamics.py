@@ -15,17 +15,18 @@ certificate's witness; a failed recomputation downgrades the verdict to
 Undetermined rather than passing silently.  Both certificates read one
 checked backward orbit (:func:`_checked_backward`): one run of the
 backward loop, with the identity lam W z_k = z_{k-1} measured on every
-step.  Forward, T^n s = lam^n W^n s: that loop iterates W alone, and lam
-only scales the reported norms.  Backward, (S/lam)^k s shrinks at the
+step against the whole z_{k-1}, so the residuals include the trailing run
+each step drops below tolerance.  Forward, T^n s = lam^n W^n s: that loop
+iterates W alone, and lam only scales the reported norms.  Backward, (S/lam)^k s shrinks at the
 certified ratio while S^k s grows like bound^k and would overflow: that
 loop keeps its 1/lam scaling.  Decisions at a threshold (the certified
 ratio, the column sums of a disproof) are exact on the stated values
 (:func:`walkdyn.classify._stated`).
 
 Negative results come in two flavors and the distinction is kept explicit:
-"no by criterion" only records that this route is blocked, while a genuine
-obstruction (bounded orbits, a conserved limit value, a norm floor) rules
-the property out.
+"no by criterion" only records that this route is blocked, and is
+Undetermined, while a genuine obstruction (bounded orbits, a conserved limit
+value, a norm floor) rules the property out and is NO.
 """
 
 from __future__ import annotations
@@ -154,7 +155,9 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
 
     Returns the norms of z_0 .. z_n, z_k = (S/lam)^k v (S^k v without lam),
     the residual ||lam W z_k - z_{k-1}|| / ||z_{k-1}|| of each step
-    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  lam W z_k is formed
+    k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  z_{k-1} is the
+    window as yielded, before the loop drops its trailing run below
+    tolerance, so each residual includes that cut.  lam W z_k is formed
     on the plane of each window ``_backward`` yields, with the operations
     of ``lam * op.apply(z_k)``: its bits on complex128, its real parts on
     float64 up to the signs of zeros; every modulus, and so every norm, is
@@ -240,12 +243,11 @@ def fhc_chaos_certificate(
     floor (backward-underflow); the tail of ||W^n s||, n >= m, below 1e-10
     of the head (``forward_norms`` holds ||T^n s|| = ||W^n s|| |lam|^n, inf
     past the float range); backward norms contracting at least at the
-    certified ratio.  A NO from ratio >= 1 only reports that this criterion
-    is blocked; when in addition |lam| <= 1 and the walk is a contraction
-    (on c0 always, else when every column sums to at most 1, exactly), every
-    orbit is bounded and the NO is flagged as a genuine disproof.  When the
-    kernel window for the sample would pass its cap, the verdict is
-    Undetermined and the reason names the cap.
+    certified ratio.  NO is a genuine disproof: ratio >= 1, |lam| <= 1 and
+    the walk a contraction (on c0 always, else when every column sums to at
+    most 1, exactly), so every orbit is bounded.  Any other ratio >= 1 only
+    blocks this criterion and is Undetermined, and so is a kernel window for
+    the sample that would pass its cap; the reason names which.
     """
     lam = complex(lam)
     params = {
@@ -274,26 +276,27 @@ def fhc_chaos_certificate(
     gap = 2 * _stated(min(op.pseq.probabilities())) - 1
     if not (gap > 0 and lam2 * gap**2 > 1):
         if lam2 <= 1 and (space.kind is SpaceKind.C0 or _column_bound(op) <= 1):
-            verdict, reason = Verdict.NO, (
+            reason = (
                 "no by criterion (certified ratio >= 1), and in fact a "
                 "disproof: |lam| <= 1 while the walk is a contraction, so "
                 "every orbit is norm-bounded and none is dense"
             )
-        elif gap > 0:
+            return Certificate(CertKind.FHC_CHAOS, Verdict.NO, params, witness, reason)
+        if gap > 0:
             test = "certified ratio >= 1" if ratio >= 1.0 else (
                 "the certified ratio rounds below 1, but |lam|^2 (2 min p - 1)^2 <= 1 exactly"
             )
-            verdict, reason = Verdict.NO, (
+            reason = (
                 f"no by criterion: {test} (need |lam| above the "
                 "per-step inverse bound); this blocks the certificate and is "
                 "not a disproof"
             )
         else:
-            verdict, reason = Verdict.UNDETERMINED, (
+            reason = (
                 "no per-step bound for the right inverse: the jump probabilities "
                 "do not stay above one half, so preimage tails need not decay"
             )
-        return Certificate(CertKind.FHC_CHAOS, verdict, params, witness, reason)
+        return Certificate(CertKind.FHC_CHAOS, Verdict.UNDETERMINED, params, witness, reason)
 
     m = 6
     deep_tol = 1e-60
@@ -358,7 +361,8 @@ def supercyclicity_criterion_certificate(
     position-dependent probabilities whose parity chains shrink per cycle.
     Otherwise the kernel is trivial in the space and the certificate
     reports Undetermined; so it does, naming the cap, when the kernel
-    window would pass its cap.
+    window would pass its cap, and when the kernel vector passes the float
+    range.
     """
     params = {"pseq": pseq_text(op.pseq), "space": str(space), "n_max": int(n_max)}
     if (blocked := _entry_checks(CertKind.SUPERCYCLICITY, op, space, n_max, 6, params)) is not None:
@@ -381,7 +385,8 @@ def supercyclicity_criterion_certificate(
     deep_tol = 1e-30
     try:
         window = kernel_window_for_tol(pseq, deep_tol) + m
-    except ValueError as exc:
+        sample, target = kernel_basis(op, m, window, tol=deep_tol, count=2)
+    except (ValueError, OverflowError) as exc:  # the window's cap, or the float range
         return Certificate(
             CertKind.SUPERCYCLICITY,
             Verdict.UNDETERMINED,
@@ -389,7 +394,6 @@ def supercyclicity_criterion_certificate(
             {"kernel_chain_log_factors": log_factors},
             str(exc),
         )
-    sample, target = kernel_basis(op, m, window, tol=deep_tol, count=2)
 
     # exactness of the right inverse on the target: each single step is
     # well conditioned, so W(Sz) = z is demanded tightly along the whole

@@ -20,14 +20,20 @@ result is bit-identical to the plain loop over indices, which the tests
 keep as the reference.  CPython divides a complex by a float through
 p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p).  Past the support v
 vanishes, and the same loop continues with 0 + r_{n-1} u_{n-2} up to the
-cap.
+cap.  Without ``max_support`` the loop reads v without its longest trailing
+run whose moduli sum to at most the tail's threshold tol * sup|v|, so
+W u = v up to that run, dropped like the tail: at most tol * sup|v| <=
+tol * ||v|| of l1 mass, in every supported norm.
 
 Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
 S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
 run, into arrays that double on demand, so a tail reads them only about
-as far as it goes.  It folds the trim and the 1/lam scaling into each
-step.  A start runs on the float plane by the rule of the forward loop
-(``seqspace._float_plane``: every entry finite, every imaginary part +0).
+as far as it goes.  It folds the trim, the 1/lam scaling and, without
+``max_support``, the cut of the trailing run into each step, so a window
+keeps only the mass that can reach the tolerance and a long run's windows
+grow sublinearly.  A start runs on the float plane by the rule of the
+forward loop (``seqspace._float_plane``: every entry finite, every
+imaginary part +0).
 There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 + r_{n-1} u_{n-2}
 past v, are the real parts of the complex entries, whose imaginary parts
 stay +0.  One rule holds on both planes: a step whose entries pass the
@@ -157,13 +163,35 @@ def _chain_horizon(
     return last + span
 
 
+def _kept(mags: np.ndarray, threshold: float) -> int:
+    """How many entries of a window with moduli ``mags`` stay once its longest
+    trailing run whose moduli sum to at most ``threshold`` is dropped; the
+    first entry always stays.  The sums are compared exactly.  A float sum
+    past the float range is inf, above the threshold (numpy warns unless
+    the caller silences overflow, as the backward step does)."""
+    tail = mags[:0:-1]  # the run's candidates, last entry first
+
+    def over(j: int) -> bool:  # fsum rounds the exact difference once, keeping its sign
+        return math.fsum([-threshold, *tail[:j].tolist()]) > 0
+
+    k = int(np.add.accumulate(tail).searchsorted(threshold, "right"))  # right up to rounding
+    while k and over(k):
+        k -= 1
+    while k < len(tail) and not over(k + 1):
+        k += 1
+    return len(mags) - k
+
+
 def _backward(
     op: BandedOp, v: FinSeq, k: int, lam: complex | None = None, tol=1e-13, max_support=None
 ):
     """Yield (offset, values) for v, Sv/lam, ..., S^k v/lam^k (S^j v without lam):
     the windows ``right_inverse`` then ``* (1/lam)`` leave; their real parts
     when v is on the float plane, by ``BandedOp._orbit``'s rule (module
-    docstring).  Raises as ``right_inverse`` does."""
+    docstring).  Each window is yielded whole; without ``max_support`` the
+    next step reads it without its trailing run of moduli summing to at
+    most tol * sup|x| (:func:`_kept`), unless that threshold is 0, inf or
+    nan.  Raises as ``right_inverse`` does."""
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
         raise ValueError("the vector must live on the half-line")
@@ -181,7 +209,13 @@ def _backward(
     @np.errstate(over="ignore", invalid="ignore")  # silent like Python complex arithmetic
     def step(lo: int, hi: int, x: np.ndarray) -> np.ndarray:
         """S x from index lo on, for x on lo..hi (nonzero at both ends), on
-        the plane of x."""
+        the plane of x; without ``max_support``, of x without its trailing run
+        below tolerance."""
+        mags = _abs(x)
+        threshold = tol * float(mags.max())
+        if max_support is None and 0 < threshold < math.inf:  # so every modulus is finite
+            hi = lo + _kept(mags, threshold) - 1
+            x = x[: hi - lo + 1]
         read(hi + 2)  # the tail reads r_hi+1 at least
         flat = x.dtype == np.float64
         a = np.empty(len(x), x.dtype)  # CPython divides a complex by a float through p + 0j
@@ -196,7 +230,6 @@ def _backward(
         # a chain overflowed: past an overflow it stays inf or nan, so its last entry tells
         if not all(map(cmath.isfinite, u[-2:])) and (flat or np.isfinite(x).all()):
             raise OverflowError("the preimage passes the float range (about 1.8e308)")
-        threshold = tol * float(_abs(x).max())
         if max_support is not None:
             cap = max(max_support, hi + 2)
         else:
@@ -253,19 +286,22 @@ def right_inverse(
 ) -> FinSeq:
     """Preimage u with W u = v, u_0 = 0, truncated once the tail decays.
 
-    The recurrence runs until both parity chains of the geometric
-    continuation fall below ``tol * sup|v|`` past the support of v.  When a
-    chain that is not exactly zero cannot decay (it does not shrink over a
-    cycle of the jump probabilities) and no ``max_support`` is supplied, it
-    runs 128 indices past the support and raises
-    :class:`TailNotDecayingError`; it also raises, before the continuation,
-    when the closed-form horizon of the chains lies more than ``_TAIL_CAP``
-    indices past the support.  With ``max_support`` it stops at index
-    max(max_support, hi + 2), hi the last index of the support of v, and
-    returns the truncated sequence, decayed or not (at p = 0.75, ones on
-    0..10 with ``max_support=5`` give support 1..12).  The result has the
-    bits of the plain loop (see the module docstring).  A preimage past the
-    float range raises OverflowError.
+    Without ``max_support``, W u = v up to the longest trailing run of v
+    whose moduli sum to at most ``tol * sup|v|``, which is dropped like the
+    tail (the module docstring).  The recurrence runs until both parity
+    chains of the geometric continuation fall below ``tol * sup|v|`` past
+    the support of v.  When a chain that is not exactly zero cannot decay
+    (it does not shrink over a cycle of the jump probabilities) and no
+    ``max_support`` is supplied, it runs 128 indices past the support and
+    raises :class:`TailNotDecayingError`; it also raises, before the
+    continuation, when the closed-form horizon of the chains lies more than
+    ``_TAIL_CAP`` indices past the support.  With ``max_support`` it reads
+    v whole, stops at index max(max_support, hi + 2), hi the last index of
+    the support of v, and returns the truncated sequence, decayed or not
+    (at p = 0.75, ones on 0..10 with ``max_support=5`` give support
+    1..12).  The result has the bits of the plain loop on what it reads of
+    v (see the module docstring).  A preimage past the float range raises
+    OverflowError.
     """
     *_, (lo, values) = _backward(op, v, 1, tol=tol, max_support=max_support)
     return FinSeq(Lattice.HALF_LINE, lo, values)
@@ -279,9 +315,10 @@ def right_inverse_power(
     max_support: int | None = None,
 ) -> FinSeq:
     """n-fold right inverse, bit for bit n calls of :func:`right_inverse`,
-    in one loop.  Coordinates 0..n-1 of the result are exact zeros, and
-    each application multiplies the norm by at most the step bound, so the
-    sup norm grows no faster than step_norm_bound(op)**n."""
+    in one loop, each step dropping its input's trailing run below
+    tolerance as a call does.  Coordinates 0..n-1 of the result are exact
+    zeros, and each application multiplies the norm by at most the step
+    bound, so the sup norm grows no faster than step_norm_bound(op)**n."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     for lo, values in _backward(op, v, n, tol=tol, max_support=max_support):

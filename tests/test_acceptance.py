@@ -207,15 +207,16 @@ def test_constant_tail_obstruction_limits():
 def test_fhc_certificate_thresholds():
     # scaled walk at p = 0.75: lam = 3 certifies yes with geometric
     # ratio 2/3 to 1e-6; lam = 1.5 sits under the threshold 1/(2p-1)
-    # and is refused by the criterion without claiming a disproof.
+    # and is refused by the criterion without claiming a disproof, so it
+    # is undetermined.
     op = make_walk(Lattice.HALF_LINE, Constant(0.75))
     yes = fhc_chaos_certificate(op, 3.0, SpaceSpec.c0())
     assert yes.verdict is Verdict.YES
     assert abs(yes.witness["certified_ratio"] - 2.0 / 3.0) < 1e-6
 
-    no = fhc_chaos_certificate(op, 1.5, SpaceSpec.c0())
-    assert no.verdict is Verdict.NO
-    assert "not a disproof" in no.reason
+    blocked = fhc_chaos_certificate(op, 1.5, SpaceSpec.c0())
+    assert blocked.verdict is Verdict.UNDETERMINED
+    assert "not a disproof" in blocked.reason
 
 
 def test_dual_eigenvector_reports():

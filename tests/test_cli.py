@@ -234,12 +234,13 @@ class TestCertify:
 
     def test_fhc_tiny_lambda_is_blocked_by_the_ratio(self, capsys):
         # bound / |lam| overflows to inf; the reason once read that as no
-        # per-step bound, with exit 3, though the step bound is about 5
+        # per-step bound, though the step bound is about 5.  A blocked ratio
+        # disproves nothing, so it is undetermined (exit 3), not a no
         argv = ["--pseq", "list:0.9;tail=0.6", "--lambda", "1e-320", "--space", "l1"]
         code, doc = run_json(capsys, "certify", "fhc", *argv)
-        assert code == 0
+        assert code == 3
         res = doc["result"]
-        assert (res["holds"], res["witness"]["step_bound"]) == ("no", pytest.approx(5.0))
+        assert (res["holds"], res["witness"]["step_bound"]) == ("undetermined", pytest.approx(5.0))
         assert res["reason"].startswith("no by criterion: certified ratio >= 1")
 
     def test_supercyclicity(self, capsys):
@@ -248,6 +249,16 @@ class TestCertify:
         )
         assert code == 0
         assert doc["result"]["holds"] == "yes"
+
+    def test_supercyclicity_kernel_past_the_float_range_exit_3(self, capsys):
+        # 240 entries of 0.001 drive the kernel weights past 1e308; before,
+        # kernel_basis's OverflowError ended the run with exit 2
+        pseq = "list:" + ",".join(["0.001"] * 240) + ";tail=0.9"
+        code, doc = run_json(capsys, "certify", "supercyclicity", "--pseq", pseq)
+        assert code == 3
+        res = doc["result"]
+        assert res["holds"] == "undetermined"
+        assert res["reason"] == "the kernel vector passes the float range (about 1.8e308)"
 
 
 class TestProbe:

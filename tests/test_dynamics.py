@@ -19,6 +19,7 @@ from walkdyn.dynamics import (
 from walkdyn.inverse_kernel import _backward, right_inverse, step_norm_bound
 from walkdyn.operators import BandedOp, Constant, ListWithTail, Periodic, make_walk
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
+from walkdyn.spectral import point_spectrum_probe
 
 from conftest import apply_chain, random_finseq
 
@@ -43,9 +44,12 @@ class TestFhcCertificate:
         assert double.verdict is Verdict.YES
 
     def test_no_by_criterion_below_threshold(self, walk_075):
+        # a blocked route proves nothing: lam W has the eigenvalue 1 with an
+        # eigenvector in c0 here, so it was never a NO
         cert = fhc_chaos_certificate(walk_075, 1.5, SpaceSpec.c0())
-        assert cert.verdict is Verdict.NO
+        assert cert.verdict is Verdict.UNDETERMINED
         assert "not a disproof" in cert.reason
+        assert point_spectrum_probe(0.75, 1 / 1.5, SpaceSpec.c0()).member is Verdict.YES
         assert cert.witness["certified_ratio"] == pytest.approx(4 / 3, abs=1e-12)
 
     def test_no_is_disproof_for_small_lambda(self, walk_075):
@@ -122,7 +126,7 @@ class TestFhcCertificate:
         # (on the floats' dyadic values it would pass)
         cert = fhc_chaos_certificate(walk(Constant(0.505)), 99.99999999999993, SpaceSpec.c0())
         assert cert.witness["certified_ratio"] == 0.9999999999999999
-        assert cert.verdict is Verdict.NO
+        assert cert.verdict is Verdict.UNDETERMINED
         assert "not a disproof" in cert.reason
 
     def test_ratio_rounding_below_one_names_the_exact_test(self):
@@ -130,7 +134,7 @@ class TestFhcCertificate:
         # claim ratio >= 1: it names the exact test that blocked the route
         cert = fhc_chaos_certificate(walk(Constant(0.555)), 9.090909090909085, SpaceSpec.c0())
         assert cert.witness["certified_ratio"] == 0.9999999999999998
-        assert cert.verdict is Verdict.NO
+        assert cert.verdict is Verdict.UNDETERMINED
         assert "certified ratio >= 1" not in cert.reason
         assert "|lam|^2 (2 min p - 1)^2 <= 1 exactly" in cert.reason
         assert "not a disproof" in cert.reason
@@ -165,7 +169,7 @@ class TestFhcCertificate:
     )
     def test_disproof_gate_decided_exactly(self, pseq, lam):
         cert = fhc_chaos_certificate(walk(pseq), lam, SpaceSpec.lq(1))
-        assert cert.verdict is Verdict.NO
+        assert cert.verdict is Verdict.UNDETERMINED
         assert "not a disproof" in cert.reason
 
     def test_forward_tail_judged_against_the_scaled_head(self, monkeypatch):
@@ -275,6 +279,35 @@ def test_fhc_rejects_an_invalid_lam_before_the_space(walk_075, lam, message):
         fhc_chaos_certificate(walk_075, lam, SpaceSpec.c())
 
 
+@pytest.mark.parametrize("space", [SpaceSpec.c0(), SpaceSpec.lq(1), SpaceSpec.lq(2)], ids=str)
+@pytest.mark.parametrize("p", [0.505, 0.51, 0.52, 0.53, 0.55])
+def test_verdicts_near_one_half(p, space):
+    # near p = 1/2 the kernel samples are longest and the windows widest; the
+    # cut of each window's trailing mass keeps every verdict and keeps the
+    # supercyclicity step residual an order below its 1e-12 gate
+    op = walk(Constant(p))
+    sc = supercyclicity_criterion_certificate(op, space)
+    fhc = fhc_chaos_certificate(op, 1.3 * step_norm_bound(op), space)
+    if p == 0.505:  # fhc's 1e-60 kernel window passes its cap
+        assert fhc.verdict is Verdict.UNDETERMINED and "cap=12000" in fhc.reason
+    else:
+        assert fhc.verdict is Verdict.YES
+    on_l1 = p == 0.505 and space == SpaceSpec.lq(1)  # the product condition fails
+    assert sc.verdict is (Verdict.UNDETERMINED if on_l1 else Verdict.YES)
+    assert sc.witness["step_residual"] <= 1e-13
+
+
+def test_step_residuals_measure_each_cut():
+    # the nine trailing entries of 1e-14 sum to at most 1e-13 sup|v| and are
+    # dropped before the first step; W z_1 is compared with the whole z_0,
+    # so the l1 residual holds their 9e-14 on top of the tail's 1.5e-14
+    # (1.5e-14 alone without the cut)
+    op = walk(Constant(0.75))
+    v = FinSeq.from_values([1.0] + [1e-14] * 9, 2)
+    _, residuals, _ = dynamics._checked_backward(op, v, 1, SpaceSpec.lq(1))
+    assert 9e-14 < residuals[0] < 9e-14 + 2e-14
+
+
 class TestSupercyclicityCertificate:
     def test_constant_transient_yes(self, walk_075):
         cert = supercyclicity_criterion_certificate(walk_075, SpaceSpec.c0())
@@ -314,6 +347,14 @@ class TestSupercyclicityCertificate:
         assert cert.verdict is Verdict.UNDETERMINED
         assert "kernel is trivial" not in cert.reason
         assert "cap=12000" in cert.reason
+
+    def test_kernel_past_the_float_range_is_undetermined(self):
+        # the kernel weights grow by 999 a step over the prefix and pass 1e308
+        op = walk(ListWithTail((0.001,) * 240, 0.9))
+        cert = supercyclicity_criterion_certificate(op, SpaceSpec.c0())
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.reason == "the kernel vector passes the float range (about 1.8e308)"
+        assert "kernel_chain_log_factors" in cert.witness
 
     def test_yes_near_boundary(self):
         # backward norms blow up like 10^n here; the verdict must come

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkdyn import inverse_kernel
 from walkdyn.inverse_kernel import (
     TailNotDecayingError,
     _backward,
     _chain_horizon,
+    _kept,
     jump_ratio,
     kernel_basis,
     kernel_vector,
@@ -136,11 +138,28 @@ def test_slow_tails_below_the_cap_still_return(p, length, digest):
     assert hashlib.sha256(u.values.tobytes()).hexdigest() == digest
 
 
+def _reference_kept(mags, threshold):
+    """Entries left of a window once its longest trailing run whose moduli
+    sum to at most threshold is dropped, the sums exact; the first stays."""
+    total, k = Fraction(0), 0
+    for m in reversed(mags[1:]):
+        total += Fraction(float(m))
+        if total > Fraction(threshold):
+            break
+        k += 1
+    return len(mags) - k
+
+
 def _reference_right_inverse(op, v, tol, max_support):
-    """right_inverse as the plain loop over indices in Python complex."""
+    """right_inverse as the plain loop over indices in Python complex, on v
+    without the trailing run it drops."""
     vt = v.trim()
-    hi = vt.support()[1]
     threshold = tol * vt.sup_abs()
+    if max_support is None and 0 < threshold < math.inf:
+        lo = vt.support()[0]
+        mags = [abs(complex(x)) for x in vt.values]
+        vt = FinSeq(Lattice.HALF_LINE, lo, vt.values[: _reference_kept(mags, threshold)])
+    hi = vt.support()[1]
     u = [0j]
     for n in range(1, hi + 2):
         p = op.pseq.at(n - 1)
@@ -184,7 +203,11 @@ def _random_inverse_case(rng):
         pseq = Periodic((tail,) + tuple(prob(0.3, 0.95) for _ in range(rng.randint(0, 4))))
     parts = (0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3))
     values = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(rng.randint(1, 30))]
-    v = FinSeq.from_values(values + [rng.choice((1.0, -0.5j))], rng.randint(0, 40))
+    values.append(rng.choice((1.0, -0.5j)))
+    if rng.random() < 0.5:  # a trailing run for the cut, about tol or below
+        run = rng.randint(1, 6)
+        values += [rng.uniform(-1, 1) * 10.0 ** -rng.randint(7, 32) for _ in range(run)]
+    v = FinSeq.from_values(values, rng.randint(0, 40))
     max_support = rng.choice((None, None, rng.randint(0, 200)))
     return walk(pseq), v, rng.choice((1e-8, 1e-13, 1e-30)), max_support
 
@@ -219,9 +242,13 @@ def test_right_inverse_bits_match_the_plain_loop():
         (walk(Constant(1e-4)), FinSeq.unit(0), 1e-13, 200),
         (walk(Constant(1e-5)), FinSeq.from_values([1 + 1j]), 1e-13, None),
     ]
+    binds = 0
     for op, v, tol, max_support in cases:
         want = _outcome(_reference_right_inverse, op, v, tol, max_support)
         assert _outcome(right_inverse, op, v, tol, max_support) == want
+        mags = _abs(v.trim().values)
+        binds += max_support is None and _reference_kept(mags, tol * mags.max()) < len(mags)
+    assert binds > 50, binds
 
 
 def test_right_inverse_power_bits_match_repeated_right_inverse():
@@ -246,6 +273,79 @@ def test_right_inverse_power_bits_match_repeated_right_inverse():
         assert (got.offset, got.values.tobytes()) == (want.offset, want.values.tobytes())
         seen["no max_support" if max_support is None else "max_support"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_backward_windows_drop_their_trailing_mass():
+    # each step reads its window without the trailing run below tolerance;
+    # before, the windows grew by one entry a step (1,035 and 2,035 entries)
+    op, v = walk(Constant(0.9)), FinSeq.from_values([1.0, -0.5], 2)
+    lengths = [len(x) for _, x in _backward(op, v, 2000, 1.25)]
+    assert lengths[1000] < 500 and lengths[2000] < 800  # 449 and 771
+
+
+@pytest.mark.parametrize(
+    "mags, threshold, kept",
+    [
+        ([2.0, 1.0, 1e-17], 1.0, 2),  # the float sum 1e-17 + 1.0 rounds to 1.0
+        ([1.0, 0.1, 0.2], 0.3, 2),  # 0.1 + 0.2 exceeds the double 0.3 exactly
+        ([1.0, 0.1, 0.2], 0.30000000000000004, 1),
+        ([1.0, 0.5, 0.25], 0.75, 1),  # a sum equal to the threshold is dropped
+        ([1.0, 0.0, 0.5, 0.0, 0.0], 0.25, 3),  # zeros go with the run
+        ([1.5e308, 1.5e308, 1.5e308], 1.4e308, 3),  # the float sums overflow
+        ([1.0, 0.5], 2.0, 1),  # the first entry stays
+    ],
+)
+def test_the_cut_compares_the_sums_exactly(mags, threshold, kept):
+    with np.errstate(over="ignore"):  # as in the backward step
+        assert _kept(np.array(mags), threshold) == _reference_kept(mags, threshold) == kept
+
+
+_MODULUS = st.floats(0, 1.7e308) | st.sampled_from([0.0, 5e-324, 1e-30, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MODULUS, min_size=1, max_size=10), _MODULUS.filter(lambda t: t > 0))
+def test_the_cut_drops_the_longest_trailing_run_within_the_threshold(mags, threshold):
+    with np.errstate(over="ignore"):  # as in the backward step
+        assert _kept(np.array(mags), threshold) == _reference_kept(mags, threshold)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([None, 1.7, -2.5, 0.6 + 1.9j]))
+def test_every_backward_step_cuts_its_whole_window(seed, real, lam):
+    # on both planes, each step hands _kept the moduli of the window it yielded
+    # whole, at the tail's threshold tol * sup|x|, and the cut is the longest
+    # trailing run whose moduli sum to at most that threshold
+    op, v, tol, _ = _random_inverse_case(random.Random(seed))
+    if real:  # the start on the float plane, its last entry still nonzero
+        v = FinSeq(Lattice.HALF_LINE, v.offset, v.values.real + v.values.imag)
+    cuts, windows = [], []
+
+    def spy(mags, threshold):
+        cuts.append((mags, threshold, _kept(mags, threshold)))
+        return cuts[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse_kernel, "_kept", spy)
+        try:
+            for _, x in _backward(op, v, 4, lam, tol):
+                windows.append(x)
+        except (TailNotDecayingError, OverflowError):
+            pass
+    assert cuts
+    windows[0] = v.trim().values  # the start is yielded as given, and read on its support
+    for (mags, threshold, kept), x in zip(cuts, windows):
+        assert np.array_equal(mags, _abs(x)) and threshold == tol * float(mags.max())
+        assert kept == _reference_kept(mags.tolist(), threshold)
+
+
+def test_max_support_runs_read_every_window_whole(monkeypatch):
+    # the kernel basis's rows and inverse --max-support keep the caller's window
+    monkeypatch.setattr(inverse_kernel, "_kept", lambda *_: pytest.fail("a window was cut"))
+    kernel_basis(walk(Constant(0.6)), 5, 300, tol=1e-60)
+    v = FinSeq.from_values([1.0, 0.0, 1e-20], 3)
+    u = right_inverse_power(walk(Constant(0.75)), v, 3, max_support=50)
+    assert u.support()[1] >= 5
 
 
 @pytest.mark.parametrize(

@@ -40,10 +40,10 @@ def test_script_runs(script, args):
     assert proc.stdout
 
 
-def _digest(workload, seed, jobs):
+def _digest(workload, seed, jobs, *flags):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "result_digest.py"), "--workload", workload,
-         "--seed", str(seed), "--jobs", str(jobs)],
+         "--seed", str(seed), "--jobs", str(jobs), *flags],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -55,6 +55,27 @@ def test_result_digest_is_a_function_of_the_jobs():
     assert len(first) == 64 and int(first, 16) >= 0
     assert _digest("certify", 1, 20) == first
     assert _digest("certify", 2, 20) != first
+
+
+def test_result_digest_per_job_names_each_job():
+    # one line a job: its index, the digest of its result line and the job,
+    # so a moved digest can be traced to the jobs that moved it; the lines
+    # are those the total digest reads
+    code = ("import hashlib, itertools, runpy, sys; s = runpy.run_path(sys.argv[1])"
+            "; lines = [s['result_text'](j).encode() + b'\\n'"
+            " for j in itertools.islice(s['J'].stream('certify', 1), 4)]"
+            "; [print(i, hashlib.sha256(x).hexdigest(), s['J'].describe(j)) for i, (x, j)"
+            " in enumerate(zip(lines, s['J'].stream('certify', 1)))]"
+            "; print(hashlib.sha256(b''.join(lines)).hexdigest())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "scripts" / "result_digest.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *per_job, total = proc.stdout.splitlines()
+    assert len(per_job) == 4 and per_job[3].startswith("3 ")
+    assert _digest("certify", 1, 4, "--per-job").splitlines() == per_job
+    assert _digest("certify", 1, 4) == total
 
 
 @pytest.mark.parametrize(
