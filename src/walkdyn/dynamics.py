@@ -139,17 +139,6 @@ def _orbit_norms(op: BandedOp, x: FinSeq, n: int, space: SpaceSpec) -> list[floa
     return _measured((_abs(y) for _, y in op._orbit(x, n)), space)
 
 
-def _diff_moduli(lo: int, y: np.ndarray, y_mags: np.ndarray, t_lo: int, t, t_mags) -> np.ndarray:
-    """The moduli of the entries of FinSeq(lo, y) - FinSeq(t_lo, t), given
-    y_mags = |y| and t_mags = |t|: |y - t| on the overlap, with the rest of
-    both patched in around it, in no fixed order (max and fsum read a set)."""
-    a = max(lo, t_lo)
-    b = max(a, min(lo + len(y), t_lo + len(t)))
-    i, j, k, m = a - lo, b - lo, a - t_lo, b - t_lo
-    diff = _abs(y[i:j] - t[k:m])
-    return np.concatenate((y_mags[:i], diff, y_mags[j:], t_mags[:k], t_mags[m:]))
-
-
 def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=None):
     """One run of the backward loop, checked on every step.
 
@@ -184,9 +173,14 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
                 else:
                     w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
                     w = w if lam is None else _cmul(lam, w)
-                yield _diff_moduli(lo - 1, w, _abs(w), *prev)
-            prev = lo, z, _abs(z)
-            yield prev[2]
+                # lam W z_k - z_{k-1} on a zero frame over both windows, by index
+                a, b = min(lo - 1, prev[0]), max(hi + 2, prev[0] + len(prev[1]))
+                diff = np.zeros(b - a, np.result_type(w, prev[1]))
+                diff[lo - 1 - a : hi + 2 - a] = w
+                diff[prev[0] - a : prev[0] - a + len(prev[1])] -= prev[1]
+                yield _abs(diff)
+            prev = lo, z
+            yield _abs(z)
 
     measured = _measured(rows(), space)
     norms = measured[::2]
@@ -599,11 +593,14 @@ def orbit_density_probe(
     With ``projective`` the orbit point is rescaled before measuring
     (least-squares scalar on the overlap, an upper estimate of the true
     projective distance); the output is then invariant under scaling x.
-    Exploratory: small minima are evidence of density, never proof.
+    Exploratory: small minima are evidence of density, never proof.  A nan
+    or negative threshold raises ValueError.
     """
     space = space or SpaceSpec.c0()
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {threshold}")
     if any(t.lattice is not op.lattice for t in targets):
         raise ValueError("cannot combine sequences over different lattices")
     best = [(math.inf, -1)] * len(targets)
@@ -629,18 +626,16 @@ def orbit_density_probe(
         if projective:
             with np.errstate(over="ignore"):
                 squares = np.float_power(mags, 2.0)
-            dens = _row_sums(squares).tolist()
+            dens = _row_sums(squares)
             if any(math.isinf(d) and np.isfinite(mags[i]).all() for i, d in enumerate(dens)):
                 raise OverflowError("the orbit's squared norm passes the float range (about 1.8e308)")
-            c = np.zeros((len(block), len(targets), 1), np.complex128)
-            for (i, (lo, y)), (j, t) in itertools.product(enumerate(block), enumerate(targets)):
-                if dens[i] > 0:
-                    # c = sum t_i conj(y_i) / den in index order; only zeros are left out
-                    a = max(lo, t.offset)
-                    b = max(a, min(lo + len(y), t.offset + len(t.values)))
-                    conj = np.conj(y[a - lo : b - lo].astype(np.complex128))
-                    num = sum(_cmul(t.values[a - t.offset : b - t.offset], conj).tolist())
-                    c[i, j] = num / dens[i]
+            # c = sum t conj(y) / den in index order on the frame (its extra terms are signed
+            # zeros; none on an empty frame), divided as CPython divides a complex by a float
+            num = np.add.accumulate(_cmul(ts, np.conj(ys)[:, None]), axis=2)[..., -1:]
+            c, den = np.zeros(num.shape, np.complex128), dens[:, None, None]  # 0 where den <= 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.divide(num.real + num.imag * 0.0, den, out=c.real, where=den > 0)
+                np.divide(num.imag - num.real * 0.0, den, out=c.imag, where=den > 0)
             # c y on the window of y alone, where c may be inf
             inside = _padded([np.ones(len(y), bool) for _, y in block], at, pad)
             ys = np.where(inside[:, None], _cmul(c, ys[:, None]), 0.0)

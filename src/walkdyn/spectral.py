@@ -71,12 +71,14 @@ def point_spectrum_probe(
     non-decaying candidate: member of l^infinity, not of c0, c or l^q.
     A repeated root exactly on the unit circle is decided from the
     linear-term coefficient of (e + f n) theta^n; repeated roots merely
-    near the circle stay Undetermined.
+    near the circle stay Undetermined.  A non-finite lam raises ValueError.
     """
     _check_prob(p)
     if not band >= 0:
         raise ValueError(f"band must be nonnegative, got {band}")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError("lam must be finite")
     disc = lam * lam - 4.0 * p * (1.0 - p)
     s = cmath.sqrt(disc)
     # the roots of p z^2 - lam z + (1-p) = 0, largest modulus first
@@ -160,8 +162,7 @@ def certified_disk_radius(
     lo, hi = 0.0, 2.0
     if ok(hi):
         return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:  # to tol or the float spacing
         if ok(mid):
             lo = mid
         else:
@@ -271,14 +272,16 @@ def symmetric_dual_interval_check(
     (q_n) stays bounded: each lam is certified by checking the
     eigen-equation residual and the explicit bound |c| + |d| from the root
     expansion q_n = c a^n + d b^n.  The operator is symmetric at p = 1/2,
-    so each certified lam is a dual eigenvalue of the walk on l1; an
-    interval of them leaves no room for supercyclicity there.
+    so each certified lam is a dual eigenvalue of the walk on l1; two or
+    more, all certified, leave no room for supercyclicity there.
     """
     p = 0.5
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if lambdas is None:
         lambdas = tuple(-0.95 + 1.9 * k / 38 for k in range(39))
+    if not lambdas:
+        raise ValueError("the lambda grid is empty")
     certified: list[bool] = []
     sups: list[float] = []
     bounds: list[float] = []
@@ -310,7 +313,7 @@ def symmetric_dual_interval_check(
         bounds.append(bound)
     all_cert = all(certified)
     conclusion = None
-    if all_cert:
+    if all_cert and len(set(lambdas)) > 1:
         conclusion = (
             "every sampled lam in (-1, 1) carries a bounded eigenvector "
             "candidate; by symmetry these are dual eigenvalues of the walk "

@@ -114,6 +114,33 @@ class TestSpectrum:
         assert code == 0
         assert doc["result"]["radius_lower_estimate"] == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-17", "1e-300"])
+    def test_radius_search_stops_at_the_float_spacing(self, tol):
+        # a tol below the bracket's float spacing bisected forever; in a
+        # subprocess, so a search that never ends fails by its timeout
+        src = Path(__file__).resolve().parents[1] / "src"
+        argv = ["spectrum", "--mode", "radius", "--p", "0.75", "--angles", "2", "--tol", tol]
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkdyn.cli", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        r = json.loads(proc.stdout)["result"]["radius_lower_estimate"]
+        assert r == 0.9999999949999999  # 1 - band / 2, to the last float of the bracket
+
+    def test_symmetric_conclusion_needs_two_lambdas(self, capsys):
+        # one certified lam is one dual eigenvalue, which rules nothing out
+        argv = ["spectrum", "--mode", "symmetric", "--lam-grid=0.5:0.5:1", "--n-max", "10"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["result"]["all_certified"] is True and doc["result"]["conclusion"] is None
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1+nanj"])
+    def test_non_finite_lam_exit_2(self, capsys, lam):
+        # an undetermined row of nan evidence exited 0
+        code, out, err = run(capsys, "spectrum", "--p", "0.75", f"--lam={lam}")
+        assert (code, out, err) == (2, "", "error: lam must be finite\n")
+
 
 class TestInverseKernel:
     def test_inverse_vector_format(self, capsys):
@@ -358,6 +385,14 @@ class TestOrbit:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == "error: the orbit's squared norm passes the float range (about 1.8e308)\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "-0.25"])
+    def test_bad_threshold_exit_2(self, capsys, threshold):
+        # a nan threshold exited 0 and recorded no visits
+        argv = ["orbit", "--pseq", "const:0.7", "--x", "e0", "--targets", "e0"]
+        code, out, err = run(capsys, *argv, "--threshold", threshold)
+        assert (code, out) == (2, "")
+        assert err == f"error: threshold must be nonnegative, got {float(threshold)}\n"
 
     def test_orbit_probe(self, capsys):
         code, doc = run_json(

@@ -750,6 +750,12 @@ class TestOrbitProbe:
         rep = orbit_density_probe(walk_075, x * 1e-100, [FinSeq.unit(0)], n_max=3, projective=True)
         assert max(d for d, _ in rep.best) < norm(FinSeq.unit(0), SpaceSpec.c0())
 
+    @pytest.mark.parametrize("threshold", [math.nan, -0.25, -math.inf])
+    def test_probe_rejects_a_nan_or_negative_threshold(self, walk_075, threshold):
+        # no distance is at most such a threshold: the probe ran and recorded no visits
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            orbit_density_probe(walk_075, FinSeq.unit(0), [FinSeq.unit(0)], threshold=threshold)
+
     def test_threshold_controls_visits(self, walk_075):
         rep = orbit_density_probe(
             walk_075, FinSeq.unit(0), [FinSeq.unit(0)], n_max=30, threshold=0.5

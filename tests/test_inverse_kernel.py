@@ -293,6 +293,9 @@ def test_backward_windows_drop_their_trailing_mass():
         ([1.0, 0.0, 0.5, 0.0, 0.0], 0.25, 3),  # zeros go with the run
         ([1.5e308, 1.5e308, 1.5e308], 1.4e308, 3),  # the float sums overflow
         ([1.0, 0.5], 2.0, 1),  # the first entry stays
+        # the float sum of the 5 trailing moduli rounds above the threshold
+        # (1.291666666666667), their exact sum does not: the step up from 4 to 5
+        ([2.0, 0.0375, 0.05, 0.16666666666666666, 1.0, 0.0375], 1.2916666666666667, 1),
     ],
 )
 def test_the_cut_compares_the_sums_exactly(mags, threshold, kept):

@@ -438,6 +438,8 @@ _PROBE_EDGES = {
         FinSeq(_L, -2, [1.0, 0.5]),
         [FinSeq(_L, -9, [0.25, -1.0]), FinSeq(_L, -3, [1j, 0.5 - 0.5j, 2.0])],
     ),
+    # the zero start against zero targets: a frame with no column to sum over
+    "empty-frame": (_HALF, FinSeq.zero(), [FinSeq.zero(), FinSeq.zero()]),
     # a complex start against complex targets
     "complex": (
         _LINE,

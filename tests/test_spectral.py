@@ -227,6 +227,30 @@ def test_symmetric_interval_check_needs_a_coordinate(n_max):
         symmetric_dual_interval_check(n_max=n_max)
 
 
+@pytest.mark.parametrize(
+    "lambdas", [(0.5,), (0.5, 0.5), (0.0, -0.0)], ids=["one", "twice", "signed-zeros"]
+)
+def test_symmetric_conclusion_needs_two_distinct_lambdas(lambdas):
+    # the conclusion stood on one dual eigenvalue, which rules nothing out
+    rep = symmetric_dual_interval_check(n_max=10, lambdas=lambdas)
+    assert rep.all_certified and rep.conclusion is None
+    two = symmetric_dual_interval_check(n_max=10, lambdas=(0.5, -0.5))
+    assert "supercyclic" in two.conclusion
+
+
+def test_symmetric_interval_check_rejects_an_empty_grid():
+    # all() of no lam held, and the conclusion was stated on nothing
+    with pytest.raises(ValueError, match="empty"):
+        symmetric_dual_interval_check(lambdas=())
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0.5, math.inf), complex(math.nan, 0)])
+def test_point_spectrum_probe_rejects_a_non_finite_lam(lam):
+    # it answered undetermined with nan evidence
+    with pytest.raises(ValueError, match="lam must be finite"):
+        point_spectrum_probe(0.75, lam, SpaceSpec.c0())
+
+
 def test_symmetric_interval_check_small_grid():
     rep = symmetric_dual_interval_check(n_max=100, lambdas=(-0.5, 0.0, 0.5))
     assert rep.all_certified
