@@ -41,9 +41,9 @@ import numpy as np
 
 from .classify import Verdict, _chain_factors, _stated, kernel_decay_log_factors
 from .inverse_kernel import _backward, kernel_basis, kernel_window_for_tol, step_norm_bound
-from .operators import BandedOp, Constant, pseq_text
-from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cmul, norm
-from .seqspace import _row_norms, _row_sums
+from .operators import BandedOp, Constant, _band_product, pseq_text
+from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec, _abs, _cdiv, _cmul, norm
+from .seqspace import _framed_difference, _row_norms, _row_sums, _scaled
 
 _BLOCK_CELLS = 8192  # cells of one block of rows, measured in one array pass
 
@@ -147,10 +147,10 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
     k = 1 .. n (W z_k - z_{k-1} without lam), and z_n.  z_{k-1} is the
     window as yielded, before the loop drops its trailing run below
     tolerance, so each residual includes that cut.  lam W z_k is formed
-    on the plane of each window ``_backward`` yields, with the operations
-    of ``lam * op.apply(z_k)``: its bits on complex128, its real parts on
-    float64 up to the signs of zeros; every modulus, and so every norm, is
-    the same.
+    on the plane of each window ``_backward`` yields, by ``_band_product``
+    and ``_scaled``, the operations of ``lam * op.apply(z_k)``: its bits on
+    complex128, its real parts on float64 up to the signs of zeros; every
+    modulus, and so every norm, is the same.
     """
     lo = z = None
 
@@ -167,17 +167,9 @@ def _checked_backward(op: BandedOp, v: FinSeq, n: int, space: SpaceSpec, lam=Non
                 if len(up) < hi + 2:
                     up, down = op._band(np.arange(2 * hi + 4))
                 zs = np.concatenate(([0.0, 0.0], z, [0.0, 0.0]))  # z on lo - 2 .. hi + 2
-                d, u = down[lo - 1 : hi + 2], up[lo - 1 : hi + 2]
-                if z.dtype == np.float64:  # the float plane, where 1/lam is real
-                    w = (d * zs[:-2] + u * zs[2:]) * (1.0 if lam is None else lam.real)
-                else:
-                    w = _cmul(d, zs[:-2]) + _cmul(u, zs[2:])
-                    w = w if lam is None else _cmul(lam, w)
-                # lam W z_k - z_{k-1} on a zero frame over both windows, by index
-                a, b = min(lo - 1, prev[0]), max(hi + 2, prev[0] + len(prev[1]))
-                diff = np.zeros(b - a, np.result_type(w, prev[1]))
-                diff[lo - 1 - a : hi + 2 - a] = w
-                diff[prev[0] - a : prev[0] - a + len(prev[1])] -= prev[1]
+                w = _band_product(down[lo - 1 : hi + 2], zs[:-2], up[lo - 1 : hi + 2], zs[2:])
+                w = w if lam is None else _scaled(lam, w)
+                _, diff = _framed_difference(lo - 1, w, *prev)
                 yield _abs(diff)
             prev = lo, z
             yield _abs(z)
@@ -630,12 +622,11 @@ def orbit_density_probe(
             if any(math.isinf(d) and np.isfinite(mags[i]).all() for i, d in enumerate(dens)):
                 raise OverflowError("the orbit's squared norm passes the float range (about 1.8e308)")
             # c = sum t conj(y) / den in index order on the frame (its extra terms are signed
-            # zeros; none on an empty frame), divided as CPython divides a complex by a float
+            # zeros; none on an empty frame), 0 where den <= 0
             num = np.add.accumulate(_cmul(ts, np.conj(ys)[:, None]), axis=2)[..., -1:]
-            c, den = np.zeros(num.shape, np.complex128), dens[:, None, None]  # 0 where den <= 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.divide(num.real + num.imag * 0.0, den, out=c.real, where=den > 0)
-                np.divide(num.imag - num.real * 0.0, den, out=c.imag, where=den > 0)
+            den = dens[:, None, None]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                c = np.where(den > 0, _cdiv(num, den), 0.0)
             # c y on the window of y alone, where c may be inf
             inside = _padded([np.ones(len(y), bool) for _, y in block], at, pad)
             ys = np.where(inside[:, None], _cmul(c, ys[:, None]), 0.0)

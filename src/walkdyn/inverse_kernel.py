@@ -17,13 +17,13 @@ Evaluation: each u_n rounds on u_{n-2}, so the recurrence is not
 reassociated into array operations.  Every entry takes the floating-point
 operations of Python ``complex`` arithmetic in the same order, so the
 result is bit-identical to the plain loop over indices, which the tests
-keep as the reference.  CPython divides a complex by a float through
-p + 0j, giving ((re + im*0.0)/p, (im - re*0.0)/p).  Past the support v
-vanishes, and the same loop continues with 0 + r_{n-1} u_{n-2} up to the
-cap.  Without ``max_support`` the loop reads v without its longest trailing
-run whose moduli sum to at most the tail's threshold tol * sup|v|, so
-W u = v up to that run, dropped like the tail: at most tol * sup|v| <=
-tol * ||v|| of l1 mass, in every supported norm.
+keep as the reference; v/p is CPython's division of a complex by a float
+(``seqspace._cdiv``).  Past the support v vanishes, and the same loop
+continues with 0 + r_{n-1} u_{n-2} up to the cap.  Without ``max_support``
+the loop reads v without its longest trailing run whose moduli sum to at
+most the tail's threshold tol * sup|v|, so W u = v up to that run,
+dropped like the tail: at most tol * sup|v| <= tol * ||v|| of l1 mass,
+in every supported norm.
 
 Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
 S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
@@ -33,20 +33,17 @@ as far as it goes.  It folds the trim, the 1/lam scaling and, without
 keeps only the mass that can reach the tolerance and a long run's windows
 grow sublinearly.  A start runs on the float plane by the rule of the
 forward loop (``seqspace._float_plane``: every entry finite, every
-imaginary part +0).
-There (v_{n-1} + 0.0)/p_{n-1} + r_{n-1} u_{n-2}, and 0.0 + r_{n-1} u_{n-2}
-past v, are the real parts of the complex entries, whose imaginary parts
-stay +0.  One rule holds on both planes: a step whose entries pass the
-float range from finite entries raises OverflowError at that step, in the
-support and in a ``max_support`` tail alike; a tail that runs to its cap
-without ``max_support`` raises TailNotDecayingError, inf or not.  A real
-scaling stays on the plane:
-x * c.real - c.imag * 0.0 is the real part of ``_cmul(c, x)``, c = 1/lam,
-and for lam > 0 that is every bit.  For lam < 0, c.imag is -0 and the
-paths differ at most in the signs of zeros: nonzero entries keep their
-bits, and every norm, trim and stop test reads through ``hypot``, ``abs``
-or ``== 0``; so the contract is exact bits for lam > 0, and moduli only
-for lam < 0.  Other starts, and complex lam, run on ``complex``.
+imaginary part +0); there every entry is the real part of the complex
+one, whose imaginary part stays +0.  One rule holds on both planes: a
+step whose entries pass the float range from finite entries raises
+OverflowError at that step, in the support and in a ``max_support`` tail
+alike; a tail that runs to its cap without ``max_support`` raises
+TailNotDecayingError, inf or not.  A real scaling c = 1/lam stays on the
+plane (``seqspace._scaled``), every bit of ``_cmul(c, x)`` for lam > 0.  For lam < 0, c.imag is -0 and the paths
+differ at most in the signs of zeros: nonzero entries keep their bits,
+and every norm, trim and stop test reads through ``hypot``, ``abs`` or
+``== 0``; so the contract is exact bits for lam > 0, and moduli only for
+lam < 0.  Other starts, and complex lam, run on ``complex``.
 
 Kernel bases: W^n kills an n-dimensional space of decaying sequences when
 the kernel weights decay.  ker W is spanned by the closed-form kernel
@@ -68,7 +65,7 @@ import numpy as np
 
 from .classify import _chain_factors, _log_odds, kernel_decay_log_factors
 from .operators import BandedOp, PSeq, _running_products
-from .seqspace import FinSeq, Lattice, _abs, _cmul, _float_plane
+from .seqspace import FinSeq, Lattice, _abs, _cdiv, _float_plane, _scaled
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
 
@@ -218,10 +215,7 @@ def _backward(
             x = x[: hi - lo + 1]
         read(hi + 2)  # the tail reads r_hi+1 at least
         flat = x.dtype == np.float64
-        a = np.empty(len(x), x.dtype)  # CPython divides a complex by a float through p + 0j
-        a.real = (x.real + x.imag * 0.0) / p[lo : hi + 1]
-        if not flat:
-            a.imag = (x.imag - x.real * 0.0) / p[lo : hi + 1]
+        a = _cdiv(x, p[lo : hi + 1])
         u = [0.0 if flat else 0j]  # u_lo, zero like every entry below it
         x0 = x1 = u[0]
         for an, rn in zip(a.tolist(), rl[lo : hi + 1]):
@@ -272,9 +266,7 @@ def _backward(
             nz = np.flatnonzero(u)
             first, last = (int(nz[0]), int(nz[-1])) if len(nz) else (0, -1)
             lo, hi, x = lo + first, lo + last, u[first : last + 1]
-            if c is not None:  # the float plane keeps the real part of _cmul(c, x + 0j)
-                flat = x.dtype == np.float64 and not c.imag
-                x = x * c.real - c.imag * 0.0 if flat else _cmul(c, x)
+            x = x if c is None else _scaled(c, x)
         yield (lo if lo <= hi else 0), x
 
 

@@ -11,10 +11,10 @@ probabilities:
 
 The operator acts on sequences by rows, (A x)_i = sum_j A_{i,j} x_j, so a
 finitely supported input stays finitely supported and the action is exact
-up to floating-point rounding.  The row action gathers and the column
-action scatters along one band description; powers run in one buffered
-forward loop (``BandedOp._orbit``) with the bits of repeated application,
-and nothing is ever truncated to a finite matrix.  The loop iterates A
+up to floating-point rounding.  The row action and the column action
+gather through one band product (``_band_product``); powers run in one
+buffered forward loop (``BandedOp._orbit``), of which ``apply`` is one
+step, and nothing is ever truncated to a finite matrix.  The loop iterates A
 alone, on float64 for a finite real start, bit for bit; a scalar multiple
 lam A never enters it, since its orbit is lam^n times that of A.
 """
@@ -69,6 +69,14 @@ class _PrefixCycle:
     def probabilities(self) -> tuple[float, ...]:
         """Every distinct probability value the sequence can take."""
         return tuple(dict.fromkeys(self.prefix + self.cycle))
+
+
+def _band_product(down, left: np.ndarray, up, right: np.ndarray) -> np.ndarray:
+    """down * left + up * right entrywise, the gather of a band: as written on
+    float64, through ``_cmul`` on complex128, whose zero terms tie signs."""
+    if left.dtype == np.float64:
+        return down * left + up * right
+    return _cmul(down, left) + _cmul(up, right)
 
 
 def _running_products(ratios: np.ndarray, chains: int) -> np.ndarray:
@@ -223,29 +231,16 @@ class BandedOp:
 
     def apply(self, x: FinSeq) -> FinSeq:
         """Row action (A x)_i = (1-p_i) x_{i-1} + p_i x_{i+1}, with the
-        half-line boundary row (A x)_0 = (1-p_0) x_0 + p_0 x_1."""
-        if x.lattice is not self.lattice:
-            raise ValueError("sequence lattice does not match the operator")
-        sup = x.support()
-        if sup is None:
-            return FinSeq.zero(self.lattice)
-        lo, hi = sup
-        half = self.lattice is Lattice.HALF_LINE
-        out_lo = max(lo - 1, 0) if half else lo - 1
-        # x on indices out_lo-1 .. hi+2; rows out_lo .. hi+1 gather from it
-        xs = np.zeros(hi - out_lo + 4, np.complex128)
-        xs[lo - out_lo + 1 : hi - out_lo + 2] = x.window(lo, hi + 1)
-        if half and out_lo == 0:
-            xs[0] = xs[1]  # row 0 holds: its down move reads x_0
-        up, down = self._band(np.arange(out_lo, hi + 2))
-        return FinSeq(self.lattice, out_lo, _cmul(down, xs[:-2]) + _cmul(up, xs[2:]))
+        half-line boundary row (A x)_0 = (1-p_0) x_0 + p_0 x_1: one step of
+        the forward loop."""
+        return self.power_apply(1, x)
 
     def apply_transpose(self, y: FinSeq) -> FinSeq:
-        """Column action (A' y)_j = sum_i A_{i,j} y_i.
+        """Column action (A' y)_j = sum_i A_{i,j} y_i = p_{j-1} y_{j-1} +
+        (1-p_{j+1}) y_{j+1}, the band product over the transposed band.
 
         This is the action of the operator on row functionals; a left zero
-        eigenvector u (u A = 0) satisfies apply_transpose(u) = 0.  Each
-        column sums its two contributions onto zero, so zeros come out +0.
+        eigenvector u (u A = 0) satisfies apply_transpose(u) = 0.
         """
         if y.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
@@ -253,24 +248,23 @@ class BandedOp:
         if sup is None:
             return FinSeq.zero(self.lattice)
         lo, hi = sup
-        ys = y.window(lo, hi + 1)
-        up, down = self._band(np.arange(lo, hi + 1))
-        out = np.zeros(hi - lo + 3, np.complex128)  # columns lo-1 .. hi+1
-        out[2:] += _cmul(up, ys)
-        moved = _cmul(down, ys)
-        out[:-2] += moved
-        if lo == 0 and self.lattice is Lattice.HALF_LINE:
-            out[1] += moved[0]  # row 0 holds at column 0
-            return FinSeq(self.lattice, 0, out[1:])
-        return FinSeq(self.lattice, lo - 1, out)
+        half = self.lattice is Lattice.HALF_LINE
+        out_lo = max(lo - 1, 0) if half else lo - 1
+        # y on indices out_lo-1 .. hi+2; columns out_lo .. hi+1 gather from it
+        ys = np.zeros(hi - out_lo + 4, np.complex128)
+        ys[lo - out_lo + 1 : hi - out_lo + 2] = y.window(lo, hi + 1)
+        up, down = self._band(np.arange(out_lo - 1, hi + 3))  # rows out_lo-1 .. hi+2
+        if half and out_lo == 0:
+            ys[0], up[0] = ys[1], down[1]  # column 0 reads 1-p_0 y_0 as row 0 holds
+        return FinSeq(self.lattice, out_lo, _band_product(up[:-2], ys[:-2], down[2:], ys[2:]))
 
     def _orbit(self, x: FinSeq, n: int):
         """Yield (lo, values) for x, Ax, ..., A^n x: views, overwritten by
-        the next step, of the windows that ``apply`` stores, with their bits.
-        The band is read once; two buffers alternate, +0 off the support as
-        ``apply`` pads it: float64 on the float plane (``_float_plane``, the
-        rule of the backward loop too; ``apply`` keeps the imaginary parts
-        +0), else complex128 with ``_cmul``, whose zero terms tie signs."""
+        the next step, each read on its support, +0 off it, for the rows one
+        below to one above it (from row 0 on the half-line).  The band is
+        read once; two buffers alternate: float64 on the float plane
+        (``_float_plane``, the rule of the backward loop too; a ``FinSeq``
+        of them has imaginary parts +0), else complex128."""
         if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
         yield x.offset, x.values
@@ -286,21 +280,16 @@ class BandedOp:
         a, b = s, e + 1  # the last yielded window
         g0, g1 = s, e + 1  # positions reached so far
         for k in range(n):
-            if s > e:  # A^k x = 0, so apply returns the empty sequence from here on
+            if s > e:  # A^k x = 0, so every later step is the empty sequence
                 yield from [(0, cur[:0])] * (n - k)
                 return
             cur[a:s] = cur[e + 1 : b] = 0.0  # trimmed zeros are read as +0
             g0, g1 = (max(g0 - 1, 1) if half else g0 - 1), g1 + 1
-            a, b = (max(s - 1, 1) if half else s - 1), e + 2  # apply's window
+            a, b = (max(s - 1, 1) if half else s - 1), e + 2  # the rows this step stores
             if half:
                 cur[0] = cur[1]  # row 0 holds: its down move reads x_0
-            d, u = down[g0:g1], up[g0:g1]
             left, right = cur[g0 - 1 : g1 - 1], cur[g0 + 1 : g1 + 1]
-            if flat:
-                out = np.multiply(d, left, out=nxt[g0:g1])
-                out += u * right
-            else:
-                nxt[g0:g1] = _cmul(d, left) + _cmul(u, right)
+            nxt[g0:g1] = _band_product(down[g0:g1], left, up[g0:g1], right)
             s, e = a, b - 1
             while s <= e and not nxt[s]:
                 s += 1

@@ -53,6 +53,36 @@ def _cmul(a, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled(c: complex, x: np.ndarray) -> np.ndarray:
+    """c * x for a complex scalar c, as ``_cmul``; a float64 x and a real c
+    stay on the float plane, as its real part x * c.real - c.imag * 0.0."""
+    if x.dtype == np.float64 and not c.imag:
+        return x * c.real - c.imag * 0.0
+    return _cmul(c, x)
+
+
+def _cdiv(z: np.ndarray, d) -> np.ndarray:
+    """Entrywise z / d for real d, rounded as CPython divides a complex by a
+    float, through d + 0j: ((re + im*0.0)/d, (im - re*0.0)/d); the real part
+    alone for a float64 z."""
+    if z.dtype == np.float64:
+        return (z + 0.0) / d
+    out = np.empty(np.broadcast(z, d).shape, np.complex128)
+    out.real = (z.real + z.imag * 0.0) / d
+    out.imag = (z.imag - z.real * 0.0) / d
+    return out
+
+
+def _framed_difference(a_lo: int, a: np.ndarray, b_lo: int, b: np.ndarray):
+    """(lo, a - b) by index, a from index a_lo and b from b_lo, summed onto a
+    zero frame over both windows, so an exact zero comes out +0."""
+    lo = min(a_lo, b_lo)
+    out = np.zeros(max(a_lo + len(a), b_lo + len(b)) - lo, np.result_type(a, b))
+    out[a_lo - lo : a_lo - lo + len(a)] += a
+    out[b_lo - lo : b_lo - lo + len(b)] -= b
+    return lo, out
+
+
 def _float_plane(values: np.ndarray) -> bool:
     """Whether complex values run on their real parts alone, the float
     plane of both orbit loops: every entry finite, every imaginary part +0."""
@@ -167,13 +197,8 @@ class FinSeq:
             return self
         if not len(self.values):
             return other if sign > 0 else -other
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.values), other.offset + len(other.values))
-        vals = np.zeros(hi - lo, np.complex128)  # so an exact zero sums to +0
-        vals[self.offset - lo : self.offset - lo + len(self.values)] += self.values
-        b = other.offset - lo
-        vals[b : b + len(other.values)] += other.values if sign > 0 else -other.values
-        return FinSeq(self.lattice, lo, vals)
+        b = other.values if sign < 0 else -other.values  # x + y is x - (-y), bit for bit
+        return FinSeq(self.lattice, *_framed_difference(self.offset, self.values, other.offset, b))
 
     def __add__(self, other: "FinSeq") -> "FinSeq":
         return self._merge(other, +1)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -38,11 +39,40 @@ def random_finseq(
     return FinSeq.from_values(values, offset=offset, lattice=lattice)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _row(op, i: int):
+    """Row i of A as (j, A_{i,j}, A_{i,i+1}) from ``op.entry``: j = i - 1,
+    or 0 on row 0 of the half-line, where the down move holds."""
+    j = max(i - 1, 0) if op.lattice is Lattice.HALF_LINE else i - 1
+    return j, complex(op.entry(i, j)), complex(op.entry(i, i + 1))
+
+
+def apply_entrywise(op, x: FinSeq) -> FinSeq:
+    """A x row by row from ``op.entry``, the bit reference of every forward
+    loop: row i is complex(A_{i,i-1}) x_{i-1} + complex(A_{i,i+1}) x_{i+1}
+    (row 0 of the half-line reads A_{0,0} x_0), on the rows from one below
+    the support of x (row 0 at the least) to one above it.  x is read on
+    its trimmed support, so it is +0 off it; ``complex(a) * z`` is a
+    complex product, rounded as ``_cmul`` rounds on every Python version."""
+    x = x.trim()
+    sup = x.support()
+    if sup is None:
+        return FinSeq.zero(op.lattice)
+    lo, hi = sup
+    first = max(lo - 1, 0) if op.lattice is Lattice.HALF_LINE else lo - 1
+    entries = dict(x.items())
+    values = []
+    for i in range(first, hi + 2):
+        j, a, b = _row(op, i)
+        values.append(a * entries.get(j, 0j) + b * entries.get(i + 1, 0j))
+    return FinSeq(op.lattice, first, values)
+
+
 def apply_chain(op, x: FinSeq, n: int):
-    """The reference orbit x, Ax, ..., A^n x: one ``apply`` per step."""
+    """The reference orbit x, Ax, ..., A^n x: one ``apply_entrywise`` per step."""
     yield x
     for _ in range(n):
-        x = op.apply(x)
+        x = apply_entrywise(op, x)
         yield x
 
 

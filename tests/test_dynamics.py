@@ -21,7 +21,7 @@ from walkdyn.operators import BandedOp, Constant, ListWithTail, Periodic, make_w
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 from walkdyn.spectral import point_spectrum_probe
 
-from conftest import apply_chain, random_finseq
+from conftest import apply_chain, apply_entrywise, random_finseq
 
 
 def walk(pseq, lattice=Lattice.HALF_LINE):
@@ -470,7 +470,8 @@ def _checked_reference(op, v, n, space, lam):
     norms = [norm(z, space) for z in zs]
     residuals = []
     for k in range(1, n + 1):
-        image = op.apply(zs[k]) if lam is None else lam * op.apply(zs[k])
+        image = apply_entrywise(op, zs[k])
+        image = image if lam is None else lam * image
         residuals.append(norm(image - zs[k - 1], space) / max(norms[k - 1], 1e-300))
     return norms, residuals, zs[-1]
 
