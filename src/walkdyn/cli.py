@@ -125,16 +125,18 @@ def parse_vector(text: str, lattice: Lattice) -> FinSeq:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Real grid literal 'start:stop:count' (count evenly spaced points)."""
+    """Real grid literal 'start:stop:count' (count evenly spaced points),
+    each finite."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid literal must be start:stop:count, got {text!r}")
     a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
     if k < 1:
         raise ValueError("grid count must be at least 1")
-    if k == 1:
-        return [a]
-    return [a + (b - a) * i / (k - 1) for i in range(k)]
+    points = [a] if k == 1 else [a + (b - a) * i / (k - 1) for i in range(k)]
+    if not all(map(math.isfinite, points)):  # a nan end, or b - a past the float range
+        raise ValueError(f"grid points must be finite: {text!r}")
+    return points
 
 
 def _tol(args, builtin: float) -> float:

@@ -19,11 +19,12 @@ operations of Python ``complex`` arithmetic in the same order, so the
 result is bit-identical to the plain loop over indices, which the tests
 keep as the reference; v/p is CPython's division of a complex by a float
 (``seqspace._cdiv``).  Past the support v vanishes, and the same loop
-continues with 0 + r_{n-1} u_{n-2} up to the cap.  Without ``max_support``
-the loop reads v without its longest trailing run whose moduli sum to at
-most the tail's threshold tol * sup|v|, so W u = v up to that run,
-dropped like the tail: at most tol * sup|v| <= tol * ||v|| of l1 mass,
-in every supported norm.
+continues with 0 + r_{n-1} u_{n-2} up to the cap.  The tail's threshold is
+tol * sup|v|, at least the smallest positive float when v is not zero, so
+a tail that decays reaches it.  Without ``max_support`` the loop reads v
+without its longest trailing run whose moduli sum to at most the
+threshold, so W u = v up to that run, dropped like the tail: at most
+tol * sup|v| <= tol * ||v|| of l1 mass, in every supported norm.
 
 Backward orbits run in one loop, :func:`_backward` (v, Sv/lam, ...,
 S^k v/lam^k; ``right_inverse`` is one step).  It reads p and r once per
@@ -36,9 +37,11 @@ forward loop (``seqspace._float_plane``: every entry finite, every
 imaginary part +0); there every entry is the real part of the complex
 one, whose imaginary part stays +0.  One rule holds on both planes: a
 step whose entries pass the float range from finite entries raises
-OverflowError at that step, in the support and in a ``max_support`` tail
-alike; a tail that runs to its cap without ``max_support`` raises
-TailNotDecayingError, inf or not.  A real scaling c = 1/lam stays on the
+OverflowError at that step, in the support and in a tail alike.  Without
+``max_support`` a tail whose chains do not decay raises
+TailNotDecayingError at its cap, inf or not; one that decays runs at
+most to the closed-form horizon of its chains, which ends a subnormal
+tail that rounding holds a few ulps above the threshold.  A real scaling c = 1/lam stays on the
 plane (``seqspace._scaled``), every bit of ``_cmul(c, x)`` for lam > 0.  For lam < 0, c.imag is -0 and the paths
 differ at most in the signs of zeros: nonzero entries keep their bits,
 and every norm, trim and stop test reads through ``hypot``, ``abs`` or
@@ -68,6 +71,7 @@ from .operators import BandedOp, PSeq, _running_products
 from .seqspace import FinSeq, Lattice, _abs, _cdiv, _float_plane, _scaled
 
 _TAIL_CAP = 2_000_000  # indices past the support a preimage tail may need
+_TINY = math.ulp(0.0)  # the smallest positive float, the least tail threshold
 
 
 class TailNotDecayingError(RuntimeError):
@@ -135,7 +139,7 @@ def _chain_horizon(
     factor of a chain that is not exactly zero is not negative; a factor
     just below 1 gives a horizon as far off as it is, for the caller's cap.
     """
-    if threshold <= 0:
+    if not threshold > 0:  # nan too
         return math.inf
     cycle_len = len(pseq.cycle)
     span = cycle_len if cycle_len % 2 == 0 else 2 * cycle_len  # indices per chain cycle
@@ -187,11 +191,13 @@ def _backward(
     when v is on the float plane, by ``BandedOp._orbit``'s rule (module
     docstring).  Each window is yielded whole; without ``max_support`` the
     next step reads it without its trailing run of moduli summing to at
-    most tol * sup|x| (:func:`_kept`), unless that threshold is 0, inf or
-    nan.  Raises as ``right_inverse`` does."""
+    most the tail's threshold (:func:`_kept`), unless that is inf or nan.
+    Raises as ``right_inverse`` does."""
     _require_half_line(op)
     if v.lattice is not Lattice.HALF_LINE:
         raise ValueError("the vector must live on the half-line")
+    if max_support is not None and max_support < 0:
+        raise ValueError(f"max_support must be nonnegative, got {max_support}")
     pseq = op.pseq
     c = None if lam is None else complex(1.0 / lam)
     p, rl = np.empty(0), []  # p_n and r_n, read once per run, doubled on demand
@@ -209,7 +215,8 @@ def _backward(
         the plane of x; without ``max_support``, of x without its trailing run
         below tolerance."""
         mags = _abs(x)
-        threshold = tol * float(mags.max())
+        top = float(mags.max())
+        threshold = max(tol * top, _TINY) if top > 0 else tol * top
         if max_support is None and 0 < threshold < math.inf:  # so every modulus is finite
             hi = lo + _kept(mags, threshold) - 1
             x = x[: hi - lo + 1]
@@ -244,7 +251,7 @@ def _backward(
             if abs(u[-1]) <= threshold and abs(u[-2]) <= threshold:
                 break
         else:
-            if max_support is None:
+            if max_support is None and math.isinf(horizon):
                 last = max(abs(u[-1]), abs(u[-2]))
                 raise TailNotDecayingError(
                     "preimage tail has not decayed below tolerance: the jump "
@@ -293,7 +300,7 @@ def right_inverse(
     (at p = 0.75, ones on 0..10 with ``max_support=5`` give support
     1..12).  The result has the bits of the plain loop on what it reads of
     v (see the module docstring).  A preimage past the float range raises
-    OverflowError.
+    OverflowError, and a negative ``max_support`` ValueError.
     """
     *_, (lo, values) = _backward(op, v, 1, tol=tol, max_support=max_support)
     return FinSeq(Lattice.HALF_LINE, lo, values)

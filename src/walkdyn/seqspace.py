@@ -210,7 +210,7 @@ class FinSeq:
         return FinSeq(self.lattice, self.offset, -self.values)
 
     def __mul__(self, c) -> "FinSeq":
-        return FinSeq(self.lattice, self.offset, _cmul(complex(c), self.values))
+        return FinSeq(self.lattice, self.offset, _scaled(complex(c), self.values))
 
     __rmul__ = __mul__
 

@@ -273,7 +273,8 @@ def symmetric_dual_interval_check(
     eigen-equation residual and the explicit bound |c| + |d| from the root
     expansion q_n = c a^n + d b^n.  The operator is symmetric at p = 1/2,
     so each certified lam is a dual eigenvalue of the walk on l1; two or
-    more, all certified, leave no room for supercyclicity there.
+    more, all certified, leave no room for supercyclicity there.  A
+    non-finite lam raises ValueError.
     """
     p = 0.5
     if n_max < 1:
@@ -282,6 +283,8 @@ def symmetric_dual_interval_check(
         lambdas = tuple(-0.95 + 1.9 * k / 38 for k in range(39))
     if not lambdas:
         raise ValueError("the lambda grid is empty")
+    if not all(map(math.isfinite, lambdas)):
+        raise ValueError("lam must be finite")
     certified: list[bool] = []
     sups: list[float] = []
     bounds: list[float] = []

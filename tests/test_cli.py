@@ -135,6 +135,15 @@ class TestSpectrum:
         assert code == 0
         assert doc["result"]["all_certified"] is True and doc["result"]["conclusion"] is None
 
+    @pytest.mark.parametrize("grid", ["nan:0.5:3", "-1e308:1e308:3", "inf:0:1"])
+    @pytest.mark.parametrize("mode", ["grid", "symmetric"])
+    def test_non_finite_grid_points_exit_2(self, capsys, mode, grid):
+        # the symmetric mode listed nan and inf lambdas as uncertified, exit 0;
+        # b - a overflowing past the float range made the finite ends nan and inf
+        argv = ["spectrum", "--mode", mode, f"--lam-grid={grid}"]
+        code, out, err = run(capsys, *argv, *(["--p", "0.75"] if mode == "grid" else []))
+        assert (code, out, err) == (2, "", f"error: grid points must be finite: {grid!r}\n")
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1+nanj"])
     def test_non_finite_lam_exit_2(self, capsys, lam):
         # an undetermined row of nan evidence exited 0
@@ -212,6 +221,19 @@ class TestInverseKernel:
         assert (code, out) == (2, "")
         assert err == "error: the preimage passes the float range (about 1.8e308)\n"
 
+    def test_inverse_of_a_subnormal_vector_exit_0(self, capsys):
+        # tol * sup|v| underflowed to 0: exit 3 with a tail-not-decaying error
+        code, doc = run_json(capsys, "inverse", "--pseq", "const:0.51", "--v", "1e-320")
+        assert code == 0
+        assert doc["result"]["coordinates"]["offset"] == 1
+        assert doc["result"]["residual_sup"] <= 1e-322
+
+    def test_inverse_negative_max_support_exit_2(self, capsys):
+        # it acted as --max-support 0, with exit 0
+        argv = ["inverse", "--pseq", "const:0.75", "--v", "e0", "--max-support", "-3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: max_support must be nonnegative, got -3\n")
+
     def test_kernel_too_large_to_allocate_exit_2(self, capsys):
         # numpy refuses the power-by-window array; it ended in a traceback
         code, out, err = run(capsys, "kernel", "--pseq", "const:0.75", "--power", "100000000")
@@ -258,6 +280,16 @@ class TestCertify:
         res = json.loads(out)["result"]
         assert res["holds"] == "undetermined"
         assert "backward-underflow" in res["reason"]
+
+    def test_fhc_subnormal_backward_tail_is_no_decay_failure(self, capsys):
+        # a backward step's tolerance underflowed to 0: a tail-not-decaying error
+        # blamed the jump probabilities, although p = 0.6
+        argv = ["certify", "fhc", "--pseq", "const:0.6", "--lambda", "1e22"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 3
+        res = doc["result"]
+        assert res["holds"] == "undetermined"
+        assert res["reason"] == "numerical verification failed: periodic-point, backward-underflow"
 
     def test_fhc_tiny_lambda_is_blocked_by_the_ratio(self, capsys):
         # bound / |lam| overflows to inf; the reason once read that as no
@@ -640,6 +672,9 @@ class TestParsers:
             parse_vector("e-1", Lattice.HALF_LINE)
         with pytest.raises(ValueError):
             parse_grid("0:1")
+        for text in ("nan:0.5:3", "-1e308:1e308:3", "inf:0:1"):
+            with pytest.raises(ValueError, match="grid points must be finite"):
+                parse_grid(text)
         for text in ("inf", "1,nan", "1+infj@2", "-inf"):
             with pytest.raises(ValueError, match="must be finite"):
                 parse_vector(text, Lattice.LINE)

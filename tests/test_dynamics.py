@@ -209,6 +209,17 @@ class TestFhcCertificate:
         back = cert.witness["backward_norms"]
         assert back[step] < 1e-300 <= min(back[:step])
 
+    def test_a_subnormal_backward_tail_is_no_decay_failure(self):
+        # a backward step's tol * sup|z| underflowed to 0 and its decaying tail
+        # raised TailNotDecayingError ("the jump probabilities do not eventually
+        # exceed one half"), for 12 of these 100 lam at p = 0.6
+        op = walk(Constant(0.6))
+        cert = fhc_chaos_certificate(op, 1e22, SpaceSpec.c0())
+        assert cert.reason == "numerical verification failed: periodic-point, backward-underflow"
+        for lam in np.logspace(10, 307, 100).tolist():
+            cert = fhc_chaos_certificate(op, lam, SpaceSpec.c0())
+            assert cert.verdict in (Verdict.YES, Verdict.UNDETERMINED)
+
     def test_line_lattice_rejected(self):
         with pytest.raises(ValueError):
             fhc_chaos_certificate(walk(Constant(0.75), Lattice.LINE), 3.0, SpaceSpec.c0())

@@ -113,6 +113,8 @@ def test_tail_not_decaying_raises():
     with pytest.raises(TailNotDecayingError) as exc:
         right_inverse(op, FinSeq.unit(0))
     assert exc.value.last_magnitude > 0
+    with pytest.raises(TailNotDecayingError):  # a nan threshold has no horizon to stop at
+        right_inverse(walk(Constant(0.75)), FinSeq.unit(0), tol=math.nan)
 
 
 def test_slow_tail_past_the_cap_raises_at_once():
@@ -154,7 +156,8 @@ def _reference_right_inverse(op, v, tol, max_support):
     """right_inverse as the plain loop over indices in Python complex, on v
     without the trailing run it drops."""
     vt = v.trim()
-    threshold = tol * vt.sup_abs()
+    top = vt.sup_abs()
+    threshold = max(tol * top, 5e-324) if top > 0 else tol * top
     if max_support is None and 0 < threshold < math.inf:
         lo = vt.support()[0]
         mags = [abs(complex(x)) for x in vt.values]
@@ -174,7 +177,7 @@ def _reference_right_inverse(op, v, tol, max_support):
         u.append(vt.at(n - 1) / p + jump_ratio(p) * u[n - 2])
         if abs(u[n]) <= threshold and abs(u[n - 1]) <= threshold:
             return FinSeq(Lattice.HALF_LINE, 0, u).trim()
-    if max_support is None:
+    if max_support is None and math.isinf(horizon):
         raise TailNotDecayingError("tail has not decayed", max(abs(u[-1]), abs(u[-2])))
     if not all(map(cmath.isfinite, u)):  # the truncated tail of a finite target
         raise OverflowError("the preimage passes the float range")
@@ -210,6 +213,19 @@ def _random_inverse_case(rng):
     v = FinSeq.from_values(values, rng.randint(0, 40))
     max_support = rng.choice((None, None, rng.randint(0, 200)))
     return walk(pseq), v, rng.choice((1e-8, 1e-13, 1e-30)), max_support
+
+
+@pytest.mark.parametrize("p, v", [(0.51, 1e-320), (0.51, 1e-315), (0.6, 5e-324)])
+def test_a_subnormal_tail_that_decays_returns(p, v):
+    # tol * sup|v| underflowed to 0, so the tail had no threshold to reach; and
+    # a subnormal tail that rounding holds a few ulps up never reaches the least
+    # positive one: both raised TailNotDecayingError, although p > 1/2
+    op, target = walk(Constant(p)), FinSeq.from_values([v])
+    u = right_inverse(op, target)
+    assert (op.apply(u) - target).sup_abs() <= 1e-322
+    assert _outcome(right_inverse, op, target, 1e-13, None) == _outcome(
+        _reference_right_inverse, op, target, 1e-13, None
+    )
 
 
 def test_a_tail_past_the_float_range_reports_it():
@@ -409,6 +425,14 @@ def test_both_orbit_loops_take_the_float_plane_by_one_rule(values, flat, lam):
         _, (_, forward) = op._orbit(v, 1)
         _, (_, backward) = _backward(op, v, 1, lam)
     assert forward.dtype == backward.dtype == (np.float64 if flat else np.complex128)
+
+
+def test_a_negative_max_support_raises(walk_075):
+    # it acted as max_support=0
+    with pytest.raises(ValueError, match="max_support must be nonnegative"):
+        right_inverse(walk_075, FinSeq.unit(0), max_support=-3)
+    with pytest.raises(ValueError, match="max_support must be nonnegative"):
+        right_inverse_power(walk_075, FinSeq.unit(0), 2, max_support=-3)
 
 
 def test_max_support_cap_honored(walk_075):

@@ -244,6 +244,13 @@ def test_symmetric_interval_check_rejects_an_empty_grid():
         symmetric_dual_interval_check(lambdas=())
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_symmetric_interval_check_rejects_a_non_finite_lam(lam):
+    # it was reported as one more uncertified lam; point_spectrum_probe raises here too
+    with pytest.raises(ValueError, match="lam must be finite"):
+        symmetric_dual_interval_check(n_max=10, lambdas=(0.5, lam))
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0.5, math.inf), complex(math.nan, 0)])
 def test_point_spectrum_probe_rejects_a_non_finite_lam(lam):
     # it answered undetermined with nan evidence
