@@ -347,8 +347,8 @@ def supercyclicity_criterion_certificate(
     position-dependent probabilities whose parity chains shrink per cycle.
     Otherwise the kernel is trivial in the space and the certificate
     reports Undetermined; so it does, naming the cap, when the kernel
-    window would pass its cap, and when the kernel vector passes the float
-    range.
+    window would pass its cap, and when the kernel vector or the backward
+    orbit of the target passes the float range.
     """
     params = {"pseq": pseq_text(op.pseq), "space": str(space), "n_max": int(n_max)}
     if (blocked := _entry_checks(CertKind.SUPERCYCLICITY, op, space, n_max, 6, params)) is not None:
@@ -372,6 +372,11 @@ def supercyclicity_criterion_certificate(
     try:
         window = kernel_window_for_tol(pseq, deep_tol) + m
         sample, target = kernel_basis(op, m, window, tol=deep_tol, count=2)
+        # exactness of the right inverse on the target: each single step is
+        # well conditioned, so W(Sz) = z is demanded tightly along the whole
+        # backward orbit; the full W^n S^n round trip passes through norms of
+        # order (2p-1)^{-n}, so its residual is gated by that dynamic range
+        back, residuals, z = _checked_backward(op, target, n_max, space)
     except (ValueError, OverflowError) as exc:  # the window's cap, or the float range
         return Certificate(
             CertKind.SUPERCYCLICITY,
@@ -380,12 +385,6 @@ def supercyclicity_criterion_certificate(
             {"kernel_chain_log_factors": log_factors},
             str(exc),
         )
-
-    # exactness of the right inverse on the target: each single step is
-    # well conditioned, so W(Sz) = z is demanded tightly along the whole
-    # backward orbit; the full W^n S^n round trip passes through norms of
-    # order (2p-1)^{-n}, so its residual is gated by that dynamic range
-    back, residuals, z = _checked_backward(op, target, n_max, space)
     step_residual = max(0.0, *residuals)
     z = op.power_apply(n_max, z)
     inverse_residual = norm(z - target, space)

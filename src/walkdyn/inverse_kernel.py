@@ -198,6 +198,8 @@ def _backward(
         raise ValueError("the vector must live on the half-line")
     if max_support is not None and max_support < 0:
         raise ValueError(f"max_support must be nonnegative, got {max_support}")
+    if not 0 < tol < 1:  # nan too
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     pseq = op.pseq
     c = None if lam is None else complex(1.0 / lam)
     p, rl = np.empty(0), []  # p_n and r_n, read once per run, doubled on demand
@@ -300,7 +302,8 @@ def right_inverse(
     (at p = 0.75, ones on 0..10 with ``max_support=5`` give support
     1..12).  The result has the bits of the plain loop on what it reads of
     v (see the module docstring).  A preimage past the float range raises
-    OverflowError, and a negative ``max_support`` ValueError.
+    OverflowError; a negative ``max_support``, or a tol outside (0, 1),
+    ValueError.
     """
     *_, (lo, values) = _backward(op, v, 1, tol=tol, max_support=max_support)
     return FinSeq(Lattice.HALF_LINE, lo, values)
@@ -334,8 +337,10 @@ def kernel_window_for_tol(pseq: PSeq, tol: float, cap: int = 12000) -> int:
     weight lie below tol.  The weights are computed only up to the
     closed-form chain horizon.  Raises ValueError when the chains do not
     decay (the horizon would be infinite) and when the window would pass
-    ``cap``.
+    ``cap``, or unless 0 < tol < 1.
     """
+    if not 0 < tol < 1:  # nan too
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     horizon = _chain_horizon(pseq, 0, tuple(map(abs, kernel_vector(pseq, 1))), tol)
     if math.isinf(horizon):
         raise ValueError(

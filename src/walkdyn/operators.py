@@ -11,12 +11,12 @@ probabilities:
 
 The operator acts on sequences by rows, (A x)_i = sum_j A_{i,j} x_j, so a
 finitely supported input stays finitely supported and the action is exact
-up to floating-point rounding.  The row action and the column action
-gather through one band product (``_band_product``); powers run in one
-buffered forward loop (``BandedOp._orbit``), of which ``apply`` is one
-step, and nothing is ever truncated to a finite matrix.  The loop iterates A
-alone, on float64 for a finite real start, bit for bit; a scalar multiple
-lam A never enters it, since its orbit is lam^n times that of A.
+up to floating-point rounding.  Powers of A and of A' run in one buffered
+forward loop (``BandedOp._orbit``) over the band or its transpose:
+``apply`` and ``apply_transpose`` are one step, ``power_apply`` and
+``power_row`` one run, and nothing is truncated to a finite matrix.  The
+loop iterates A alone, on float64 for a finite real start, bit for bit; a
+scalar multiple lam A never enters it, since its orbit is lam^n times A's.
 """
 
 from __future__ import annotations
@@ -71,12 +71,13 @@ class _PrefixCycle:
         return tuple(dict.fromkeys(self.prefix + self.cycle))
 
 
-def _band_product(down, left: np.ndarray, up, right: np.ndarray) -> np.ndarray:
-    """down * left + up * right entrywise, the gather of a band: as written on
-    float64, through ``_cmul`` on complex128, whose zero terms tie signs."""
+def _band_product(down, left: np.ndarray, up, right: np.ndarray, out=None) -> np.ndarray:
+    """down * left + up * right entrywise, the gather of a band, into ``out``
+    when given: as written on float64, through ``_cmul`` on complex128, whose
+    zero terms tie signs."""
     if left.dtype == np.float64:
-        return down * left + up * right
-    return _cmul(down, left) + _cmul(up, right)
+        return np.add(np.multiply(down, left, out=out), up * right, out=out)
+    return np.add(_cmul(down, left), _cmul(up, right), out=out)
 
 
 def _running_products(ratios: np.ndarray, chains: int) -> np.ndarray:
@@ -223,11 +224,19 @@ class BandedOp:
             return p
         return 0.0
 
-    def _band(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The band at the given rows: row i moves to i+1 with probability
-        up = p_i, else (down) to i-1, or stays at 0 on the half-line."""
-        up = self.pseq.prob_array(rows)
-        return up, 1.0 - up
+    def _band(self, rows: np.ndarray, transpose: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The band at a range of rows: row i moves to i+1 with probability
+        up = p_i, else (down) to i-1, or stays at 0 on the half-line.  The
+        transpose's column j reads down = p_{j-1}, up = 1-p_{j+1}, and on the
+        half-line column 0 reads down = 1-p_0 through the x_{-1} := x_0 copy."""
+        if not transpose:
+            up = self.pseq.prob_array(rows)
+            return up, 1.0 - up
+        p = self.pseq.prob_array(np.arange(rows[0] - 1, rows[-1] + 2))
+        up, down = 1.0 - p[2:], p[:-2]
+        if self.lattice is Lattice.HALF_LINE:
+            down[rows == 0] = 1.0 - self.pseq.at(0)
+        return up, down
 
     def apply(self, x: FinSeq) -> FinSeq:
         """Row action (A x)_i = (1-p_i) x_{i-1} + p_i x_{i+1}, with the
@@ -237,34 +246,23 @@ class BandedOp:
 
     def apply_transpose(self, y: FinSeq) -> FinSeq:
         """Column action (A' y)_j = sum_i A_{i,j} y_i = p_{j-1} y_{j-1} +
-        (1-p_{j+1}) y_{j+1}, the band product over the transposed band.
+        (1-p_{j+1}) y_{j+1}: one step of the forward loop over the transpose.
 
         This is the action of the operator on row functionals; a left zero
         eigenvector u (u A = 0) satisfies apply_transpose(u) = 0.
         """
-        if y.lattice is not self.lattice:
-            raise ValueError("sequence lattice does not match the operator")
-        sup = y.support()
-        if sup is None:
-            return FinSeq.zero(self.lattice)
-        lo, hi = sup
-        half = self.lattice is Lattice.HALF_LINE
-        out_lo = max(lo - 1, 0) if half else lo - 1
-        # y on indices out_lo-1 .. hi+2; columns out_lo .. hi+1 gather from it
-        ys = np.zeros(hi - out_lo + 4, np.complex128)
-        ys[lo - out_lo + 1 : hi - out_lo + 2] = y.window(lo, hi + 1)
-        up, down = self._band(np.arange(out_lo - 1, hi + 3))  # rows out_lo-1 .. hi+2
-        if half and out_lo == 0:
-            ys[0], up[0] = ys[1], down[1]  # column 0 reads 1-p_0 y_0 as row 0 holds
-        return FinSeq(self.lattice, out_lo, _band_product(up[:-2], ys[:-2], down[2:], ys[2:]))
+        *_, (lo, values) = self._orbit(y, 1, transpose=True)
+        return FinSeq(self.lattice, lo, values)
 
-    def _orbit(self, x: FinSeq, n: int):
-        """Yield (lo, values) for x, Ax, ..., A^n x: views, overwritten by
-        the next step, each read on its support, +0 off it, for the rows one
-        below to one above it (from row 0 on the half-line).  The band is
-        read once; two buffers alternate: float64 on the float plane
-        (``_float_plane``, the rule of the backward loop too; a ``FinSeq``
-        of them has imaginary parts +0), else complex128."""
+    def _orbit(self, x: FinSeq, n: int, transpose: bool = False):
+        """Yield (lo, values) for x, Ax, ..., A^n x (A' for ``transpose``):
+        views, overwritten by the next step, each read on its support, +0 off
+        it, for the rows one below to one above it (from row 0 on the
+        half-line).  The band is read once; two buffers alternate: float64
+        on the float plane (``_float_plane``, the rule of the backward loop
+        too; a ``FinSeq`` of them has imaginary parts +0), else complex128."""
+        if n < 0:
+            raise ValueError("power must be nonnegative")
         if x.lattice is not self.lattice:
             raise ValueError("sequence lattice does not match the operator")
         yield x.offset, x.values
@@ -273,7 +271,7 @@ class BandedOp:
         win = x.window(lo, hi + 1)
         flat = _float_plane(win)
         base = -1 if half else lo - n - 1  # buffer position 0 holds this index
-        up, down = self._band(np.arange(base, hi + n + 2))
+        up, down = self._band(np.arange(base, hi + n + 2), transpose)
         cur, nxt = np.zeros((2, len(up)), np.float64 if flat else np.complex128)
         s, e = lo - base, hi - base  # support positions
         cur[s : e + 1] = win.real if flat else win
@@ -289,7 +287,7 @@ class BandedOp:
             if half:
                 cur[0] = cur[1]  # row 0 holds: its down move reads x_0
             left, right = cur[g0 - 1 : g1 - 1], cur[g0 + 1 : g1 + 1]
-            nxt[g0:g1] = _band_product(down[g0:g1], left, up[g0:g1], right)
+            _band_product(down[g0:g1], left, up[g0:g1], right, out=nxt[g0:g1])
             s, e = a, b - 1
             while s <= e and not nxt[s]:
                 s += 1
@@ -300,8 +298,6 @@ class BandedOp:
 
     def power_apply(self, n: int, x: FinSeq) -> FinSeq:
         """A^n x, bit for bit n applications, in one buffered loop."""
-        if n < 0:
-            raise ValueError("power must be nonnegative")
         for lo, values in self._orbit(x, n):
             pass  # each step overwrites the last; only A^n x is kept
         return FinSeq(x.lattice, lo, values)
@@ -313,12 +309,11 @@ class BandedOp:
         return self.power_apply(n, FinSeq.unit(j, self.lattice)).at(i).real
 
     def power_row(self, n: int, i: int) -> FinSeq:
-        """Row i of A^n, built by n applications of the transpose action."""
+        """Row i of A^n, the column A'^n e_i: one run of the forward loop over
+        the transposed band, bit for bit n ``apply_transpose`` steps."""
         self._check_index(i)
-        cur = FinSeq.unit(i, self.lattice)
-        for _ in range(n):
-            cur = self.apply_transpose(cur)
-        return cur
+        *_, (lo, values) = self._orbit(FinSeq.unit(i, self.lattice), n, transpose=True)
+        return FinSeq(self.lattice, lo, values)
 
 
 def make_walk(lattice: Lattice, pseq: PSeq) -> BandedOp:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import Verdict, _chain_factors, kernel_decay_log_factors
-from .operators import PSeq, _check_prob, _running_products
-from .seqspace import SpaceKind, SpaceSpec
+from .operators import Constant, PSeq, _check_prob, _running_products, make_walk
+from .seqspace import FinSeq, Lattice, SpaceKind, SpaceSpec
 
 _DEFECT_TOL = 1e-12  # |discriminant| at or below which the roots count as repeated
 
@@ -159,9 +159,7 @@ def certified_disk_radius(
 
     if not ok(0.0):
         return 0.0
-    lo, hi = 0.0, 2.0
-    if ok(hi):
-        return hi
+    lo, hi = 0.0, 2.0  # |lam| = 2 has a root of modulus >= 1/p > 1 (they sum to lam/p)
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:  # to tol or the float spacing
         if ok(mid):
             lo = mid
@@ -277,6 +275,7 @@ def symmetric_dual_interval_check(
     non-finite lam raises ValueError.
     """
     p = 0.5
+    walk = make_walk(Lattice.HALF_LINE, Constant(p))
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if lambdas is None:
@@ -300,12 +299,10 @@ def symmetric_dual_interval_check(
         c = (q1 - b) / (a - b)
         d = 1.0 - c
         bound = abs(c) + abs(d)
-        q = eigen_sequence(p, lam, n_max)
-        sup_q = max(abs(v) for v in q)
-        # eigen-equation residual on the computed window
-        res = abs((1.0 - p) * q[0] + p * q[1] - lam * q[0])
-        for i in range(1, n_max):
-            res = max(res, abs((1.0 - p) * q[i - 1] + p * q[i + 1] - lam * q[i]))
+        q = FinSeq.from_values(eigen_sequence(p, lam, n_max))
+        sup_q = q.sup_abs()
+        # eigen-equation residual on rows 0 .. n_max - 1 of the computed window
+        res = FinSeq.from_values((walk.apply(q) - lam * q).values[:n_max]).sup_abs()
         ok = (
             abs(abs(a) - 1.0) <= 1e-12
             and sup_q <= bound * (1.0 + 1e-10)

@@ -40,20 +40,26 @@ def random_finseq(
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def _row(op, i: int):
-    """Row i of A as (j, A_{i,j}, A_{i,i+1}) from ``op.entry``: j = i - 1,
-    or 0 on row 0 of the half-line, where the down move holds."""
+def _row(op, i: int, transpose: bool = False):
+    """Row i of A as (j, A_{i,j}, A_{i,i+1}) from ``op.entry``, or row i of
+    A' as (j, A_{j,i}, A_{i+1,i}): j = i - 1, or 0 on row 0 of the
+    half-line, where the down move holds."""
     j = max(i - 1, 0) if op.lattice is Lattice.HALF_LINE else i - 1
+    if transpose:
+        return j, complex(op.entry(j, i)), complex(op.entry(i + 1, i))
     return j, complex(op.entry(i, j)), complex(op.entry(i, i + 1))
 
 
-def apply_entrywise(op, x: FinSeq) -> FinSeq:
+def apply_entrywise(op, x: FinSeq, transpose: bool = False) -> FinSeq:
     """A x row by row from ``op.entry``, the bit reference of every forward
     loop: row i is complex(A_{i,i-1}) x_{i-1} + complex(A_{i,i+1}) x_{i+1}
     (row 0 of the half-line reads A_{0,0} x_0), on the rows from one below
-    the support of x (row 0 at the least) to one above it.  x is read on
-    its trimmed support, so it is +0 off it; ``complex(a) * z`` is a
-    complex product, rounded as ``_cmul`` rounds on every Python version."""
+    the support of x (row 0 at the least) to one above it; with
+    ``transpose``, A' x column by column, complex(A_{i-1,i}) x_{i-1} +
+    complex(A_{i+1,i}) x_{i+1} (column 0 of the half-line reads A_{0,0}
+    x_0).  x is read on its trimmed support, so it is +0 off it;
+    ``complex(a) * z`` is a complex product, rounded as ``_cmul`` rounds on
+    every Python version."""
     x = x.trim()
     sup = x.support()
     if sup is None:
@@ -63,7 +69,7 @@ def apply_entrywise(op, x: FinSeq) -> FinSeq:
     entries = dict(x.items())
     values = []
     for i in range(first, hi + 2):
-        j, a, b = _row(op, i)
+        j, a, b = _row(op, i, transpose)
         values.append(a * entries.get(j, 0j) + b * entries.get(i + 1, 0j))
     return FinSeq(op.lattice, first, values)
 

@@ -319,6 +319,20 @@ class TestCertify:
         assert res["holds"] == "undetermined"
         assert res["reason"] == "the kernel vector passes the float range (about 1.8e308)"
 
+    @pytest.mark.parametrize(
+        "pseq, n_max", [("const:0.55", "400"), ("const:0.51", "400"), ("const:0.6", "1000")]
+    )
+    def test_supercyclicity_backward_orbit_past_the_float_range_exit_3(self, capsys, pseq, n_max):
+        # S^k target grows like (2p - 1)^-k and passes 1.8e308 before step
+        # n_max; before, the OverflowError ended the run with exit 2
+        code, doc = run_json(
+            capsys, "certify", "supercyclicity", "--pseq", pseq, "--n-max", n_max
+        )
+        assert code == 3
+        res = doc["result"]
+        assert res["holds"] == "undetermined"
+        assert res["reason"] == "the preimage passes the float range (about 1.8e308)"
+
 
 class TestProbe:
     def test_obstruction(self, capsys):
@@ -484,6 +498,52 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["inverse", "--pseq", "const:0.75", "--v", "1,2@x"],
+             "bad offset in vector literal: 'x'"),
+            (["inverse", "--pseq", "const:0.75", "--v", "1,abc"], "bad vector literal: '1,abc'"),
+            (["inverse", "--pseq", "const:0.75", "--v", "@2"], "empty vector literal: '@2'"),
+            (["spectrum", "--p", "0.75", "--lam-grid", "0:1:0"], "grid count must be at least 1"),
+            (["spectrum", "--pseq", "periodic:0.6,0.7", "--lam", "0.5"],
+             "grid/radius modes need a constant probability (use --p)"),
+            (["spectrum", "--mode", "radius", "--pseq", "list:0.6;tail=0.7"],
+             "grid/radius modes need a constant probability (use --p)"),
+            (["spectrum", "--p", "0.75", "--lam", "0.5", "--lam-grid", "0:1:3"],
+             "give either --lam or --lam-grid, not both"),
+            (["spectrum", "--p", "0.75"], "grid mode needs --lam or --lam-grid"),
+            (["spectrum", "--mode", "dual"], "dual mode needs --pseq"),
+            (["inverse", "--pseq", "const:0.75", "--v", "e0", "--power", "-1"],
+             "--power must be nonnegative"),
+            (["kernel", "--pseq", "const:0.75", "--power", "0"], "--power must be at least 1"),
+            (["certify", "fhc", "--pseq", "const:0.75"], "certify fhc needs --lambda"),
+            (["certify", "supercyclicity", "--pseq", "const:0.75", "--lambda", "2"],
+             "the supercyclicity certificate takes no --lambda"),
+            (["probe", "obstruction", "--pseq", "const:0.7"], "probe obstruction needs --alpha"),
+            (["probe", "line-bound", "--pseq", "const:0.7"], "probe line-bound needs --x"),
+            (["oracle", "--pseq", "const:0.7", "--n", "3"],
+             "oracle --stat transition needs --n and --j"),
+            (["oracle", "--pseq", "const:0.7", "--j", "1"],
+             "oracle --stat transition needs --n and --j"),
+            (["oracle", "--stat", "return-mass", "--pseq", "const:0.7"],
+             "oracle --stat return-mass needs --horizon"),
+            (["orbit", "--pseq", "const:0.7", "--x", "e0", "--targets", "|"],
+             "orbit needs at least one target"),
+        ],
+        ids=[
+            "bad-offset", "bad-literal", "empty-before-offset", "grid-count", "grid-periodic",
+            "radius-list", "lam-and-grid", "no-lam", "dual-no-pseq", "inverse-power",
+            "kernel-power", "fhc-no-lambda", "supercyclicity-lambda", "obstruction-no-alpha",
+            "line-bound-no-x", "transition-no-j", "transition-no-n", "return-mass-no-horizon",
+            "orbit-no-target",
+        ],
+    )
+    def test_missing_or_malformed_input_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     def test_bad_vector_exit_2(self, capsys):
         code, _, err = run(

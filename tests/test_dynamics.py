@@ -367,6 +367,15 @@ class TestSupercyclicityCertificate:
         assert cert.reason == "the kernel vector passes the float range (about 1.8e308)"
         assert "kernel_chain_log_factors" in cert.witness
 
+    @pytest.mark.parametrize("p, n_max", [(0.55, 400), (0.51, 400), (0.6, 1000)])
+    def test_backward_orbit_past_the_float_range_is_undetermined(self, p, n_max):
+        # S^k target grows like (2p - 1)^-k and passes 1e308 before step n_max;
+        # before, the checked backward orbit's OverflowError left the certificate
+        cert = supercyclicity_criterion_certificate(walk(Constant(p)), SpaceSpec.c0(), n_max)
+        assert cert.verdict is Verdict.UNDETERMINED
+        assert cert.reason == "the preimage passes the float range (about 1.8e308)"
+        assert "kernel_chain_log_factors" in cert.witness
+
     def test_yes_near_boundary(self):
         # backward norms blow up like 10^n here; the verdict must come
         # from the per-step identity, not the ill-conditioned round trip

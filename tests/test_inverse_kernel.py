@@ -113,7 +113,7 @@ def test_tail_not_decaying_raises():
     with pytest.raises(TailNotDecayingError) as exc:
         right_inverse(op, FinSeq.unit(0))
     assert exc.value.last_magnitude > 0
-    with pytest.raises(TailNotDecayingError):  # a nan threshold has no horizon to stop at
+    with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
         right_inverse(walk(Constant(0.75)), FinSeq.unit(0), tol=math.nan)
 
 

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,13 +21,14 @@ from walkdyn.operators import (
     Constant,
     ListWithTail,
     Periodic,
+    _band_product,
     make_walk,
     parse_pseq,
     pseq_text,
 )
 from walkdyn.seqspace import FinSeq, Lattice, SpaceSpec, norm
 
-from conftest import apply_chain, dense_matrix, random_finseq, random_pseq
+from conftest import apply_chain, apply_entrywise, dense_matrix, random_finseq, random_pseq
 
 probs = st.floats(min_value=0.05, max_value=0.95)
 
@@ -405,6 +407,49 @@ def test_forward_loop_bits_match_the_apply_chain(monkeypatch):
                     supercyclicity_criterion_certificate(walk, space),
                 ]
             assert repr(got) == repr(want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the inf start
+def test_transpose_loop_bits_match_the_column_reference():
+    # apply_transpose and power_row against A' summed column by column from
+    # op.entry, on the forward loop's cases: both lattices, list prefixes
+    # from -3 to 3, entries of either sign of zero, subnormal, nan and inf
+    rng = random.Random(2424)
+    fixed = _fixed_forward_cases()
+    for case in range(400):
+        op, y, n = fixed[case] if case < len(fixed) else _forward_case(rng)
+        got, want = op.apply_transpose(y), apply_entrywise(op, y, transpose=True)
+        assert (got.offset, got.values.tobytes()) == (want.offset, want.values.tobytes())
+        i = rng.randint(0 if op.lattice is Lattice.HALF_LINE else -4, 4)
+        n = min(n, 40)
+        want = FinSeq.unit(i, op.lattice)
+        for _ in range(n):
+            want = apply_entrywise(op, want, transpose=True)
+        got = op.power_row(n, i)
+        assert (got.offset, got.values.tobytes()) == (want.offset, want.values.tobytes())
+
+
+@pytest.mark.parametrize("complex_plane", [False, True])
+def test_band_product_fills_out_with_the_bits_of_the_entrywise_sum(complex_plane):
+    rng = random.Random(91)
+    down, up = ([rng.uniform(0.05, 0.95) for _ in range(64)] for _ in range(2))
+
+    def entries():
+        values = [rng.choice(_EDGE_VALUES) if rng.random() < 0.3 else rng.uniform(-2, 2)
+                  for _ in range(64)]
+        return [complex(v, rng.choice(_EDGE_VALUES)) for v in values] if complex_plane else values
+
+    left, right = entries(), entries()
+    if complex_plane:  # Python complex products, as _cmul rounds them
+        want = [complex(d) * a + complex(u) * b for d, a, u, b in zip(down, left, up, right)]
+    else:
+        want = [d * a + u * b for d, a, u, b in zip(down, left, up, right)]
+    dtype = np.complex128 if complex_plane else np.float64
+    args = np.array(down), np.array(left, dtype), np.array(up), np.array(right, dtype)
+    out = np.full(64, np.nan, dtype)
+    assert _band_product(*args, out=out) is out
+    assert out.tobytes() == np.array(want, dtype).tobytes()
+    assert _band_product(*args).tobytes() == out.tobytes()
 
 
 _HALF = make_walk(Lattice.HALF_LINE, Constant(0.7))
