@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Cross-check Monte Carlo transition estimates against banded powers.
 
-Draws random (p, n, i, j) tuples, simulates each with a fixed seed and
-prints the deviation from the exact power entry in standard-error
-units.  Exits nonzero if more than one tuple in a hundred lands outside
+Draws random (walk, n, i, j) tuples, simulates each with a fixed seed
+and prints the deviation from the exact power entry in standard-error
+units.  Each walk draws its lattice and its form: a constant p, a list
+of 1-6 prefix values before a constant tail (starting at a negative
+state on the line), or a cycle of length 2-4; on the line i and j may be
+negative.  Exits nonzero if more than one tuple in a hundred lands outside
 four standard errors, which is this package's agreement bar.
 """
 
@@ -11,9 +14,26 @@ import argparse
 import random
 import sys
 
-from walkdyn.operators import Constant, make_walk
+from walkdyn.operators import Constant, ListWithTail, Periodic, make_walk, pseq_text
 from walkdyn.seqspace import Lattice
 from walkdyn.walk_oracle import WalkConfig, estimate_transition
+
+
+def draw_walk(rng):
+    """A random lattice and probability sequence with entries in (0.2, 0.9)."""
+
+    def p():
+        return round(rng.uniform(0.2, 0.9), 3)
+
+    lattice = rng.choice(list(Lattice))
+    form = rng.randrange(3)
+    if form == 0:
+        return lattice, Constant(p())
+    if form == 1:
+        values = tuple(p() for _ in range(rng.randint(1, 6)))
+        start = rng.randint(-4, 0) if lattice is Lattice.LINE else 0
+        return lattice, ListWithTail(values, p(), start=start)
+    return lattice, Periodic(tuple(p() for _ in range(rng.randint(2, 4))))
 
 
 def main():
@@ -29,15 +49,19 @@ def main():
     worst = 0.0
     outside = 0
     for trial in range(args.trials):
-        p = rng.uniform(0.2, 0.9)
+        lattice, pseq = draw_walk(rng)
         n = rng.randint(1, args.n_max)
-        i = rng.randint(0, 4)
-        j = rng.randint(max(0, i - n), i + n)
-        op = make_walk(Lattice.HALF_LINE, Constant(p))
-        exact = op.power_entry(n, i, j)
+        if lattice is Lattice.HALF_LINE:
+            i = rng.randint(0, 4)
+            j = rng.randint(max(0, i - n), i + n)
+        else:
+            # the line walk keeps parity: j is i + n minus an even number
+            i = rng.randint(-4, 4)
+            j = i - n + 2 * rng.randint(0, n)
+        exact = make_walk(lattice, pseq).power_entry(n, i, j)
         cfg = WalkConfig(
-            lattice=Lattice.HALF_LINE,
-            pseq=Constant(p),
+            lattice=lattice,
+            pseq=pseq,
             seed=args.seed * 100_003 + trial,
             samples=args.samples,
         )
@@ -50,7 +74,7 @@ def main():
             flag = "  <-- outside 4 se"
         if flag or not args.quiet:
             print(
-                f"p={p:.3f} n={n:2d} {i}->{j:2d}  exact={exact:.6f} "
+                f"{lattice.value} {pseq_text(pseq)} n={n:2d} {i}->{j:2d}  exact={exact:.6f} "
                 f"mc={estimate:.6f} se={stderr:.2e} dev={dev:5.2f}{flag}"
             )
 

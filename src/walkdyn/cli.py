@@ -23,6 +23,7 @@ import enum
 import json
 import math
 import sys
+from collections.abc import Callable
 
 from . import __version__
 from .classify import Classification, Verdict, classify
@@ -338,7 +339,7 @@ _SPECTRUM_FLAGS = {
 }
 
 
-def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
+def _run_spectrum(args, config) -> tuple[dict, int, tuple | Callable[[], tuple] | None]:
     allowed = _SPECTRUM_FLAGS[args.mode].split()
     for flag in "p pseq space lam lam_grid band angles n_max tol".split():
         if getattr(args, flag) is not None and flag not in allowed:
@@ -368,7 +369,8 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
             for v in verdicts
         ]
         counts = {m.value: sum(v.member is m for v in verdicts) for m in Verdict}
-        csv_data = _table_csv(
+        # the table is built only when --format csv asks for it
+        csv_data = lambda: _table_csv(
             rows, "lam_re lam_im member max_modulus alpha_re alpha_im beta_re beta_im defective"
         )
         return {"space": str(space), "p": p, "rows": rows, "counts": counts}, 0, csv_data
@@ -495,6 +497,10 @@ def _run_oracle(args, config) -> tuple[dict, int, tuple | None]:
     cfg = WalkConfig(lattice=lattice, pseq=pseq, seed=args.seed, samples=args.samples)
     config.update(pseq=pseq_text(pseq), lattice=lattice.value, stat=args.stat,
                   samples=args.samples, seed=args.seed)
+    for stat, flags in (("transition", "n j"), ("return-mass", "horizon")):
+        for flag in flags.split():
+            if stat != args.stat and getattr(args, flag) is not None:
+                raise ValueError(f"oracle --stat {args.stat} takes no --{flag}")
     if args.stat == "transition":
         if args.n is None or args.j is None:
             raise ValueError("oracle --stat transition needs --n and --j")
@@ -578,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         if csv_data is None:
             print("error: csv output is not available for this subcommand", file=sys.stderr)
             return 2
-        _emit_csv(*csv_data)
+        _emit_csv(*(csv_data() if callable(csv_data) else csv_data))
         return code
     _emit_json(config, result)
     return code

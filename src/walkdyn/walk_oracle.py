@@ -10,6 +10,17 @@ draw per trajectory for step j, and trajectory t always reads entry t of
 each block.  A trajectory's randomness is therefore a fixed function of
 (seed, trajectory index), independent of evaluation order, and all
 accumulations are integer counts, so results are exactly reproducible.
+
+Both estimators run one stepping loop, ``_walk``, in fixed memory: p read
+once over the states the walk can reach, one int64 position per trajectory
+(an offset from the lowest of those states) updated in place, and each
+step's block of draws taken in stream order, ``_CHUNK`` trajectories at a
+time, into reused buffers.  The bits are those of one whole block per
+step: the stream does not depend on how a block is split into calls, the
+table holds ``prob_array``'s values, and adding the outcome twice and
+subtracting 1 is the integer step.  The counts are exact integers, and a
+total below 2**53 over ``samples`` is the float mean of the per-trajectory
+visit counts, so the return mass keeps its bits too.
 """
 
 from __future__ import annotations
@@ -50,13 +61,35 @@ def _generator(cfg: WalkConfig) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=cfg.seed))
 
 
-def _advance(cfg: WalkConfig, pos: np.ndarray, u: np.ndarray) -> np.ndarray:
-    pvals = cfg.pseq.prob_array(pos)
-    pos = np.where(u < pvals, pos + 1, pos - 1)
-    if cfg.lattice is Lattice.HALF_LINE:
-        # from 0 the failed jump is a hold, not a step to -1
-        np.maximum(pos, 0, out=pos)
-    return pos
+_CHUNK = 8192  # trajectories per slice of a step's block of draws
+
+
+def _walk(cfg: WalkConfig, n: int, i: int, j: int, every_step: bool = False) -> int:
+    """Walk cfg.samples trajectories n steps from i and count those at j:
+    after step n, or summed over steps 1..n with ``every_step``."""
+    half_line = cfg.lattice is Lattice.HALF_LINE
+    base = max(i - n, 0) if half_line else i - n
+    table = cfg.pseq.prob_array(np.arange(base, i + n + 1))
+    rng = _generator(cfg)
+    pos = np.full(cfg.samples, i - base, dtype=np.int64)
+    draw, prob, up = np.empty(_CHUNK), np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
+    hits = 0
+    for step in range(1, n + 1):
+        for lo in range(0, cfg.samples, _CHUNK):
+            x = pos[lo : lo + _CHUNK]
+            u, pv, b = draw[: len(x)], prob[: len(x)], up[: len(x)]
+            rng.random(out=u)
+            np.take(table, x, out=pv, mode="clip")  # every offset is in range
+            np.less(u, pv, out=b)
+            x += b
+            x += b
+            x -= 1
+            if half_line:
+                # from 0 the failed jump is a hold, not a step to -1
+                np.maximum(x, -base, out=x)
+            if every_step or step == n:
+                hits += int(np.count_nonzero(np.equal(x, j - base, out=b)))
+    return hits
 
 
 def estimate_transition(cfg: WalkConfig, n: int, i: int, j: int) -> tuple[float, float]:
@@ -73,11 +106,7 @@ def estimate_transition(cfg: WalkConfig, n: int, i: int, j: int) -> tuple[float,
     _check_state(cfg, j)
     if n == 0:
         return (1.0 if i == j else 0.0), 0.0
-    rng = _generator(cfg)
-    pos = np.full(cfg.samples, i, dtype=np.int64)
-    for _ in range(n):
-        pos = _advance(cfg, pos, rng.random(cfg.samples))
-    count = int(np.count_nonzero(pos == j))
+    count = _walk(cfg, n, i, j)
     phat = count / cfg.samples
     if count == 0 or count == cfg.samples:
         # all-or-nothing runs still carry sampling noise; the plug-in
@@ -98,10 +127,4 @@ def estimate_return_mass(cfg: WalkConfig, horizon: int, i: int) -> float:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     _check_state(cfg, i)
-    rng = _generator(cfg)
-    pos = np.full(cfg.samples, i, dtype=np.int64)
-    visits = np.zeros(cfg.samples, dtype=np.int64)
-    for _ in range(horizon):
-        pos = _advance(cfg, pos, rng.random(cfg.samples))
-        visits += pos == i
-    return float(visits.mean())
+    return _walk(cfg, horizon, i, i, every_step=True) / cfg.samples

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from walkdyn import cli
 from walkdyn.cli import main, parse_grid, parse_vector
 from walkdyn.seqspace import Lattice
 
@@ -99,6 +100,16 @@ class TestSpectrum:
         header = out.splitlines()[0]
         assert header.split(",")[:2] == ["lam_re", "lam_im"]
         assert len(out.splitlines()) == 5
+
+    def test_grid_builds_its_csv_table_only_for_csv(self, capsys, monkeypatch):
+        built = []
+        table = cli._table_csv
+        monkeypatch.setattr(cli, "_table_csv", lambda *a: built.append(1) or table(*a))
+        grid = ("spectrum", "--p", "0.75", "--lam-grid=0:0.9:4")
+        assert run_json(capsys, *grid)[0] == 0
+        assert built == []
+        assert run(capsys, *grid, "--format", "csv")[0] == 0
+        assert built == [1]
 
     def test_dual_mode(self, capsys):
         code, doc = run_json(
@@ -529,6 +540,12 @@ class TestErrors:
              "oracle --stat transition needs --n and --j"),
             (["oracle", "--stat", "return-mass", "--pseq", "const:0.7"],
              "oracle --stat return-mass needs --horizon"),
+            (["oracle", "--pseq", "const:0.7", "--n", "3", "--j", "1", "--horizon", "5"],
+             "oracle --stat transition takes no --horizon"),
+            (["oracle", "--pseq", "const:0.7", "--stat", "return-mass", "--horizon", "5",
+              "--n", "3"], "oracle --stat return-mass takes no --n"),
+            (["oracle", "--pseq", "const:0.7", "--stat", "return-mass", "--horizon", "5",
+              "--j", "1"], "oracle --stat return-mass takes no --j"),
             (["orbit", "--pseq", "const:0.7", "--x", "e0", "--targets", "|"],
              "orbit needs at least one target"),
         ],
@@ -537,6 +554,7 @@ class TestErrors:
             "radius-list", "lam-and-grid", "no-lam", "dual-no-pseq", "inverse-power",
             "kernel-power", "fhc-no-lambda", "supercyclicity-lambda", "obstruction-no-alpha",
             "line-bound-no-x", "transition-no-j", "transition-no-n", "return-mass-no-horizon",
+            "transition-horizon", "return-mass-n", "return-mass-j",
             "orbit-no-target",
         ],
     )
