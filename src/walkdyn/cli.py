@@ -23,7 +23,6 @@ import enum
 import json
 import math
 import sys
-from collections.abc import Callable
 
 from . import __version__
 from .classify import Classification, Verdict, classify
@@ -339,7 +338,7 @@ _SPECTRUM_FLAGS = {
 }
 
 
-def _run_spectrum(args, config) -> tuple[dict, int, tuple | Callable[[], tuple] | None]:
+def _run_spectrum(args, config) -> tuple[dict, int, tuple | None]:
     allowed = _SPECTRUM_FLAGS[args.mode].split()
     for flag in "p pseq space lam lam_grid band angles n_max tol".split():
         if getattr(args, flag) is not None and flag not in allowed:
@@ -369,10 +368,9 @@ def _run_spectrum(args, config) -> tuple[dict, int, tuple | Callable[[], tuple] 
             for v in verdicts
         ]
         counts = {m.value: sum(v.member is m for v in verdicts) for m in Verdict}
-        # the table is built only when --format csv asks for it
-        csv_data = lambda: _table_csv(
+        csv_data = _table_csv(
             rows, "lam_re lam_im member max_modulus alpha_re alpha_im beta_re beta_im defective"
-        )
+        ) if args.format == "csv" else None
         return {"space": str(space), "p": p, "rows": rows, "counts": counts}, 0, csv_data
     if args.mode == "radius":
         p = _spectrum_p(args)
@@ -497,10 +495,9 @@ def _run_oracle(args, config) -> tuple[dict, int, tuple | None]:
     cfg = WalkConfig(lattice=lattice, pseq=pseq, seed=args.seed, samples=args.samples)
     config.update(pseq=pseq_text(pseq), lattice=lattice.value, stat=args.stat,
                   samples=args.samples, seed=args.seed)
-    for stat, flags in (("transition", "n j"), ("return-mass", "horizon")):
-        for flag in flags.split():
-            if stat != args.stat and getattr(args, flag) is not None:
-                raise ValueError(f"oracle --stat {args.stat} takes no --{flag}")
+    for flag in {"transition": ("horizon",), "return-mass": ("n", "j")}[args.stat]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"oracle --stat {args.stat} takes no --{flag}")
     if args.stat == "transition":
         if args.n is None or args.j is None:
             raise ValueError("oracle --stat transition needs --n and --j")
@@ -584,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         if csv_data is None:
             print("error: csv output is not available for this subcommand", file=sys.stderr)
             return 2
-        _emit_csv(*(csv_data() if callable(csv_data) else csv_data))
+        _emit_csv(*csv_data)
         return code
     _emit_json(config, result)
     return code

@@ -11,11 +11,11 @@ each block.  A trajectory's randomness is therefore a fixed function of
 (seed, trajectory index), independent of evaluation order, and all
 accumulations are integer counts, so results are exactly reproducible.
 
-Both estimators run one stepping loop, ``_walk``, in fixed memory: p read
-once over the states the walk can reach, one int64 position per trajectory
-(an offset from the lowest of those states) updated in place, and each
-step's block of draws taken in stream order, ``_CHUNK`` trajectories at a
-time, into reused buffers.  The bits are those of one whole block per
+Both estimators run one stepping loop, ``_walk``, whose memory is one
+int64 position per trajectory (an offset from the lowest state the walk
+can reach) updated in place, a (2n+1)-entry table of p read once over
+those states, and fixed buffers: each step's block of draws is taken in
+stream order, ``_CHUNK`` trajectories at a time, into them.  The bits are those of one whole block per
 step: the stream does not depend on how a block is split into calls, the
 table holds ``prob_array``'s values, and adding the outcome twice and
 subtracting 1 is the integer step.  The counts are exact integers, and a

@@ -135,7 +135,8 @@ def test_estimates_keep_the_bits_of_the_plain_loop(samples, n):
     for seed, (lattice, pseq, i) in enumerate(ORACLE_CASES):
         c = cfg(pseq, seed=seed, samples=samples, lattice=lattice)
         # the mode's parity, the wrong parity, and the lowest reachable state
-        for j in (i + n % 2, i + n + 1, max(i - n, 0)):
+        lowest = i - n if lattice is Lattice.LINE else max(i - n, 0)
+        for j in (i + n % 2, i + n + 1, lowest):
             assert estimate_transition(c, n, i, j) == reference_transition(c, n, i, j)
         assert estimate_return_mass(c, n, i) == reference_return_mass(c, n, i)
 
