@@ -10,10 +10,10 @@ For jump probabilities (p_n) the walk is
 Every supported probability sequence is a finite prefix followed by a
 repeating cycle.  The prefix changes only finitely many factors of either
 series, so the per-cycle ratio decides both exactly (the birth-death chain
-criterion of Karlin & McGregor, "Random walks", Illinois J. Math. 3, 1959).
-A finite-horizon heuristic on the first n terms of each series (running
-products over one array of p) inspects term ratios and partial sums; it
-is kept as a labelled audit route and may honestly return Undetermined.
+criterion of Karlin & McGregor, "Random walks", Illinois J. Math. 3, 1959),
+and that rule alone gives the verdict.  A finite-horizon heuristic on the
+first min(horizon, 200) terms of each series (running products over one
+array of p) is reported as evidence and decides nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class Classification(enum.Enum):
     POSITIVE_RECURRENT = "positive-recurrent"
     NULL_RECURRENT = "null-recurrent"
     TRANSIENT = "transient"
-    UNDETERMINED = "undetermined"
 
 
 class Verdict(enum.Enum):
@@ -185,17 +184,10 @@ class ClassVerdict:
     detail: dict = field(default_factory=dict)
 
 
-def _evidence(pseq: PSeq, n: int) -> tuple[SeriesDecision, SeriesDecision]:
-    s1 = judge_series(transience_series_terms(pseq, n), n)
-    s2 = judge_series(invariant_mass_series_terms(pseq, n), n)
-    return s1, s2
-
-
 def classify(
     pseq: PSeq,
     horizon: int = 2000,
     lattice: Lattice = Lattice.HALF_LINE,
-    method: str = "auto",
 ) -> ClassVerdict:
     """Classify the walk as transient, null recurrent or positive recurrent.
 
@@ -203,22 +195,17 @@ def classify(
     cycle: the per-cycle product of (1-p)/p over the stated values
     (:func:`_chain_factors`) is 1 for a null recurrent walk and below 1 for
     a transient one.  On the line lattice only the constant case is
-    supported (null recurrent at p = 1/2, transient otherwise).
-    ``method="series"`` skips the exact route and runs
-    :func:`judge_series` on both series regardless, which is how the exact
-    route is audited.
+    supported (null recurrent at p = 1/2, transient otherwise).  That rule
+    alone decides: :func:`judge_series` on the first min(horizon, 200) terms
+    of both series is evidence.
     """
-    if method not in ("auto", "series"):
-        raise ValueError("method must be 'auto' or 'series'")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if method == "series":
-        if lattice is Lattice.LINE:
-            raise ValueError("the series route classifies the half-line walk only")
-        return _series_classify(pseq, horizon)
     if lattice is Lattice.LINE and not isinstance(pseq, Constant):
         raise ValueError("line-walk classification is implemented for constant p only")
-    s1, s2 = _evidence(pseq, min(horizon, 200))
+    n = min(horizon, 200)
+    s1 = judge_series(transience_series_terms(pseq, n), n)
+    s2 = judge_series(invariant_mass_series_terms(pseq, n), n)
     cycle = pseq.cycle
     even, odd = _chain_factors(pseq)
     factor = even if len(cycle) % 2 else even * odd  # prod (1-p)/p over one cycle
@@ -239,23 +226,3 @@ def classify(
         verdict = Classification.POSITIVE_RECURRENT
     return ClassVerdict(verdict, method, horizon, s1, s2, detail)
 
-
-def _series_classify(pseq: PSeq, horizon: int) -> ClassVerdict:
-    s1, s2 = _evidence(pseq, horizon)
-    if s1.outcome is SeriesOutcome.CONVERGES:
-        # summable escape chances decide transience on their own
-        verdict = Classification.TRANSIENT
-    elif (
-        s1.outcome is SeriesOutcome.DIVERGES
-        and s2.outcome is SeriesOutcome.CONVERGES
-    ):
-        # recurrence plus a finite invariant measure
-        verdict = Classification.POSITIVE_RECURRENT
-    elif (
-        s1.outcome is SeriesOutcome.DIVERGES
-        and s2.outcome is SeriesOutcome.DIVERGES
-    ):
-        verdict = Classification.NULL_RECURRENT
-    else:
-        verdict = Classification.UNDETERMINED
-    return ClassVerdict(verdict, "series-policy", horizon, s1, s2)

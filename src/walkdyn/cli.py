@@ -25,7 +25,7 @@ import math
 import sys
 
 from . import __version__
-from .classify import Classification, Verdict, classify
+from .classify import Verdict, classify
 from .dynamics import (
     constant_tail_obstruction,
     fhc_chaos_certificate,
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="recurrence trichotomy of the walk")
     p.add_argument("--pseq", required=True, help="probability sequence, e.g. const:0.7")
     p.add_argument("--horizon", type=int, default=2000)
-    p.add_argument("--method", choices=["auto", "series"], default="auto")
     add_common(p, fmt=False)
 
     p = sub.add_parser("spectrum", help="point-spectrum probes and dual eigenvectors")
@@ -300,9 +299,8 @@ def _table_csv(rows: list[dict], header: str) -> tuple[list[str], list[list]]:
 def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
     pseq = parse_pseq(args.pseq)
     lattice = Lattice(args.lattice)
-    config.update(pseq=pseq_text(pseq), lattice=lattice.value, horizon=args.horizon,
-                  method=args.method)
-    v = classify(pseq, horizon=args.horizon, lattice=lattice, method=args.method)
+    config.update(pseq=pseq_text(pseq), lattice=lattice.value, horizon=args.horizon)
+    v = classify(pseq, horizon=args.horizon, lattice=lattice)
 
     series = "outcome decided_at terms partial_sums_head=head partial_sum_final=final"
     result = {
@@ -315,7 +313,7 @@ def _run_classify(args, config) -> tuple[dict, int, tuple | None]:
         },
         "detail": v.detail,
     }
-    return result, 3 if v.verdict is Classification.UNDETERMINED else 0, None
+    return result, 0, None
 
 
 def _spectrum_p(args) -> float:

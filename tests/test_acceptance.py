@@ -5,8 +5,10 @@ well under a minute, so ``pytest -v tests/test_acceptance.py`` reads as a
 pass/fail scorecard for the package.
 """
 
+import collections
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -127,28 +129,49 @@ def test_transfer_matrix_spectrum_grid():
                 assert verdict.member is not Verdict.YES, f"p={p} lam={lam}"
 
 
+def _detailed_balance_class(cycle):
+    # the invariant measure has pi_{n+1}/pi_n = p_n/(1-p_{n+1}); over one
+    # cycle of the stated values that ratio R is < 1 for a positive
+    # recurrent walk, 1 for a null recurrent and > 1 for a transient one
+    stated = [Fraction(repr(p)) for p in cycle]
+    ratio = math.prod(p / (1 - q) for p, q in zip(stated, stated[1:] + stated[:1]))
+    if ratio < 1:
+        return Classification.POSITIVE_RECURRENT
+    return Classification.NULL_RECURRENT if ratio == 1 else Classification.TRANSIENT
+
+
 def test_classification_exactness_and_periodic_fast_path():
-    # constant walks classify exactly; the periodic closed form agrees
-    # with the series heuristic on 50 random periodic sequences kept
-    # away from the balanced boundary.
+    # constant walks classify exactly; the periodic closed form agrees with
+    # detailed balance in Fractions on 200 random periodic sequences, half
+    # of them decimal cycles whose values are mirrored about 1/2 so that
+    # the cycle ratio is exactly 1 or next to it.
     assert classify(Constant(0.3)).verdict is Classification.POSITIVE_RECURRENT
     assert classify(Constant(0.5)).verdict is Classification.NULL_RECURRENT
     assert classify(Constant(0.7)).verdict is Classification.TRANSIENT
 
     rng = random.Random(37)
-    checked = 0
-    while checked < 50:
-        length = rng.randint(1, 6)
-        vals = tuple(rng.uniform(0.15, 0.85) for _ in range(length))
-        drift = math.fsum(math.log((1.0 - q) / q) for q in vals)
-        if abs(drift) < 0.1:
-            continue  # too close to balanced for the heuristic horizon
-        pseq = Periodic(vals)
-        fast = classify(pseq)
-        slow = classify(pseq, horizon=4000, method="series")
+    seen = collections.Counter()
+    for trial in range(200):
+        if trial % 2:
+            vals = tuple(rng.uniform(0.15, 0.85) for _ in range(rng.randint(1, 6)))
+        else:
+            digits = []
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(1500, 8500)
+                digits += [d, 10000 - d + rng.choice((-1, 0, 0, 1))]
+            if rng.random() < 0.3:
+                digits.append(rng.randint(1500, 8500))
+            rng.shuffle(digits)
+            vals = tuple(d / 10000 for d in digits)
+        fast = classify(Periodic(vals))
         assert fast.method.startswith("exact")
-        assert fast.verdict is slow.verdict, f"pseq={vals}"
-        checked += 1
+        assert fast.verdict is _detailed_balance_class(vals), f"pseq={vals}"
+        seen[fast.verdict] += 1
+    assert set(seen) == {
+        Classification.POSITIVE_RECURRENT,
+        Classification.NULL_RECURRENT,
+        Classification.TRANSIENT,
+    }, seen
 
 
 def test_oracle_matches_power_entry():

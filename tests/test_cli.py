@@ -61,9 +61,7 @@ class TestClassify:
         assert doc["result"]["verdict"] == verdict
 
     def test_series_method_evidence_trimmed(self, capsys):
-        code, doc = run_json(
-            capsys, "classify", "--pseq", "const:0.7", "--method", "series"
-        )
+        code, doc = run_json(capsys, "classify", "--pseq", "const:0.7")
         assert code == 0
         ev = doc["result"]["evidence"]["transience_series"]
         assert "partial_sums_head" in ev and len(ev["partial_sums_head"]) <= 8
@@ -494,15 +492,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # a probe at a state the half-line walk does not have, and
-            # series evidence over no terms
+            # a probe at a state the half-line walk does not have, series
+            # evidence over no terms, and a flag classify does not take
             (["probe", "obstruction", "--pseq", "const:0.7", "--alpha", "1", "--perturb", "e0",
               "--i", "-3"], "half-line indices are nonnegative"),
             (["classify", "--pseq", "const:0.6", "--horizon", "-1"], "horizon must be at least 1"),
-            (["classify", "--pseq", "const:0.6", "--horizon", "0", "--method", "series"],
-             "horizon must be at least 1"),
+            (["classify", "--pseq", "const:0.6", "--method", "series"],
+             "unrecognized arguments: --method series"),
         ],
-        ids=["probe-index", "horizon-auto", "horizon-series"],
+        ids=["probe-index", "horizon-auto", "method-series"],
     )
     def test_out_of_range_index_or_horizon_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -34,3 +34,12 @@ def test_golden_output(entry):
     assert code == entry["exit"]
     ext = "csv" if "csv" in entry["argv"] else "json"
     assert out == (GOLDEN / f"{entry['name']}.{ext}").read_text()
+
+
+def test_every_golden_file_is_named_by_one_command():
+    # a retired command must take its recorded output with it
+    names = [e["name"] for e in COMMANDS]
+    assert len(names) == len(set(names))
+    named = {f"{e['name']}.{'csv' if 'csv' in e['argv'] else 'json'}" for e in COMMANDS}
+    files = {f.name for f in GOLDEN.iterdir()} - {"commands.json"}
+    assert files == named

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from walkdyn.classify import Classification, classify
+from walkdyn.classify import classify
 from walkdyn.cli import _jsonable
 from walkdyn.dynamics import (
     constant_tail_obstruction,
@@ -120,14 +120,6 @@ def test_tol_outside_the_unit_interval_raises(call, tol):
 
 def test_jsonable_writes_nan_as_text():
     assert _jsonable([math.nan, math.inf, -math.inf, 1.5]) == ["nan", "inf", "-inf", 1.5]
-
-
-def test_series_route_finds_a_balanced_tail_null_recurrent():
-    # the head drives the partial sums of both series past 1e6
-    pseq = parse_pseq("list:0.5,0.001,0.001,0.999,0.999,0.999,0.999;tail=0.5")
-    v = classify(pseq, horizon=200, method="series")
-    assert (v.verdict, v.method) == (Classification.NULL_RECURRENT, "series-policy")
-    assert classify(pseq).verdict is Classification.NULL_RECURRENT
 
 
 def test_symmetric_check_does_not_certify_outside_the_open_interval():
